@@ -7,6 +7,10 @@ generators: `rng_topo` (topology and provisioning, identical across
 comparison arms for a given seed), `rng_mobility` (trajectories, likewise
 arm-independent) and `rng` (protocol-driven draws).  Replaying the same
 seed and configuration reproduces the event trace byte for byte.
+
+Each sender's broadcast neighbours are cached: the nodes within
+`tx_range_m`, in `nodes` insertion order, built lazily by the first
+broadcast and cleared by `add_node` and at every mobility tick.
 """
 
 from __future__ import annotations
@@ -15,16 +19,17 @@ import hashlib
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import ArmFlags, SimParams
 from .messages import (
+    DAO_BASE_LEN,
     DaoModified,
     DaoStatus,
     DioMessage,
     DisMessage,
     STATUS_LEN,
-    encode_dao,
     format_address,
     is_forged_address,
     node_address,
@@ -46,13 +51,14 @@ DATA_HOP_LIMIT = 64
 DRAIN_S = 1.0  # lets transmissions issued right at the horizon land
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
+    """Heap entry; (time, seq) is unique, so later fields never compare."""
+
     time: float
     seq: int
-    kind: str = field(compare=False)
-    node_id: str | None = field(compare=False, default=None)
-    payload: object = field(compare=False, default=None)
+    kind: str
+    node_id: str | None = None
+    payload: object = None
 
 
 class DataPacket:
@@ -87,6 +93,7 @@ class World:
         self._queue: list[Event] = []
         self._seq = 0
         self.nodes: dict[str, NodeState] = {}
+        self._in_range: dict[str, list[NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
         self.positions: dict[str, tuple[float, float]] = {}
         self.start_times: dict[str, float] = {}
@@ -111,6 +118,7 @@ class World:
         if self.trace_enabled:
             node.tracer = self._trace
         self.nodes[node_id] = node
+        self._in_range.clear()
         self.by_addr[address] = node
         self.positions[node_id] = pos
         self.start_times[node_id] = start_time
@@ -213,10 +221,21 @@ class World:
         if isinstance(message, DisMessage):
             return p.dis_bytes
         if isinstance(message, DaoModified):
-            return len(encode_dao(message))
+            options = message.options
+            return DAO_BASE_LEN + (1 + len(options) if options else 0)
         if isinstance(message, DaoStatus):
             return STATUS_LEN
         return p.data_bytes
+
+    def _neighbours(self, sender: NodeState) -> list[NodeState]:
+        """Nodes within radio range of `sender`, in `nodes` order."""
+        near = self._in_range.get(sender.node_id)
+        if near is None:
+            near = [other for other in self.nodes.values() if other is not sender
+                    and self._distance(sender.node_id, other.node_id)
+                    <= self.params.tx_range_m]
+            self._in_range[sender.node_id] = near
+        return near
 
     def _count_tx(self, message) -> None:
         if isinstance(message, DataPacket):
@@ -232,10 +251,8 @@ class World:
         self.ledgers[sender.node_id].tx_s += airtime
         self._count_tx(message)
         if dest is None:
-            for other in self.nodes.values():
-                if other is sender or self.clock < self.start_times[other.node_id]:
-                    continue
-                if self._distance(sender.node_id, other.node_id) > p.tx_range_m:
+            for other in self._neighbours(sender):
+                if self.clock < self.start_times[other.node_id]:
                     continue
                 if self.rng.random() < p.loss_prob:
                     self.counters.link_losses += 1
@@ -280,7 +297,8 @@ class World:
         node = self.nodes[event.node_id]
         if node.joined:
             return
-        self._trace(self.clock, node.node_id, "DIS_TX", "soliciting")
+        if self.trace_enabled:
+            self._trace(self.clock, node.node_id, "DIS_TX", "soliciting")
         self.transmit(node, None, DisMessage(sender=node.address))
         self._reschedule(self.clock + self.params.dis_period_s, "dis", node.node_id)
 
@@ -393,7 +411,8 @@ class World:
         if not node.joined or node.parent is None:
             return  # orphan: packet lost at the source
         packet = DataPacket(node.node_id, node.address, self.clock, counted)
-        self._trace(self.clock, node.node_id, "DATA_TX", f"counted={counted}")
+        if self.trace_enabled:
+            self._trace(self.clock, node.node_id, "DATA_TX", f"counted={counted}")
         self.transmit(node, node.parent, packet)
 
     def _handle_data(self, node: NodeState, packet: DataPacket) -> None:
@@ -404,8 +423,9 @@ class World:
             if packet.src_addr not in node.routing:
                 self.counters.root_admission_drops += 1
                 return
-            self._trace(self.clock, node.node_id, "DATA_RX",
-                        f"from {packet.src_id}")
+            if self.trace_enabled:
+                self._trace(self.clock, node.node_id, "DATA_RX",
+                            f"from {packet.src_id}")
             if packet.counted:
                 self.counters.received_at_root += 1
                 self.counters.delays.append(self.clock - packet.created)
@@ -422,6 +442,7 @@ class World:
 
     def _on_mobility(self, event: Event) -> None:
         p = self.params
+        self._in_range.clear()
         for node_id, state in self.mobility.items():
             x, y = self.positions[node_id]
             if self.clock < state.pause_until:
@@ -453,8 +474,8 @@ class World:
                               if n.role is not NodeRole.ROOT)
 
     def _trace(self, now: float, node_id: str, event: str, detail: str) -> None:
-        if self.trace_enabled:
-            self.trace_lines.append(f"{now:.6f}\t{node_id}\t{event}\t{detail}")
+        """Append one trace line; callers build `detail` only when tracing."""
+        self.trace_lines.append(f"{now:.6f}\t{node_id}\t{event}\t{detail}")
 
     # -- debugging ---------------------------------------------------------
 

@@ -127,8 +127,8 @@ class NodeState:
         return len(self.routing)
 
     def _trace(self, now: float, event: str, detail: str) -> None:
-        if self.tracer is not None:
-            self.tracer(now, self.node_id, event, detail)
+        """Callers check `tracer` first, so no detail is built untraced."""
+        self.tracer(now, self.node_id, event, detail)
 
     def _purge_expired(self, now: float) -> None:
         if self.params.route_lifetime_s <= 0:
@@ -153,10 +153,13 @@ class NodeState:
             entry.expires_at = expires
             return "updated"
         if self.rt_cap is not None and len(self.routing) >= self.rt_cap:
-            self._trace(now, "ROUTE_FULL", format_address(target))
+            if self.tracer is not None:
+                self._trace(now, "ROUTE_FULL", format_address(target))
             return "full"
         self.routing[target] = RoutingEntry(target, next_hop, now, expires)
-        self._trace(now, "ROUTE_ADD", f"{format_address(target)} via {format_address(next_hop)}")
+        if self.tracer is not None:
+            self._trace(now, "ROUTE_ADD",
+                        f"{format_address(target)} via {format_address(next_hop)}")
         return "added"
 
     def _learn_neighbor(self, addr: bytes, rank: int | None) -> None:
@@ -170,7 +173,8 @@ class NodeState:
     def handle_dis(self, dis: DisMessage, now: float) -> list:
         if not self.joined:
             return []
-        self._trace(now, "DIO_TX", f"rank={self.rank} (solicited)")
+        if self.tracer is not None:
+            self._trace(now, "DIO_TX", f"rank={self.rank} (solicited)")
         return [(None, self._dio())]
 
     def _dio(self) -> DioMessage:
@@ -226,7 +230,8 @@ class NodeState:
         fired = self.trickle.step(rng, now)
         if not fired:
             return []
-        self._trace(now, "DIO_TX", f"rank={self.rank}")
+        if self.tracer is not None:
+            self._trace(now, "DIO_TX", f"rank={self.rank}")
         return [(None, self._dio())]
 
     # -- DAO path ---------------------------------------------------------
@@ -245,7 +250,9 @@ class NodeState:
         else:
             dao = DaoModified(src=self.address, target=self.address,
                               sequence=self.dao_seq, reserved=self.license)
-        self._trace(now, "DAO_TX", f"seq={self.dao_seq} frame={encode_dao(dao).hex()}")
+        if self.tracer is not None:
+            self._trace(now, "DAO_TX",
+                        f"seq={self.dao_seq} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
     def emit_forged(self, now: float, rng: random.Random) -> list:
@@ -263,8 +270,8 @@ class NodeState:
             else:
                 dao = DaoModified(src=fake, target=fake, sequence=self.dao_seq,
                                   reserved=rng.randrange(256))
-            self._trace(now, "DAO_TX",
-                        f"forged frame={encode_dao(dao).hex()}")
+            if self.tracer is not None:
+                self._trace(now, "DAO_TX", f"forged frame={encode_dao(dao).hex()}")
             out.append((self.parent, dao))
         return out
 
@@ -276,8 +283,9 @@ class NodeState:
         self.add_route(dao.target, sender, now)
         if self.parent is None:
             return []
-        self._trace(now, "DAO_FWD",
-                    f"{format_address(dao.src)} frame={encode_dao(dao).hex()}")
+        if self.tracer is not None:
+            self._trace(now, "DAO_FWD",
+                        f"{format_address(dao.src)} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
     def root_handle_dao(self, dao: DaoModified, sender: bytes, now: float,
@@ -295,7 +303,8 @@ class NodeState:
             accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
         status = DaoStatus(originator=dao.src, sequence=dao.sequence,
                            status=STATUS_ACK if accepted else STATUS_NACK)
-        self._trace(now, "ACK" if accepted else "NACK", format_address(dao.src))
+        if self.tracer is not None:
+            self._trace(now, "ACK" if accepted else "NACK", format_address(dao.src))
         return [(sender, status)]
 
     def _verify_dao(self, dao: DaoModified, db: CRDatabase,
@@ -321,8 +330,9 @@ class NodeState:
         if st.originator == self.address:
             if st.is_ack:
                 self.registered_until = now + self.params.reg_lifetime_s
-                self._trace(now, "ACK", "registered")
-            else:
+                if self.tracer is not None:
+                    self._trace(now, "ACK", "registered")
+            elif self.tracer is not None:
                 self._trace(now, "NACK", "registration rejected")
             return []
 
@@ -336,7 +346,8 @@ class NodeState:
             if st.originator not in self.blacklist:
                 self.blacklist.add(st.originator)
                 self.n_bl += 1
-                self._trace(now, "BLACKLIST", format_address(st.originator))
+                if self.tracer is not None:
+                    self._trace(now, "BLACKLIST", format_address(st.originator))
             self.neighbors.pop(st.originator, None)
             if self.parent == st.originator:
                 self.parent = None

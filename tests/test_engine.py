@@ -4,7 +4,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lisec_rtf import engine, node
 from lisec_rtf.config import ARMS, SimParams
 from lisec_rtf.engine import (
     DRAIN_S,
@@ -13,7 +16,7 @@ from lisec_rtf.engine import (
     World,
     build_random_world,
 )
-from lisec_rtf.messages import DisMessage
+from lisec_rtf.messages import DaoModified, DisMessage, encode_dao, node_address
 from lisec_rtf.metrics import EnergyLedger
 from lisec_rtf.node import NodeRole
 
@@ -119,6 +122,91 @@ def test_broadcast_reaches_only_in_range_nodes():
     w.transmit(a, None, DisMessage(sender=a.address))
     receivers = {ev.node_id for ev in w._queue}
     assert receivers == {"near"}
+
+
+def _receivers(w):
+    """Node ids of the pending deliveries, in the order they were queued."""
+    return [ev.node_id for ev in sorted(w._queue) if ev.kind == "deliver"]
+
+
+def test_broadcast_matches_all_pairs_scan():
+    # oracle: the cached neighbour lists must select the same receivers in
+    # the same order and leave the loss generator in the same state as a
+    # brute-force scan over every node
+    rng = random.Random(21)
+    for trial in range(20):
+        params = SimParams(loss_prob=0.3)
+        w = World(params, ARMS["baseline"], seed=trial)
+        for i in range(40):
+            w.add_node(f"n{i:02d}", NodeRole.CLIENT,
+                       (rng.uniform(0, 200), rng.uniform(0, 200)),
+                       start_time=rng.choice([0.0, 0.0, 5.0]))
+        oracle_rng = random.Random()
+        oracle_rng.setstate(w.rng.getstate())
+        expected = []
+        senders = [rng.choice(list(w.nodes.values())) for _ in range(15)]
+        for sender in senders:
+            sx, sy = w.positions[sender.node_id]
+            for other in w.nodes.values():
+                ox, oy = w.positions[other.node_id]
+                if (other is sender or w.start_times[other.node_id] > w.clock
+                        or math.hypot(sx - ox, sy - oy) > params.tx_range_m):
+                    continue
+                if oracle_rng.random() >= params.loss_prob:
+                    expected.append(other.node_id)
+            w.transmit(sender, None, DisMessage(sender=sender.address))
+        assert _receivers(w) == expected
+        assert w.rng.getstate() == oracle_rng.getstate()
+
+
+def test_broadcast_follows_mobility_tick():
+    w = World(SimParams(), ARMS["baseline"], seed=2)
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    w.add_node("leaving", NodeRole.CLIENT, (45.0, 0.0))
+    w.add_node("arriving", NodeRole.CLIENT, (0.0, 56.0))
+    w.transmit(a, None, DisMessage(sender=a.address))
+    assert _receivers(w) == ["leaving"]
+    w._queue.clear()
+    w.mobility["leaving"] = RwpState(waypoint=(200.0, 0.0), speed=10.0)
+    w.mobility["arriving"] = RwpState(waypoint=(0.0, 0.0), speed=10.0)
+    w.schedule(1.0, "mobility")
+    w.run_until(1.0)
+    w.transmit(a, None, DisMessage(sender=a.address))
+    assert _receivers(w) == ["arriving"]
+
+
+def test_broadcast_after_add_node_includes_it():
+    w = World(SimParams(), ARMS["baseline"], seed=2)
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
+    w.transmit(a, None, DisMessage(sender=a.address))
+    w._queue.clear()
+    w.add_node("late", NodeRole.CLIENT, (0.0, 30.0))
+    w.transmit(a, None, DisMessage(sender=a.address))
+    assert _receivers(w) == ["b", "late"]
+
+
+@settings(max_examples=200)
+@given(st.binary(max_size=255))
+def test_dao_size_equals_encoded_length(options):
+    dao = DaoModified(src=node_address(1), target=node_address(2), sequence=3,
+                      reserved=0 if options else 7, options=options)
+    assert empty_world()._size_of(dao) == len(encode_dao(dao))
+
+
+@pytest.mark.parametrize("arm", ["attack", "defense", "defense_encrypted"])
+def test_untraced_run_formats_nothing(monkeypatch, arm):
+    def boom(*args, **kwargs):
+        raise AssertionError("trace formatting with tracing off")
+    for module in (node, engine):
+        for name in ("format_address", "encode_dao"):
+            monkeypatch.setattr(module, name, boom, raising=False)
+    p = SimParams(duration_s=300.0, grid_m=140.0, startup_stagger_s=60.0,
+                  data_warmup_s=120.0, rt_cap=6, root_rt_cap=24)
+    w = build_random_world(p, ARMS[arm], seed=1, n_clients=12, n_attackers=1,
+                           mobility=True)
+    c = w.run()
+    assert c.forged_nacked + c.forged_acked > 0 and c.received_at_root > 0
 
 
 # -- mobility -----------------------------------------------------------

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lisec_rtf import messages as msg
 from lisec_rtf.messages import (
@@ -15,6 +17,13 @@ from lisec_rtf.messages import (
     forged_address,
     node_address,
 )
+
+addresses = st.binary(min_size=16, max_size=16)
+octets = st.integers(0, 255)
+daos = st.builds(DaoModified, src=addresses, target=addresses, sequence=octets,
+                 reserved=octets, options=st.binary(max_size=255))
+statuses = st.builds(DaoStatus, originator=addresses, sequence=octets,
+                     status=st.sampled_from([0, *range(128, 256)]))
 
 
 def random_dao(rng: random.Random, with_options: bool | None = None) -> DaoModified:
@@ -51,6 +60,18 @@ def test_dao_roundtrip_random():
     for _ in range(1000):
         dao = random_dao(rng)
         assert decode_dao(encode_dao(dao)) == dao
+
+
+@settings(max_examples=300)
+@given(daos)
+def test_dao_roundtrip_property(dao):
+    assert decode_dao(encode_dao(dao)) == dao
+
+
+@settings(max_examples=300)
+@given(statuses)
+def test_status_roundtrip_property(status):
+    assert decode_status(encode_status(status)) == status
 
 
 def test_dao_short_buffer():
