@@ -5,8 +5,10 @@ protocol handlers in `node`.
 One World is one logical timeline.  Everything random flows through seeded
 generators: `rng_topo` (topology and provisioning, identical across
 comparison arms for a given seed), `rng_mobility` (trajectories, likewise
-arm-independent) and `rng` (protocol-driven draws).  Replaying the same
-seed and configuration reproduces the event trace byte for byte.
+arm-independent), `rng_keys` (shared keys of the encrypted arm, kept apart
+so that drawing them leaves the other streams untouched) and `rng`
+(protocol-driven draws).  Replaying the same seed and configuration
+reproduces the event trace byte for byte.
 
 Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
@@ -89,6 +91,7 @@ class World:
         self.rng = random.Random((seed << 16) ^ 0x5EED)
         # separate stream so trajectories match across arms at equal seed
         self.rng_mobility = random.Random((seed << 16) ^ 0x30B1)
+        self.rng_keys = random.Random((seed << 16) ^ 0x4E75)
         self.clock = 0.0
         self._queue: list[Event] = []
         self._seq = 0
@@ -138,7 +141,7 @@ class World:
             node.license = license_bits
             self.addr_to_id[node.address] = node.node_id
             if self.arm.encrypted:
-                key = self.rng_topo.randbytes(self.params.shared_key_bytes)
+                key = self.rng_keys.randbytes(self.params.shared_key_bytes)
                 self.db.assign_key(node.node_id, key)
                 node.shared_key = key
 

@@ -378,6 +378,19 @@ def test_rank_decreases_toward_root():
         assert parent.rank < node.rank
 
 
+def test_mobile_trajectories_equal_across_arms():
+    p = SimParams(duration_s=120.0, grid_m=140.0, startup_stagger_s=30.0)
+    for seed in range(5):
+        seen = {}
+        for arm in ARMS:
+            w = build_random_world(p, ARMS[arm], seed=seed, n_clients=12,
+                                   n_attackers=1, mobility=True)
+            start = {n: (s.waypoint, s.speed) for n, s in w.mobility.items()}
+            w.run()
+            seen[arm] = (start, w.positions)
+        assert all(v == seen["baseline"] for v in seen.values()), seed
+
+
 def test_disconnected_topology_raises():
     from lisec_rtf.engine import SetupError
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
