@@ -1,8 +1,9 @@
 """Experiment orchestration: one world per (arm, seed), CSV reports.
 
 Outputs land in the chosen directory as `runs.csv` (one row per run),
-`summary.csv` (per-arm mean and 95% CI half-width across seeds) and,
-when tracing is on, `trace-<arm>-<seed>.log` in the shared trace format.
+`summary.csv` (per-arm mean and 95% CI half-width across seeds; `nan` when
+fewer than two seeds give a value) and, when tracing is on,
+`trace-<arm>-<seed>.log` in the shared trace format.
 Seeds are offset by the LISEC_SEED_BASE environment variable.
 """
 
@@ -101,7 +102,7 @@ def summarize(rows: list) -> list:
             if len(values) >= 2:
                 mean, half = aggregate_ci(values)
             elif values:
-                mean, half = values[0], 0.0
+                mean, half = values[0], math.nan  # one sample: no CI
             else:
                 mean, half = math.nan, math.nan
             entry[f"{attr}_mean"] = mean

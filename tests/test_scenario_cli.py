@@ -261,3 +261,19 @@ def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
         traces = b"".join(p.read_bytes() for p in sorted(out.glob("trace-*.log")))
         blobs.append((runs, traces))
     assert blobs[0] == blobs[1]
+
+
+def test_single_seed_reports_no_ci(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+    path = write_scenario(tmp_path)
+    out = tmp_path / "res"
+    code = main(["--scenario", str(path), "--seeds", "0,", "--out", str(out)])
+    assert code == 0
+    assert "±nan" in capsys.readouterr().out
+    header, *rows = (out / "summary.csv").read_text().splitlines()
+    assert len(rows) == 3
+    for row in rows:
+        fields = dict(zip(header.split(","), row.split(",")))
+        for metric in ("pdr", "ae2ed_s", "apc_mw"):
+            assert fields[f"{metric}_ci95"] == "nan"
+            assert fields[f"{metric}_mean"] != "nan"
