@@ -37,10 +37,9 @@ def entry_name(arm: str, mobility: bool) -> str:
     return f"{arm}/{'mobile' if mobility else 'static'}"
 
 
-def compute(arms=ARMS, out_root: Path | None = None) -> dict:
+def compute(arms=ARMS) -> dict:
     """Hashes of every output of the matrix, keyed by entry_name()."""
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(out_root or tmp)
         golden = {}
         for arm in arms:
             for mobility in (False, True):
@@ -51,9 +50,8 @@ def compute(arms=ARMS, out_root: Path | None = None) -> dict:
                                         keep_world=True)
                     hashes[f"digest-{seed}"] = result.world.digest()
                     traces[(arm, seed)] = result.world.trace_lines
-                    result.world = None
                     rows.append(result)
-                out = root / entry_name(arm, mobility).replace("/", "-")
+                out = Path(tmp) / entry_name(arm, mobility).replace("/", "-")
                 write_report(ExperimentReport(rows, summarize(rows)), traces, out)
                 for path in sorted(out.iterdir()):
                     hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -61,9 +59,9 @@ def compute(arms=ARMS, out_root: Path | None = None) -> dict:
         return golden
 
 
-def test_outputs_match_golden(tmp_path):
+def test_outputs_match_golden():
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    actual = compute(out_root=tmp_path)
+    actual = compute()
     assert actual.keys() == expected.keys()
     changed = [f"{entry} {name}" for entry in expected
                for name in expected[entry].keys() | actual[entry].keys()
@@ -80,6 +78,6 @@ if __name__ == "__main__":
     golden.update(compute(names))
     ordered = {entry_name(a, m): golden[entry_name(a, m)]
                for a in ARMS for m in (False, True) if entry_name(a, m) in golden}
-    GOLDEN.write_text(json.dumps(ordered, indent=1, sort_keys=False) + "\n",
+    GOLDEN.write_text(json.dumps(ordered, indent=1) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(ordered)} entries to {GOLDEN}")
