@@ -13,6 +13,7 @@ reproduces the event trace byte for byte.
 Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
 broadcast and cleared by `add_node` and at every mobility tick.
+Unicast range tests read the sender's cache when it is filled.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ class World:
         self._queue: list[Event] = []
         self._seq = 0
         self.nodes: dict[str, NodeState] = {}
-        self._in_range: dict[str, list[NodeState]] = {}
+        self._in_range: dict[str, dict[str, NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
         self.positions: dict[str, tuple[float, float]] = {}
         self.start_times: dict[str, float] = {}
@@ -110,6 +111,13 @@ class World:
         self._joined: set[str] = set()
         self._trickle_wake: dict[str, float] = {}
         self.ever_registered: set[str] = set()
+        # airtime by message type; a DAO's size depends on its options
+        self._airtime = {
+            DioMessage: params.airtime_s(params.dio_bytes),
+            DisMessage: params.airtime_s(params.dis_bytes),
+            DaoStatus: params.airtime_s(STATUS_LEN),
+            DataPacket: params.airtime_s(params.data_bytes),
+        }
 
     # -- construction ------------------------------------------------------
 
@@ -230,31 +238,33 @@ class World:
             return STATUS_LEN
         return p.data_bytes
 
-    def _neighbours(self, sender: NodeState) -> list[NodeState]:
-        """Nodes within radio range of `sender`, in `nodes` order."""
+    def _neighbours(self, sender: NodeState) -> dict[str, NodeState]:
+        """Nodes within radio range of `sender` by id, in `nodes` order."""
         near = self._in_range.get(sender.node_id)
         if near is None:
-            near = [other for other in self.nodes.values() if other is not sender
-                    and self._distance(sender.node_id, other.node_id)
-                    <= self.params.tx_range_m]
+            near = {other_id: other for other_id, other in self.nodes.items()
+                    if other is not sender
+                    and self._distance(sender.node_id, other_id)
+                    <= self.params.tx_range_m}
             self._in_range[sender.node_id] = near
         return near
 
-    def _count_tx(self, message) -> None:
-        if isinstance(message, DataPacket):
-            self.counters.data_transmissions += 1
-            return
-        self.counters.control_transmissions += 1
-        if isinstance(message, (DaoModified, DaoStatus)):
-            self.counters.dao_path_transmissions += 1
-
     def transmit(self, sender: NodeState, dest: bytes | None, message) -> None:
         p = self.params
-        airtime = p.airtime_s(self._size_of(message))
+        kind = type(message)
+        airtime = self._airtime.get(kind)
+        if airtime is None:
+            airtime = p.airtime_s(self._size_of(message))
         self.ledgers[sender.node_id].tx_s += airtime
-        self._count_tx(message)
+        counters = self.counters
+        if kind is DataPacket:
+            counters.data_transmissions += 1
+        else:
+            counters.control_transmissions += 1
+            if kind is DaoModified or kind is DaoStatus:
+                counters.dao_path_transmissions += 1
         if dest is None:
-            for other in self._neighbours(sender):
+            for other in self._neighbours(sender).values():
                 if self.clock < self.start_times[other.node_id]:
                     continue
                 if self.rng.random() < p.loss_prob:
@@ -267,7 +277,13 @@ class World:
         if receiver is None or self.clock < self.start_times[receiver.node_id]:
             self.counters.link_losses += 1
             return
-        if self._distance(sender.node_id, receiver.node_id) > p.tx_range_m:
+        near = self._in_range.get(sender.node_id)
+        if near is None or receiver is sender:  # the cache excludes the sender
+            out_of_range = (self._distance(sender.node_id, receiver.node_id)
+                            > p.tx_range_m)
+        else:
+            out_of_range = receiver.node_id not in near
+        if out_of_range:
             self.counters.link_losses += 1
             return
         if self.rng.random() < p.loss_prob:
@@ -312,19 +328,20 @@ class World:
         ledger.rx_s += airtime
         ledger.cpu_s += self.params.cpu_per_packet_s
         now = self.clock
+        kind = type(message)
 
-        if isinstance(message, DataPacket):
+        if kind is DataPacket:
             self._handle_data(node, message)
             return
-        if isinstance(message, DisMessage):
+        if kind is DisMessage:
             self._send_all(node, node.handle_dis(message, now))
             return
-        if isinstance(message, DioMessage):
+        if kind is DioMessage:
             out = node.handle_dio(message, now, self.rng)
             self._send_all(node, out)
             self._after_protocol_step(node)
             return
-        if isinstance(message, DaoModified):
+        if kind is DaoModified:
             if node.role is NodeRole.ROOT:
                 out = node.root_handle_dao(message, sender_addr, now, self.db,
                                            self.addr_to_id, self.arm.defense)
@@ -333,7 +350,7 @@ class World:
             else:
                 self._send_all(node, node.handle_dao(message, sender_addr, now))
             return
-        if isinstance(message, DaoStatus):
+        if kind is DaoStatus:
             out = node.handle_status(message, now)
             if message.originator == node.address:
                 if message.is_ack:
@@ -445,26 +462,38 @@ class World:
 
     def _on_mobility(self, event: Event) -> None:
         p = self.params
+        positions = self.positions
+        clock = self.clock
+        tick = p.mobility_tick_s
+        grid = p.grid_m
+        uniform = self.rng_mobility.uniform
         self._in_range.clear()
         for node_id, state in self.mobility.items():
-            x, y = self.positions[node_id]
-            if self.clock < state.pause_until:
+            if clock < state.pause_until:
                 continue
+            x, y = positions[node_id]
             wx, wy = state.waypoint
             dx, dy = wx - x, wy - y
             dist = math.hypot(dx, dy)
-            step = state.speed * p.mobility_tick_s
+            step = state.speed * tick
             if dist <= step:
-                self.positions[node_id] = (wx, wy)
-                state.waypoint = (self.rng_mobility.uniform(0, p.grid_m),
-                                  self.rng_mobility.uniform(0, p.grid_m))
-                state.speed = self.rng_mobility.uniform(p.speed_min_mps,
-                                                        p.speed_max_mps)
-                state.pause_until = self.clock + p.pause_s
+                positions[node_id] = (wx, wy)
+                state.waypoint = (uniform(0, grid), uniform(0, grid))
+                state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
+                state.pause_until = clock + p.pause_s
             else:
-                nx = min(max(x + dx / dist * step, 0.0), p.grid_m)
-                ny = min(max(y + dy / dist * step, 0.0), p.grid_m)
-                self.positions[node_id] = (nx, ny)
+                # clamp into the grid; branches cost less than min/max calls
+                nx = x + dx / dist * step
+                if nx < 0.0:
+                    nx = 0.0
+                elif nx > grid:
+                    nx = grid
+                ny = y + dy / dist * step
+                if ny < 0.0:
+                    ny = 0.0
+                elif ny > grid:
+                    ny = grid
+                positions[node_id] = (nx, ny)
 
     # -- teardown ----------------------------------------------------------
 
@@ -584,6 +613,8 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     rng = world.rng_topo
     half = params.grid_m / 2
 
+    rejected = {"disconnected": 0, "attacker too shallow": 0,
+                "subtree overload": 0}
     for attempt in range(max_tries):
         positions = {"root": (half, half)}
         for i in range(n_clients):
@@ -594,15 +625,19 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                                           rng.uniform(0, params.grid_m))
         ok, depth = _connected(positions, params.tx_range_m, "root")
         if not ok:
+            rejected["disconnected"] += 1
             continue
         if any(depth[f"m{i + 1:02d}"] < 2 for i in range(n_attackers)):
+            rejected["attacker too shallow"] += 1
             continue
         if _max_subtree_load(positions, depth, params.tx_range_m,
                              "root") > params.rt_cap - 4:
+            rejected["subtree overload"] += 1
             continue
         break
     else:
-        raise SetupError(f"no connected topology after {max_tries} tries")
+        counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
+        raise SetupError(f"no connected topology after {max_tries} tries ({counts})")
 
     world.add_node("root", NodeRole.ROOT, positions["root"], start_time=0.0)
     for i in range(n_clients):

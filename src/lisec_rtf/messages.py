@@ -57,7 +57,7 @@ def is_forged_address(addr: bytes) -> bool:
 
 
 def format_address(addr: bytes) -> str:
-    return ":".join(addr[i:i + 2].hex() for i in range(0, ADDRESS_LEN, 2))
+    return addr.hex(":", 2)
 
 
 def _check_address(addr: bytes, name: str) -> None:
@@ -76,7 +76,6 @@ class DioMessage:
     dodag_id: bytes
     version: int
     rank: int
-    of_id: int = 0
 
     def __post_init__(self):
         _check_address(self.sender, "sender")

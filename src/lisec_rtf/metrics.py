@@ -55,7 +55,6 @@ class RunCounters:
     status_drops: int = 0
     root_admission_drops: int = 0
     link_losses: int = 0
-    decode_errors: int = 0
     forged_acked: int = 0
     forged_nacked: int = 0
     genuine_acked: int = 0

@@ -183,24 +183,23 @@ def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:
 
 
 def encrypt_license(key: bytes, license_bits: int, nonce: bytes,
-                    width: int = DEFAULT_WIDTH, keystream=_keystream) -> bytes:
+                    width: int = DEFAULT_WIDTH) -> bytes:
     """Nonce-prefixed stream encryption of a license; rides in DAO options."""
     _check_width(license_bits, width, "license")
     if len(nonce) != NONCE_LEN:
         raise ValueError(f"nonce must be {NONCE_LEN} bytes")
     n = (width + 7) // 8
     plain = license_bits.to_bytes(n, "big")
-    ks = keystream(key, nonce, n)
+    ks = _keystream(key, nonce, n)
     return nonce + bytes(p ^ k for p, k in zip(plain, ks))
 
 
-def decrypt_license(key: bytes, blob: bytes, width: int = DEFAULT_WIDTH,
-                    keystream=_keystream) -> int:
+def decrypt_license(key: bytes, blob: bytes, width: int = DEFAULT_WIDTH) -> int:
     n = (width + 7) // 8
     if len(blob) != NONCE_LEN + n:
         raise LicenseDecodeError(
             f"expected {NONCE_LEN + n} bytes, got {len(blob)}"
         )
     nonce, body = blob[:NONCE_LEN], blob[NONCE_LEN:]
-    ks = keystream(key, nonce, n)
+    ks = _keystream(key, nonce, n)
     return int.from_bytes(bytes(c ^ k for c, k in zip(body, ks)), "big")

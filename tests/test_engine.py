@@ -11,12 +11,22 @@ from lisec_rtf import engine, node
 from lisec_rtf.config import ARMS, SimParams
 from lisec_rtf.engine import (
     DRAIN_S,
+    DataPacket,
+    Event,
     RwpState,
     ScheduleInPastError,
+    SetupError,
     World,
     build_random_world,
 )
-from lisec_rtf.messages import DaoModified, DisMessage, encode_dao, node_address
+from lisec_rtf.messages import (
+    DaoModified,
+    DaoStatus,
+    DioMessage,
+    DisMessage,
+    encode_dao,
+    node_address,
+)
 from lisec_rtf.metrics import EnergyLedger
 from lisec_rtf.node import NodeRole
 
@@ -186,6 +196,101 @@ def test_broadcast_after_add_node_includes_it():
     assert _receivers(w) == ["b", "late"]
 
 
+def test_unicast_matches_distance_test():
+    # oracle: whether a unicast's range test is answered from the sender's
+    # neighbour cache or not, deliveries, link losses and the loss generator
+    # must match a plain distance test -- with caches filled, after a
+    # mobility tick cleared them, after add_node, and for self-unicasts
+    rng = random.Random(5)
+    for trial in range(10):
+        params = SimParams(loss_prob=0.3)
+        w = World(params, ARMS["baseline"], seed=trial)
+        for i in range(30):
+            w.add_node(f"n{i:02d}", NodeRole.CLIENT,
+                       (rng.uniform(0, 150), rng.uniform(0, 150)),
+                       start_time=rng.choice([0.0, 0.0, 5.0]))
+            w.mobility[f"n{i:02d}"] = RwpState(
+                waypoint=(rng.uniform(0, 150), rng.uniform(0, 150)),
+                speed=rng.uniform(5.0, 20.0))
+        oracle_rng = random.Random()
+        oracle_rng.setstate(w.rng.getstate())
+        expected, losses = [], 0
+
+        def exchange():
+            nonlocal losses
+            nodes = list(w.nodes.values())
+            for sender in rng.sample(nodes, 10):  # fills these caches
+                sx, sy = w.positions[sender.node_id]
+                for other in nodes:
+                    ox, oy = w.positions[other.node_id]
+                    if (other is sender or w.clock < w.start_times[other.node_id]
+                            or math.hypot(sx - ox, sy - oy) > params.tx_range_m):
+                        continue
+                    if oracle_rng.random() < params.loss_prob:
+                        losses += 1
+                    else:
+                        expected.append(other.node_id)
+                w.transmit(sender, None, DisMessage(sender=sender.address))
+            pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(60)]
+            pairs += [(n, n) for n in rng.sample(nodes, 5)]
+            for sender, receiver in pairs:
+                sx, sy = w.positions[sender.node_id]
+                rx, ry = w.positions[receiver.node_id]
+                if (w.clock < w.start_times[receiver.node_id]
+                        or math.hypot(sx - rx, sy - ry) > params.tx_range_m
+                        or oracle_rng.random() < params.loss_prob):
+                    losses += 1
+                else:
+                    expected.append(receiver.node_id)
+                w.transmit(sender, receiver.address,
+                           DisMessage(sender=sender.address))
+
+        exchange()
+        w.clock = 6.0
+        w._on_mobility(Event(6.0, 0, "mobility"))
+        assert not w._in_range
+        exchange()
+        w.add_node("late", NodeRole.CLIENT, (75.0, 75.0), start_time=6.0)
+        exchange()
+        assert _receivers(w) == expected
+        assert w.counters.link_losses == losses
+        assert w.rng.getstate() == oracle_rng.getstate()
+
+
+def _message_of_each_type():
+    a, b = node_address(1), node_address(2)
+    return {
+        "dis": DisMessage(sender=a),
+        "dio": DioMessage(sender=a, dodag_id=b, version=1, rank=512),
+        "dao": DaoModified(src=a, target=a, sequence=3, reserved=7),
+        "dao_options": DaoModified(src=a, target=a, sequence=3, reserved=0,
+                                   options=bytes(range(9))),
+        "status": DaoStatus(originator=a, sequence=3, status=0),
+        "data": DataPacket("a", a, 0.0, True),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_message_of_each_type()))
+@pytest.mark.parametrize("params", [
+    SimParams(),
+    SimParams(dio_bytes=40, dis_bytes=11, data_bytes=97, bitrate_bps=19_200.0),
+])
+def test_transmit_charges_airtime_and_counts_by_type(kind, params):
+    message = _message_of_each_type()[kind]
+    w = World(params, ARMS["baseline"], seed=2)
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    b = w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
+    for dest in (None, b.address):
+        before = w.ledgers["a"].tx_s
+        w.transmit(a, dest, message)
+        assert w.ledgers["a"].tx_s - before == params.airtime_s(w._size_of(message))
+    c = w.counters
+    data = kind == "data"
+    assert c.data_transmissions == (2 if data else 0)
+    assert c.control_transmissions == (0 if data else 2)
+    assert c.dao_path_transmissions == (2 if kind.startswith(("dao", "status")) else 0)
+
+
 @settings(max_examples=200)
 @given(st.binary(max_size=255))
 def test_dao_size_equals_encoded_length(options):
@@ -210,6 +315,85 @@ def test_untraced_run_formats_nothing(monkeypatch, arm):
 
 
 # -- mobility -----------------------------------------------------------
+
+
+def _reference_mobility_tick(w):
+    """The random-waypoint tick written plainly, kept as the oracle."""
+    p = w.params
+    w._in_range.clear()
+    for node_id, state in w.mobility.items():
+        x, y = w.positions[node_id]
+        if w.clock < state.pause_until:
+            continue
+        wx, wy = state.waypoint
+        dx, dy = wx - x, wy - y
+        dist = math.hypot(dx, dy)
+        step = state.speed * p.mobility_tick_s
+        if dist <= step:
+            w.positions[node_id] = (wx, wy)
+            state.waypoint = (w.rng_mobility.uniform(0, p.grid_m),
+                              w.rng_mobility.uniform(0, p.grid_m))
+            state.speed = w.rng_mobility.uniform(p.speed_min_mps, p.speed_max_mps)
+            state.pause_until = w.clock + p.pause_s
+        else:
+            nx = min(max(x + dx / dist * step, 0.0), p.grid_m)
+            ny = min(max(y + dy / dist * step, 0.0), p.grid_m)
+            w.positions[node_id] = (nx, ny)
+
+
+@st.composite
+def _rwp_worlds(draw):
+    """(params, seed, clock, [(position, RwpState)]) covering every branch."""
+    grid = draw(st.sampled_from([200.0, 120.0]))
+    tick = draw(st.sampled_from([1.0, 0.5, 2.0]))  # speed * tick is exact
+    params = SimParams(grid_m=grid, mobility_tick_s=tick,
+                       pause_s=draw(st.sampled_from([0.0, 3.0])))
+    clock = draw(st.floats(0.0, 1000.0))
+    coord = st.one_of(st.floats(0.0, grid), st.sampled_from([0.0, -0.0, grid]))
+    # waypoints past the edge make the clamp bite
+    far = st.one_of(coord, st.floats(-30.0, grid + 30.0))
+    nodes = []
+    for _ in range(draw(st.integers(1, 8))):
+        pos = (draw(coord), draw(coord))
+        state = RwpState(waypoint=(draw(far), draw(far)),
+                         speed=draw(st.floats(0.1, 5.0)),
+                         pause_until=draw(st.floats(0.0, clock)))
+        dist = math.hypot(state.waypoint[0] - pos[0], state.waypoint[1] - pos[1])
+        case = draw(st.sampled_from(["move", "at_waypoint", "step_equals_dist",
+                                     "arrive", "paused"]))
+        if case == "at_waypoint":
+            state.waypoint = pos
+        elif case == "step_equals_dist":
+            state.speed = dist / tick
+        elif case == "arrive":
+            state.speed = (dist + draw(st.floats(0.0, 5.0))) / tick
+        elif case == "paused":
+            state.pause_until = clock + draw(st.floats(0.001, 10.0))
+        nodes.append((pos, state))
+    return params, draw(st.integers(0, 2**32)), clock, nodes
+
+
+@settings(max_examples=200)
+@given(_rwp_worlds())
+def test_mobility_tick_matches_reference(case):
+    params, seed, clock, nodes = case
+    worlds = []
+    for _ in range(2):
+        w = World(params, ARMS["baseline"], seed=seed)
+        for i, (pos, state) in enumerate(nodes):
+            w.add_node(f"n{i}", NodeRole.CLIENT, pos)
+            w.mobility[f"n{i}"] = RwpState(state.waypoint, state.speed,
+                                           state.pause_until)
+        w.clock = clock
+        w._in_range["n0"] = {}
+        worlds.append(w)
+    tick, ref = worlds
+    tick._on_mobility(Event(clock, 0, "mobility"))
+    _reference_mobility_tick(ref)
+    assert repr(tick.positions) == repr(ref.positions)  # tells -0.0 from 0.0
+    assert tick.mobility == ref.mobility
+    assert tick.rng_mobility.getstate() == ref.rng_mobility.getstate()
+    assert tick._in_range == {}
 
 
 def test_rwp_step_unit_vector():
@@ -392,11 +576,25 @@ def test_mobile_trajectories_equal_across_arms():
 
 
 def test_disconnected_topology_raises():
-    from lisec_rtf.engine import SetupError
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
-    with pytest.raises(SetupError):
+    with pytest.raises(SetupError, match=r"after 5 tries \(disconnected 5, "
+                       r"attacker too shallow 0, subtree overload 0\)"):
         build_random_world(p, ARMS["baseline"], seed=1, n_clients=10,
                            n_attackers=0, max_tries=5)
+
+
+@pytest.mark.parametrize("params, n_attackers, reason", [
+    # everything is one hop from the root
+    (SimParams(grid_m=30.0), 1,
+     r"disconnected 0, attacker too shallow 5, subtree overload 0\)"),
+    # no relay may carry a single descendant
+    (SimParams(grid_m=140.0, rt_cap=4), 0,
+     r"attacker too shallow 0, subtree overload [1-5]\)"),
+])
+def test_setup_error_names_the_failed_constraint(params, n_attackers, reason):
+    with pytest.raises(SetupError, match=reason):
+        build_random_world(params, ARMS["baseline"], seed=1, n_clients=10,
+                           n_attackers=n_attackers, max_tries=5)
 
 
 def test_encrypted_arm_full_run_matches_plain_defense():

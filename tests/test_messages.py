@@ -134,3 +134,10 @@ def test_forged_addresses_never_collide_with_node_block():
 def test_address_formatting():
     assert msg.format_address(node_address(1)).startswith("fd00:")
     assert msg.format_address(node_address(1)).endswith(":0001")
+
+
+@given(st.binary(min_size=msg.ADDRESS_LEN, max_size=msg.ADDRESS_LEN))
+def test_address_formatting_matches_pairwise_join(addr):
+    # reference: eight two-byte groups, hex, joined by colons
+    expected = ":".join(addr[i:i + 2].hex() for i in range(0, msg.ADDRESS_LEN, 2))
+    assert msg.format_address(addr) == expected
