@@ -7,7 +7,10 @@ import sys
 
 from .engine import SetupError
 from .experiment import run_experiment
-from .scenario import Scenario, ScenarioError, load_scenario, parse_seeds
+from .scenario import Scenario, ScenarioError, apply, load_scenario
+
+# scenario keys with a flag of the same dest; set flags parse like file lines
+_FLAG_KEYS = ("arms", "seeds", "n_attackers", "mobility", "encrypted")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -21,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma list: baseline,attack,defense,defense_encrypted")
     parser.add_argument("--seeds", metavar="N|LIST",
                         help="seed count or explicit comma list")
-    parser.add_argument("--attackers", type=int, metavar="N",
+    parser.add_argument("--attackers", dest="n_attackers", metavar="N",
                         help="number of malicious nodes")
     parser.add_argument("--mobility", choices=("on", "off"),
                         help="random-waypoint mobility")
@@ -36,16 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-    if args.arms is not None:
-        scenario.arms = [tok.strip() for tok in args.arms.split(",") if tok.strip()]
-    if args.seeds is not None:
-        scenario.seeds = parse_seeds(args.seeds)
-    if args.attackers is not None:
-        scenario.n_attackers = args.attackers
-    if args.mobility is not None:
-        scenario.mobility = args.mobility == "on"
-    if args.encrypted is not None:
-        scenario.encrypted = args.encrypted == "on"
+    for key in _FLAG_KEYS:
+        value = getattr(args, key)
+        if value is not None:
+            apply(scenario, key, value)
     return scenario
 
 

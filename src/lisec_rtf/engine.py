@@ -27,18 +27,17 @@ from typing import NamedTuple
 
 from .config import ArmFlags, SimParams
 from .messages import (
-    DAO_BASE_LEN,
     DaoModified,
     DaoStatus,
     DioMessage,
     DisMessage,
     STATUS_LEN,
-    format_address,
+    dao_length,
     is_forged_address,
     node_address,
 )
 from .metrics import EnergyLedger, RunCounters
-from .node import NodeRole, NodeState
+from .node import NodeRole, NodeState, TrickleState
 from .puf import CRDatabase, KeyedPuf
 
 
@@ -109,6 +108,7 @@ class World:
         self.trace_enabled = trace
         self.trace_lines: list[str] = []
         self._joined: set[str] = set()
+        # fire time of each node's one live trickle wake-up; others are stale
         self._trickle_wake: dict[str, float] = {}
         self.ever_registered: set[str] = set()
         # airtime by message type; a DAO's size depends on its options
@@ -225,19 +225,6 @@ class World:
         (xa, ya), (xb, yb) = self.positions[a], self.positions[b]
         return math.hypot(xa - xb, ya - yb)
 
-    def _size_of(self, message) -> int:
-        p = self.params
-        if isinstance(message, DioMessage):
-            return p.dio_bytes
-        if isinstance(message, DisMessage):
-            return p.dis_bytes
-        if isinstance(message, DaoModified):
-            options = message.options
-            return DAO_BASE_LEN + (1 + len(options) if options else 0)
-        if isinstance(message, DaoStatus):
-            return STATUS_LEN
-        return p.data_bytes
-
     def _neighbours(self, sender: NodeState) -> dict[str, NodeState]:
         """Nodes within radio range of `sender` by id, in `nodes` order."""
         near = self._in_range.get(sender.node_id)
@@ -254,7 +241,7 @@ class World:
         kind = type(message)
         airtime = self._airtime.get(kind)
         if airtime is None:
-            airtime = p.airtime_s(self._size_of(message))
+            airtime = p.airtime_s(dao_length(message))
         self.ledgers[sender.node_id].tx_s += airtime
         counters = self.counters
         if kind is DataPacket:
@@ -305,7 +292,6 @@ class World:
     def _on_start(self, event: Event) -> None:
         node = self.nodes[event.node_id]
         if node.role is NodeRole.ROOT:
-            from .node import TrickleState
             node.trickle = TrickleState.start(self.params, self.rng, self.clock)
             self._joined.add(node.node_id)
             self._schedule_trickle(node)
@@ -389,24 +375,22 @@ class World:
             self._schedule_trickle(node)
 
     def _schedule_trickle(self, node: NodeState) -> None:
+        """Move the node's wake-up to `t_fire`, or drop it past the horizon."""
         if node.trickle is None:
             return
         t = node.trickle.t_fire
         if t > self.params.duration_s:
-            return
-        pending = self._trickle_wake.get(node.node_id)
-        if pending is None or t < pending - 1e-9:
+            self._trickle_wake.pop(node.node_id, None)
+        elif self._trickle_wake.get(node.node_id) != t:
             self._trickle_wake[node.node_id] = t
             self.schedule(t, "trickle", node.node_id)
 
     def _on_trickle(self, event: Event) -> None:
+        if self._trickle_wake.get(event.node_id) != event.time:
+            return  # stale: the fire time has moved since
+        del self._trickle_wake[event.node_id]
         node = self.nodes[event.node_id]
-        if node.trickle is None:
-            return
-        if self._trickle_wake.get(node.node_id) == event.time:
-            del self._trickle_wake[node.node_id]
-        if node.trickle.t_fire <= self.clock + 1e-9:
-            self._send_all(node, node.trickle_fire(self.clock, self.rng))
+        self._send_all(node, node.trickle_fire(self.clock, self.rng))
         self._schedule_trickle(node)
 
     def _on_dao_refresh(self, event: Event) -> None:
@@ -458,7 +442,8 @@ class World:
     def _on_rt_sample(self, event: Event) -> None:
         occ = max((n.rt_occupancy(self.clock) for n in self.nodes.values()
                    if n.role is not NodeRole.ROOT), default=0)
-        self.counters.rt_occupancy_timeline.append((self.clock, occ))
+        if occ > self.counters.rt_peak:
+            self.counters.rt_peak = occ
 
     def _on_mobility(self, event: Event) -> None:
         p = self.params
@@ -502,7 +487,7 @@ class World:
         c.ledgers = self.ledgers
         c.client_ids = [n.node_id for n in self.nodes.values()
                         if n.role is NodeRole.CLIENT]
-        c.n_blacklisted = sum(n.n_bl for n in self.nodes.values()
+        c.n_blacklisted = sum(len(n.blacklist) for n in self.nodes.values()
                               if n.role is not NodeRole.ROOT)
 
     def _trace(self, now: float, node_id: str, event: str, detail: str) -> None:
@@ -519,7 +504,7 @@ class World:
             x, y = self.positions[node_id]
             h.update(node_id.encode())
             h.update(f"|{node.rank}|{node.parent.hex() if node.parent else '-'}"
-                     f"|{node.n_bl}|{node.dao_seq}|{x:.6f},{y:.6f}".encode())
+                     f"|{len(node.blacklist)}|{node.dao_seq}|{x:.6f},{y:.6f}".encode())
             for target in sorted(node.routing):
                 entry = node.routing[target]
                 h.update(target.hex().encode())
@@ -530,19 +515,6 @@ class World:
         h.update(f"{c.total_sent()}|{c.received_at_root}|{c.control_transmissions}"
                  f"|{c.data_transmissions}|{c.link_losses}".encode())
         return h.hexdigest()
-
-    def snapshot(self) -> str:
-        lines = [f"clock={self.clock:.3f} arm={self.arm.name} seed={self.seed}"]
-        for node_id in sorted(self.nodes):
-            node = self.nodes[node_id]
-            x, y = self.positions[node_id]
-            parent = format_address(node.parent) if node.parent else "-"
-            lines.append(
-                f"{node_id} role={node.role.value} rank={node.rank} "
-                f"parent={parent} pos=({x:.1f},{y:.1f}) "
-                f"routes={len(node.routing)} blacklist={len(node.blacklist)} "
-                f"registered_until={node.registered_until:.1f}")
-        return "\n".join(lines)
 
 
 # -- topology generation ----------------------------------------------------

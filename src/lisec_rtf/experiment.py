@@ -39,8 +39,7 @@ class RunResult:
     apc_mw: float
     n_blacklist: int
     rt_peak: int
-    counters: object = field(repr=False, default=None)
-    world: object = field(repr=False, default=None)
+    trace_lines: list = field(repr=False, default_factory=list)
 
     def csv_row(self) -> str:
         return (f"{self.arm},{self.seed},{self.attackers},"
@@ -63,7 +62,7 @@ class ExperimentReport:
 
 
 def run_single(scenario: Scenario, arm_name: str, seed: int,
-               trace: bool = False, keep_world: bool = False) -> RunResult:
+               trace: bool = False) -> RunResult:
     arm = ARMS[arm_name]
     # malicious nodes are placed in every arm (identical topology per seed)
     # but only emit volleys when the arm switches the attack on
@@ -82,8 +81,8 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
         mobility=scenario.mobility,
         pdr=pdr(counters), ae2ed_s=delay,
         apc_mw=apc(counters, scenario.params.duration_s, scenario.params),
-        n_blacklist=counters.n_blacklisted, rt_peak=counters.rt_peak(),
-        counters=counters, world=world if keep_world else None)
+        n_blacklist=counters.n_blacklisted, rt_peak=counters.rt_peak,
+        trace_lines=world.trace_lines)
 
 
 def summarize(rows: list) -> list:
@@ -119,12 +118,10 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     traces = {}
     for arm_name in scenario.effective_arms():
         for s in scenario.seeds:
-            result = run_single(scenario, arm_name, base + s, trace=trace,
-                                keep_world=trace)
+            result = run_single(scenario, arm_name, base + s, trace=trace)
             rows.append(result)
             if trace:
-                traces[(arm_name, base + s)] = result.world.trace_lines
-                result.world = None
+                traces[(arm_name, base + s)] = result.trace_lines
     report = ExperimentReport(rows=rows, summary=summarize(rows))
     if out_dir is not None:
         write_report(report, traces, out_dir)

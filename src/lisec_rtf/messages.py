@@ -134,6 +134,11 @@ def encode_dao(m: DaoModified) -> bytes:
     return head + bytes([len(m.options)]) + m.options
 
 
+def dao_length(m: DaoModified) -> int:
+    """len(encode_dao(m)) without building the frame."""
+    return DAO_BASE_LEN + (1 + len(m.options) if m.options else 0)
+
+
 def decode_dao(buf: bytes) -> DaoModified:
     if len(buf) < DAO_BASE_LEN:
         raise DecodeError(f"DAO shorter than {DAO_BASE_LEN} bytes")

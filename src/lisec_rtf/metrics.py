@@ -48,7 +48,7 @@ class RunCounters:
     ledgers: dict = field(default_factory=dict)       # node_id -> EnergyLedger
     client_ids: list = field(default_factory=list)
     n_blacklisted: int = 0
-    rt_occupancy_timeline: list = field(default_factory=list)  # (t, max occupancy)
+    rt_peak: int = 0          # largest client table seen at an rt_sample
     control_transmissions: int = 0
     dao_path_transmissions: int = 0
     data_transmissions: int = 0
@@ -62,9 +62,6 @@ class RunCounters:
 
     def total_sent(self) -> int:
         return sum(self.sent_per_node.values())
-
-    def rt_peak(self) -> int:
-        return max((occ for _, occ in self.rt_occupancy_timeline), default=0)
 
 
 def pdr(counters: RunCounters) -> float:

@@ -102,8 +102,7 @@ class NodeState:
         self.parent_rank: int | None = None
         self.neighbors: dict[bytes, int | None] = {}
         self.routing: dict[bytes, RoutingEntry] = {}
-        self.blacklist: set[bytes] = set()
-        self.n_bl = 0
+        self.blacklist: set[bytes] = set()  # only grows
         self.trickle: TrickleState | None = None
 
         self.license = 0
@@ -190,39 +189,32 @@ class NodeState:
             return []
 
         candidate = compute_rank(dio.rank, self.params)
-        if not self.joined:
-            self.parent = dio.sender
-            self.parent_rank = dio.rank
-            self.rank = candidate
-            self.trickle = TrickleState.start(self.params, rng, now)
-            if self.role is NodeRole.MALICIOUS:
-                return []  # lies low; registers only after its first volley
-            return self.build_own_dao(now, rng)
-
-        if dio.sender == self.parent:
+        if dio.sender == self.parent:  # never true before joining
             self.parent_rank = dio.rank
             if candidate != self.rank:
                 self.rank = candidate
                 if self.trickle:
                     self.trickle.reset(rng, now)
-            else:
-                if self.trickle:
-                    self.trickle.counter += 1
+            elif self.trickle:
+                self.trickle.counter += 1
+            return []
+        if self.joined and (candidate + self.params.hysteresis
+                            >= compute_rank(self.parent_rank, self.params)):
+            if self.trickle:
+                self.trickle.counter += 1
             return []
 
-        current_path = compute_rank(self.parent_rank, self.params)
-        if candidate + self.params.hysteresis < current_path:
-            self.parent = dio.sender
-            self.parent_rank = dio.rank
-            self.rank = candidate
-            if self.trickle:
-                self.trickle.reset(rng, now)
-            if self.role is NodeRole.MALICIOUS:
-                return []
-            return self.build_own_dao(now, rng)
-        if self.trickle:
-            self.trickle.counter += 1
-        return []
+        # join, or switch to a parent that is better by the hysteresis
+        self.parent = dio.sender
+        self.parent_rank = dio.rank
+        self.rank = candidate
+        if self.trickle is None:
+            self.trickle = TrickleState.start(self.params, rng, now)
+        else:
+            self.trickle.reset(rng, now)
+        if self.role is NodeRole.MALICIOUS:
+            return []  # lies low; registers only after its first volley
+        return self.build_own_dao(now, rng)
 
     def trickle_fire(self, now: float, rng: random.Random) -> list:
         if self.trickle is None or not self.joined:
@@ -345,7 +337,6 @@ class NodeState:
             self.routing.pop(st.originator, None)
             if st.originator not in self.blacklist:
                 self.blacklist.add(st.originator)
-                self.n_bl += 1
                 if self.tracer is not None:
                     self._trace(now, "BLACKLIST", format_address(st.originator))
             self.neighbors.pop(st.originator, None)

@@ -120,12 +120,6 @@ class CRDatabase:
         self.entries: dict[str, tuple[int, int]] = {}
         self.keys: dict[str, bytes] = {}
 
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def register(self, node_id: str, device, rng: random.Random) -> tuple[int, int]:
         """Draw a challenge, store the pair, return (challenge, license)."""
         if node_id in self.entries:
@@ -141,9 +135,9 @@ class CRDatabase:
         self.keys[node_id] = bytes(key)
 
     def verify(self, node_id: str, license_bits: int) -> bool:
-        """Accept iff the node is registered and the license checks out."""
+        """Accept iff the node is registered and the license fits and checks out."""
         entry = self.entries.get(node_id)
-        if entry is None:
+        if entry is None or not 0 <= license_bits < 1 << self.width:
             return False
         challenge, response = entry
         return recover_response(challenge, license_bits, self.width) == response

@@ -53,10 +53,12 @@ class Scenario:
                           "usual 0..3 range", stacklevel=2)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
-        if self.params.license_width > 8 and not self.encrypted:
+        plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
+        if self.params.license_width > 8 and plain:
             raise ScenarioError(
-                "license_width: licenses wider than the 8-bit reserved octet "
-                "need encrypted=on (they travel in the options field)")
+                f"license_width: arm {plain[0]!r} carries the license in the "
+                "8-bit reserved octet; wider licenses need encrypted=on "
+                "with only the defense arm")
 
 
 _PARAM_FIELDS = {f.name: f.type for f in fields(SimParams)}
@@ -90,11 +92,12 @@ def parse_scenario(text: str) -> Scenario:
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        _apply(scenario, key, raw)
+        apply(scenario, key, raw)
     return scenario
 
 
-def _apply(scenario: Scenario, key: str, raw: str) -> None:
+def apply(scenario: Scenario, key: str, raw: str) -> None:
+    """Set one key from its text form, as a scenario file line would."""
     if key in _SCENARIO_KEYS:
         if key in ("mobility", "encrypted"):
             setattr(scenario, key, _parse_bool(key, raw))

@@ -20,15 +20,16 @@ from lisec_rtf.engine import (
     build_random_world,
 )
 from lisec_rtf.messages import (
+    DAO_BASE_LEN,
+    STATUS_LEN,
     DaoModified,
     DaoStatus,
     DioMessage,
     DisMessage,
-    encode_dao,
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
-from lisec_rtf.node import NodeRole
+from lisec_rtf.node import NodeRole, TrickleState
 
 
 def empty_world(params=None, arm="baseline", seed=1):
@@ -257,33 +258,35 @@ def test_unicast_matches_distance_test():
         assert w.rng.getstate() == oracle_rng.getstate()
 
 
-def _message_of_each_type():
+def _message_of_each_type(params):
+    """(message, its size on the air in bytes) per message type."""
     a, b = node_address(1), node_address(2)
     return {
-        "dis": DisMessage(sender=a),
-        "dio": DioMessage(sender=a, dodag_id=b, version=1, rank=512),
-        "dao": DaoModified(src=a, target=a, sequence=3, reserved=7),
-        "dao_options": DaoModified(src=a, target=a, sequence=3, reserved=0,
-                                   options=bytes(range(9))),
-        "status": DaoStatus(originator=a, sequence=3, status=0),
-        "data": DataPacket("a", a, 0.0, True),
+        "dis": (DisMessage(sender=a), params.dis_bytes),
+        "dio": (DioMessage(sender=a, dodag_id=b, version=1, rank=512),
+                params.dio_bytes),
+        "dao": (DaoModified(src=a, target=a, sequence=3, reserved=7), DAO_BASE_LEN),
+        "dao_options": (DaoModified(src=a, target=a, sequence=3, reserved=0,
+                                    options=bytes(range(9))), DAO_BASE_LEN + 1 + 9),
+        "status": (DaoStatus(originator=a, sequence=3, status=0), STATUS_LEN),
+        "data": (DataPacket("a", a, 0.0, True), params.data_bytes),
     }
 
 
-@pytest.mark.parametrize("kind", list(_message_of_each_type()))
+@pytest.mark.parametrize("kind", list(_message_of_each_type(SimParams())))
 @pytest.mark.parametrize("params", [
     SimParams(),
     SimParams(dio_bytes=40, dis_bytes=11, data_bytes=97, bitrate_bps=19_200.0),
 ])
 def test_transmit_charges_airtime_and_counts_by_type(kind, params):
-    message = _message_of_each_type()[kind]
+    message, size = _message_of_each_type(params)[kind]
     w = World(params, ARMS["baseline"], seed=2)
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     b = w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
     for dest in (None, b.address):
         before = w.ledgers["a"].tx_s
         w.transmit(a, dest, message)
-        assert w.ledgers["a"].tx_s - before == params.airtime_s(w._size_of(message))
+        assert w.ledgers["a"].tx_s - before == params.airtime_s(size)
     c = w.counters
     data = kind == "data"
     assert c.data_transmissions == (2 if data else 0)
@@ -291,12 +294,76 @@ def test_transmit_charges_airtime_and_counts_by_type(kind, params):
     assert c.dao_path_transmissions == (2 if kind.startswith(("dao", "status")) else 0)
 
 
-@settings(max_examples=200)
-@given(st.binary(max_size=255))
-def test_dao_size_equals_encoded_length(options):
-    dao = DaoModified(src=node_address(1), target=node_address(2), sequence=3,
-                      reserved=0 if options else 7, options=options)
-    assert empty_world()._size_of(dao) == len(encode_dao(dao))
+# -- trickle wake-ups -----------------------------------------------------
+
+
+def _dio_driven_node(params):
+    """A traced world with one client and a function that delivers it a DIO
+    from a parent outside the world, then runs the world to that time."""
+    w = World(params, ARMS["baseline"], seed=4, trace=True)
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    parent = node_address(9)
+
+    def deliver_dio(t, rank):
+        dio = DioMessage(sender=parent, dodag_id=parent, version=1, rank=rank)
+        w.schedule(t, "deliver", "a", payload=(parent, dio, 0.0))
+        w.run_until(t)
+
+    return w, a, deliver_dio
+
+
+def _dio_tx_times(w):
+    return [line.split("\t")[0] for line in w.trace_lines
+            if line.split("\t")[2] == "DIO_TX"]
+
+
+def test_trickle_wake_follows_resets(monkeypatch):
+    """A reset that moves the fire time earlier and one that moves it later
+    each leave one live wake-up; the superseded time sends no DIO."""
+    redraws = []  # (time of the draw, fire time drawn)
+    redraw = TrickleState.redraw
+
+    def spy(self, rng, now):
+        redraw(self, rng, now)
+        redraws.append((now, self.t_fire))
+
+    monkeypatch.setattr(TrickleState, "redraw", spy)
+    w, a, deliver_dio = _dio_driven_node(SimParams(duration_s=600.0))
+
+    def live_wakeups():
+        return [e.time for e in w._queue if e.kind == "trickle"
+                and e.time == w._trickle_wake.get("a")]
+
+    deliver_dio(1.0, 256)  # joins: first fire time drawn
+    w.run_until(200.0)  # the interval has doubled to 64 s or more
+    superseded = []
+    for lead, rank, moved in ((5.0, 512, "earlier"), (1.0, 256, "later")):
+        pending = a.trickle.t_fire
+        deliver_dio(pending - lead, rank)  # the parent's rank changed: reset
+        assert (a.trickle.t_fire < pending) == (moved == "earlier")
+        assert w._trickle_wake == {"a": a.trickle.t_fire}
+        assert live_wakeups() == [a.trickle.t_fire]
+        superseded.append(f"{pending:.6f}")
+    w.run_until(w.params.duration_s)
+
+    fired = [f"{t:.6f}" for i, (_, t) in enumerate(redraws)
+             if t <= w.params.duration_s
+             and (i + 1 == len(redraws) or redraws[i + 1][0] == t)]
+    sent = _dio_tx_times(w)
+    assert sent == fired and len(set(sent)) == len(sent) and len(sent) > 4
+    assert not set(superseded) & set(sent)
+
+
+def test_trickle_wake_dropped_past_horizon():
+    w, a, deliver_dio = _dio_driven_node(SimParams(duration_s=100.0))
+    deliver_dio(1.0, 256)
+    pending = a.trickle.t_fire
+    a.trickle.i_min = 1000.0  # the next reset draws a time past the horizon
+    deliver_dio(pending - 0.5, 512)
+    assert a.trickle.t_fire > w.params.duration_s
+    assert w._trickle_wake == {}
+    w.run_until(w.params.duration_s + DRAIN_S)
+    assert _dio_tx_times(w) == []
 
 
 @pytest.mark.parametrize("arm", ["attack", "defense", "defense_encrypted"])
@@ -646,12 +713,3 @@ def test_sixteen_bit_licenses_work_encrypted():
                            n_attackers=0)
     c = w.run()
     assert c.genuine_acked > 0 and c.genuine_nacked == 0
-
-
-def test_snapshot_mentions_every_node():
-    p = SimParams(duration_s=120.0, grid_m=90.0)
-    w = build_random_world(p, ARMS["baseline"], seed=3, n_clients=5, n_attackers=0)
-    w.run()
-    text = w.snapshot()
-    for node_id in w.nodes:
-        assert node_id in text

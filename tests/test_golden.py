@@ -16,7 +16,9 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
+from lisec_rtf import experiment
 from lisec_rtf.config import ARMS, SimParams
 from lisec_rtf.experiment import ExperimentReport, run_single, summarize, write_report
 from lisec_rtf.scenario import Scenario
@@ -39,17 +41,24 @@ def entry_name(arm: str, mobility: bool) -> str:
 
 def compute(arms=ARMS) -> dict:
     """Hashes of every output of the matrix, keyed by entry_name()."""
-    with tempfile.TemporaryDirectory() as tmp:
+    build_random_world = experiment.build_random_world
+    built = []  # the world of each run, to take its digest after the run
+
+    def build(*args, **kwargs):
+        built.append(build_random_world(*args, **kwargs))
+        return built[-1]
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(experiment, "build_random_world", build):
         golden = {}
         for arm in arms:
             for mobility in (False, True):
                 scenario = _scenario(mobility)
                 rows, traces, hashes = [], {}, {}
                 for seed in scenario.seeds:
-                    result = run_single(scenario, arm, seed, trace=True,
-                                        keep_world=True)
-                    hashes[f"digest-{seed}"] = result.world.digest()
-                    traces[(arm, seed)] = result.world.trace_lines
+                    result = run_single(scenario, arm, seed, trace=True)
+                    hashes[f"digest-{seed}"] = built.pop().digest()
+                    traces[(arm, seed)] = result.trace_lines
                     rows.append(result)
                 out = Path(tmp) / entry_name(arm, mobility).replace("/", "-")
                 write_report(ExperimentReport(rows, summarize(rows)), traces, out)

@@ -10,6 +10,7 @@ from lisec_rtf import messages as msg
 from lisec_rtf.messages import (
     DaoModified,
     DaoStatus,
+    dao_length,
     decode_dao,
     decode_status,
     encode_dao,
@@ -66,6 +67,12 @@ def test_dao_roundtrip_random():
 @given(daos)
 def test_dao_roundtrip_property(dao):
     assert decode_dao(encode_dao(dao)) == dao
+
+
+@settings(max_examples=200)
+@given(daos)
+def test_dao_length_equals_encoded_length(dao):
+    assert dao_length(dao) == len(encode_dao(dao))
 
 
 @settings(max_examples=300)

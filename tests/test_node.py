@@ -14,7 +14,7 @@ from lisec_rtf.messages import (
     node_address,
 )
 from lisec_rtf.node import NodeRole, NodeState, TrickleState, compute_rank
-from lisec_rtf.puf import CRDatabase
+from lisec_rtf.puf import CRDatabase, encrypt_license
 
 
 P = SimParams()
@@ -229,7 +229,7 @@ def test_nack_blacklists_and_purges():
     assert d_addr not in b.routing
     assert d_addr in b.blacklist
     assert d_addr not in b.neighbors
-    assert b.n_bl == 1
+    assert len(b.blacklist) == 1
 
 
 def test_blacklist_exclusion_no_route_after_nack():
@@ -302,6 +302,39 @@ def test_root_nacks_wrong_license():
                       sequence=1, reserved=0b11000001)
     (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db, amap, defense=True)
     assert status.status == STATUS_NACK
+
+
+def test_root_nacks_license_wider_than_width():
+    # a registered source whose reserved octet does not fit a 4-bit license
+    params = SimParams(license_width=4)
+    root = make_root(params)
+    db = CRDatabase(width=4)
+    db.entries["n01"] = (0x3, 0x5)
+    dao = DaoModified(src=node_address(1), target=node_address(1),
+                      sequence=1, reserved=200)
+    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db,
+                                        {node_address(1): "n01"}, defense=True)
+    assert status.status == STATUS_NACK
+    assert node_address(1) not in root.routing
+
+
+def test_root_nacks_encrypted_license_wider_than_width():
+    # a 10-byte blob that decrypts to 51513, past 12 bits
+    params = SimParams(license_width=12)
+    root = make_root(params)
+    root.encrypted = True
+    db = CRDatabase(width=12)
+    db.entries["n01"] = (0x123, 0x456)
+    key = bytes(range(16))
+    db.assign_key("n01", key)
+    blob = encrypt_license(key, 51513, b"\x07" * 8, width=16)
+    assert len(blob) == 10
+    dao = DaoModified(src=node_address(1), target=node_address(1),
+                      sequence=1, reserved=0, options=blob)
+    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db,
+                                        {node_address(1): "n01"}, defense=True)
+    assert status.status == STATUS_NACK
+    assert node_address(1) not in root.routing
 
 
 def test_root_defense_off_acks_everything():

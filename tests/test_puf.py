@@ -145,6 +145,17 @@ def test_verify_rejects_unknown_node():
     assert not db.verify("ghost", LIC)
 
 
+def test_verify_rejects_license_wider_than_width():
+    db = CRDatabase(width=4)
+    db.entries["S1"] = (0x3, 0x5)
+    assert db.verify("S1", 0x3 ^ 0x5)
+    for lic in (200, 16, -1):
+        assert not db.verify("S1", lic)
+    wide = CRDatabase(width=12)
+    wide.entries["S1"] = (0x123, 0x456)
+    assert not wide.verify("S1", 51513)
+
+
 def test_false_accept_rate_is_exactly_one_in_256():
     db = CRDatabase()
     db.entries["S1"] = (CH, RESP)

@@ -87,8 +87,12 @@ def test_wide_license_requires_encrypted_mode():
     s = parse_scenario("license_width = 16")
     with pytest.raises(ScenarioError, match="license_width"):
         s.validate()
-    s = parse_scenario("license_width = 16\nencrypted = on")
+    s = parse_scenario("license_width = 16\nencrypted = on\narms = defense")
     s.validate()
+    # the default arms keep baseline and attack, whose licenses stay plain
+    s = parse_scenario("license_width = 12\nencrypted = on")
+    with pytest.raises(ScenarioError, match="license_width: arm 'baseline'"):
+        s.validate()
 
 
 # -- experiment outputs -----------------------------------------------------
@@ -236,6 +240,30 @@ def test_cli_rejects_bad_scenario(tmp_path, capsys):
     path.write_text("nonsense_key = 4")
     assert main(["--scenario", str(path)]) == 2
     assert "nonsense_key" in capsys.readouterr().err
+
+
+def test_cli_wide_license_with_plain_arm_exits_2(tmp_path, capsys):
+    path = tmp_path / "wide.scenario"
+    path.write_text("license_width = 12\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--encrypted", "on", "--seeds", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: license_width") and "'baseline'" in err
+    assert not out.exists()
+
+
+def test_cli_flags_parse_like_scenario_lines(tmp_path, monkeypatch):
+    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+    path = write_scenario(tmp_path)
+    out = tmp_path / "res"
+    code = main(["--scenario", str(path), "--arms", " defense ,", "--seeds", "1",
+                 "--mobility", "on", "--encrypted", "on", "--out", str(out)])
+    assert code == 0
+    _, row = (out / "runs.csv").read_text().splitlines()
+    assert row.split(",")[:4] == ["defense_encrypted", "0", "1", "on"]
+    assert main(["--scenario", str(path), "--seeds", "x"]) == 2
+    assert main(["--scenario", str(path), "--attackers", "two"]) == 2
 
 
 def test_cli_seed_base_env(tmp_path, monkeypatch):
