@@ -23,7 +23,6 @@ class SimParams:
     root_rt_cap: int = 128        # border router is resource-rich but finite; 0 = unbounded
     route_lifetime_s: float = 0.0  # 0 = entries persist for the whole run
     dao_period_s: float = 60.0    # registration refresh
-    reg_lifetime_s: float = 120.0  # client registration valid this long past an ACK
 
     # trickle
     trickle_imin_s: float = 4.0

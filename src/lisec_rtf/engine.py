@@ -110,6 +110,8 @@ class World:
         self._joined: set[str] = set()
         # fire time of each node's one live trickle wake-up; others are stale
         self._trickle_wake: dict[str, float] = {}
+        # time of each node's one live DIS event; a detach makes others stale
+        self._dis_wake: dict[str, float] = {}
         self.ever_registered: set[str] = set()
         # airtime by message type; a DAO's size depends on its options
         self._airtime = {
@@ -296,16 +298,22 @@ class World:
             self._joined.add(node.node_id)
             self._schedule_trickle(node)
         else:
-            self.schedule(self.clock, "dis", node.node_id)
+            self._solicit_now(node.node_id)
+
+    def _solicit_now(self, node_id: str) -> None:
+        self._dis_wake[node_id] = self.clock
+        self.schedule(self.clock, "dis", node_id)
 
     def _on_dis(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        if node.joined:
+        if node.joined or self._dis_wake[node.node_id] != event.time:
             return
         if self.trace_enabled:
             self._trace(self.clock, node.node_id, "DIS_TX", "soliciting")
         self.transmit(node, None, DisMessage(sender=node.address))
-        self._reschedule(self.clock + self.params.dis_period_s, "dis", node.node_id)
+        t = self.clock + self.params.dis_period_s
+        self._dis_wake[node.node_id] = t
+        self._reschedule(t, "dis", node.node_id)
 
     def _on_deliver(self, event: Event) -> None:
         node = self.nodes[event.node_id]
@@ -337,14 +345,15 @@ class World:
                 self._send_all(node, node.handle_dao(message, sender_addr, now))
             return
         if kind is DaoStatus:
+            joined = node.joined
             out = node.handle_status(message, now)
-            if message.originator == node.address:
-                if message.is_ack:
-                    self.ever_registered.add(node.node_id)
-            elif not out:
-                self.counters.status_drops += 1
+            if message.originator == node.address and message.is_ack:
+                self.ever_registered.add(node.node_id)
             self._send_all(node, out)
-            self._after_protocol_step(node)
+            if joined and not node.joined:
+                # detached: no wake-up; solicit like a node that never joined
+                self._trickle_wake.pop(node.node_id, None)
+                self._solicit_now(node.node_id)
 
     def _record_root_decision(self, dao: DaoModified, out: list) -> None:
         accepted = bool(out) and out[0][1].is_ack
@@ -376,8 +385,6 @@ class World:
 
     def _schedule_trickle(self, node: NodeState) -> None:
         """Move the node's wake-up to `t_fire`, or drop it past the horizon."""
-        if node.trickle is None:
-            return
         t = node.trickle.t_fire
         if t > self.params.duration_s:
             self._trickle_wake.pop(node.node_id, None)
@@ -395,8 +402,7 @@ class World:
 
     def _on_dao_refresh(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        if node.joined:
-            self._send_all(node, node.build_own_dao(self.clock, self.rng))
+        self._send_all(node, node.build_own_dao(self.clock, self.rng))
         self._reschedule(self.clock + self.params.dao_period_s, "dao_refresh",
                          node.node_id)
 
@@ -412,7 +418,7 @@ class World:
         if counted:
             self.counters.sent_per_node[node.node_id] = (
                 self.counters.sent_per_node.get(node.node_id, 0) + 1)
-        if not node.joined or node.parent is None:
+        if node.parent is None:
             return  # orphan: packet lost at the source
         packet = DataPacket(node.node_id, node.address, self.clock, counted)
         if self.trace_enabled:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .config import ARMS
 from .engine import build_random_world
 from .metrics import MetricUndefinedError, aggregate_ci, ae2ed, apc, pdr
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 RUNS_HEADER = "arm,seed,attackers,mobility,pdr,ae2ed_s,apc_mw,n_blacklist,rt_peak"
 SUMMARY_HEADER = ("arm,attackers,mobility,pdr_mean,pdr_ci95,"
@@ -25,7 +25,12 @@ SUMMARY_HEADER = ("arm,attackers,mobility,pdr_mean,pdr_ci95,"
 
 
 def seed_base() -> int:
-    return int(os.environ.get("LISEC_SEED_BASE", "0"))
+    raw = os.environ.get("LISEC_SEED_BASE", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ScenarioError(
+            f"LISEC_SEED_BASE: expected an integer, got {raw!r}") from None
 
 
 @dataclass

@@ -52,7 +52,6 @@ class RunCounters:
     control_transmissions: int = 0
     dao_path_transmissions: int = 0
     data_transmissions: int = 0
-    status_drops: int = 0
     root_admission_drops: int = 0
     link_losses: int = 0
     forged_acked: int = 0

@@ -35,9 +35,9 @@ class NodeRole(enum.Enum):
     MALICIOUS = "malicious"
 
 
-def compute_rank(parent_rank: int, params: SimParams) -> int:
-    """Hop-count rank: parent rank plus a fixed increment, saturating."""
-    return min(parent_rank + params.rank_increase, params.max_rank)
+def compute_rank(advertised: int, params: SimParams) -> int:
+    """Hop-count rank: a parent's advertised rank plus a fixed increment, saturating."""
+    return min(advertised + params.rank_increase, params.max_rank)
 
 
 @dataclass
@@ -75,9 +75,7 @@ class TrickleState:
 
 @dataclass
 class RoutingEntry:
-    target: bytes
     next_hop: bytes
-    installed_at: float
     expires_at: float = math.inf
 
 
@@ -99,7 +97,6 @@ class NodeState:
 
         self.rank: int | None = params.min_rank if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
-        self.parent_rank: int | None = None
         self.neighbors: dict[bytes, int | None] = {}
         self.routing: dict[bytes, RoutingEntry] = {}
         self.blacklist: set[bytes] = set()  # only grows
@@ -109,7 +106,6 @@ class NodeState:
         self.shared_key: bytes | None = None
         self.encrypted = False
         self.dao_seq = 0
-        self.registered_until = -math.inf
         self.tracer = None
 
     # -- plumbing ---------------------------------------------------------
@@ -117,9 +113,6 @@ class NodeState:
     @property
     def joined(self) -> bool:
         return self.rank is not None
-
-    def is_registered(self, now: float) -> bool:
-        return now <= self.registered_until
 
     def rt_occupancy(self, now: float) -> int:
         self._purge_expired(now)
@@ -148,14 +141,13 @@ class NodeState:
         entry = self.routing.get(target)
         if entry is not None:
             entry.next_hop = next_hop
-            entry.installed_at = now
             entry.expires_at = expires
             return "updated"
         if self.rt_cap is not None and len(self.routing) >= self.rt_cap:
             if self.tracer is not None:
                 self._trace(now, "ROUTE_FULL", format_address(target))
             return "full"
-        self.routing[target] = RoutingEntry(target, next_hop, now, expires)
+        self.routing[target] = RoutingEntry(next_hop, expires)
         if self.tracer is not None:
             self._trace(now, "ROUTE_ADD",
                         f"{format_address(target)} via {format_address(next_hop)}")
@@ -190,34 +182,27 @@ class NodeState:
 
         candidate = compute_rank(dio.rank, self.params)
         if dio.sender == self.parent:  # never true before joining
-            self.parent_rank = dio.rank
             if candidate != self.rank:
                 self.rank = candidate
-                if self.trickle:
-                    self.trickle.reset(rng, now)
-            elif self.trickle:
+                self.trickle.reset(rng, now)
+            else:
                 self.trickle.counter += 1
             return []
-        if self.joined and (candidate + self.params.hysteresis
-                            >= compute_rank(self.parent_rank, self.params)):
-            if self.trickle:
-                self.trickle.counter += 1
+        if self.joined and candidate + self.params.hysteresis >= self.rank:
+            self.trickle.counter += 1
             return []
 
-        # join, or switch to a parent that is better by the hysteresis
+        # join, or switch to a parent that is better by the hysteresis; a
+        # fresh trickle makes the same single draw as a reset
         self.parent = dio.sender
-        self.parent_rank = dio.rank
         self.rank = candidate
-        if self.trickle is None:
-            self.trickle = TrickleState.start(self.params, rng, now)
-        else:
-            self.trickle.reset(rng, now)
+        self.trickle = TrickleState.start(self.params, rng, now)
         if self.role is NodeRole.MALICIOUS:
             return []  # lies low; registers only after its first volley
         return self.build_own_dao(now, rng)
 
     def trickle_fire(self, now: float, rng: random.Random) -> list:
-        if self.trickle is None or not self.joined:
+        if self.trickle is None:
             return []
         fired = self.trickle.step(rng, now)
         if not fired:
@@ -230,7 +215,7 @@ class NodeState:
 
     def build_own_dao(self, now: float, rng: random.Random) -> list:
         """Register (or refresh) this node at the root through its parent."""
-        if self.parent is None or self.role is NodeRole.ROOT:
+        if self.parent is None:
             return []
         self.dao_seq = (self.dao_seq + 1) % 256
         if self.encrypted:
@@ -321,7 +306,6 @@ class NodeState:
         """Consume our own ACK/NACK or relay it one hop further down."""
         if st.originator == self.address:
             if st.is_ack:
-                self.registered_until = now + self.params.reg_lifetime_s
                 if self.tracer is not None:
                     self._trace(now, "ACK", "registered")
             elif self.tracer is not None:
@@ -341,8 +325,8 @@ class NodeState:
                     self._trace(now, "BLACKLIST", format_address(st.originator))
             self.neighbors.pop(st.originator, None)
             if self.parent == st.originator:
-                self.parent = None
-                self.parent_rank = None
+                # detach: a node without a parent advertises no rank
+                self.parent = self.rank = self.trickle = None
             return out
         if entry is None:
             return []

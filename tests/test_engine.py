@@ -26,10 +26,11 @@ from lisec_rtf.messages import (
     DaoStatus,
     DioMessage,
     DisMessage,
+    STATUS_NACK,
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
-from lisec_rtf.node import NodeRole, TrickleState
+from lisec_rtf.node import NodeRole, TrickleState, compute_rank
 
 
 def empty_world(params=None, arm="baseline", seed=1):
@@ -713,3 +714,55 @@ def test_sixteen_bit_licenses_work_encrypted():
                            n_attackers=0)
     c = w.run()
     assert c.genuine_acked > 0 and c.genuine_nacked == 0
+
+
+@pytest.mark.parametrize("with_c", [False, True])
+@pytest.mark.parametrize("t_nack", [5.0, 100.0])  # within one DIS period of joining, and later
+def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
+    """b on the line root-a-b hears a NACK for its parent a.  It solicits at
+    once in one DIS loop, advertises no rank while detached, rejoins through
+    c when c is in range, and keeps its one registration refresh loop."""
+    params = SimParams(duration_s=300.0)
+    w = World(params, ARMS["baseline"], seed=2, trace=True)
+    w.add_node("root", NodeRole.ROOT, (0.0, 0.0))
+    a = w.add_node("a", NodeRole.CLIENT, (45.0, 0.0))
+    b = w.add_node("b", NodeRole.CLIENT, (90.0, 0.0))
+    if with_c:
+        c = w.add_node("c", NodeRole.CLIENT, (67.5, 20.0))  # hears a and b only
+    events = 0
+    dispatch = w._dispatch
+
+    def bounded_dispatch(event):
+        nonlocal events
+        events += 1
+        assert events < 2_000, f"stuck at t={event.time}"
+        dispatch(event)
+
+    w._dispatch = bounded_dispatch
+    w._schedule_initial()
+    w.run_until(t_nack)
+    assert b.parent == a.address
+    nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
+    w.schedule(t_nack, "deliver", "b", payload=(a.address, nack, 0.0))
+    w.run_until(t_nack + 50.0)
+    refresh = [e for e in w._queue if e.kind == "dao_refresh" and e.node_id == "b"]
+    assert len(refresh) == 1
+    w.run_until(params.duration_s + DRAIN_S)
+
+    after = [line.split("\t") for line in w.trace_lines
+             if line.split("\t")[1] == "b" and float(line.split("\t")[0]) >= t_nack]
+    assert [(t, kind) for t, _, kind, _ in after[:2]] == [
+        (f"{t_nack:.6f}", "BLACKLIST"), (f"{t_nack:.6f}", "DIS_TX")]
+    kinds = [kind for _, _, kind, _ in after[1:]]
+    detached = kinds[:kinds.index("DAO_TX")] if "DAO_TX" in kinds else kinds
+    assert "DIO_TX" not in detached
+    if with_c:
+        assert b.parent == c.address and b.rank == compute_rank(c.rank, params)
+        assert "DIO_TX" in kinds  # advertises again once rejoined
+    else:
+        assert b.parent is None and b.rank is None and b.trickle is None
+        assert "b" not in w._trickle_wake
+        times = [float(t) for t, _, _, _ in after[1:]]
+        assert kinds == ["DIS_TX"] * len(kinds)
+        assert times == [t_nack + k * params.dis_period_s for k in range(len(times))]
+        assert times[-1] + params.dis_period_s > params.duration_s

@@ -2,6 +2,10 @@
 
 import random
 
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
 from lisec_rtf.config import SimParams
 from lisec_rtf.messages import (
     DaoModified,
@@ -10,6 +14,7 @@ from lisec_rtf.messages import (
     DisMessage,
     STATUS_ACK,
     STATUS_NACK,
+    forged_address,
     is_forged_address,
     node_address,
 )
@@ -256,16 +261,6 @@ def test_status_for_unknown_target_dropped():
     assert b.handle_status(ack, 3.1) == []
 
 
-def test_own_ack_marks_registration():
-    node = make_node()
-    join(node)
-    ack = DaoStatus(originator=node.address, sequence=1, status=STATUS_ACK)
-    node.handle_status(ack, 10.0)
-    assert node.is_registered(10.0)
-    assert node.is_registered(10.0 + P.reg_lifetime_s)
-    assert not node.is_registered(11.0 + P.reg_lifetime_s)
-
-
 # -- root validation ----------------------------------------------------
 
 
@@ -376,3 +371,74 @@ def test_forged_volley_arithmetic_over_run():
 def test_orphan_attacker_emits_nothing():
     mal = NodeState("m01", node_address(30), NodeRole.MALICIOUS, P)
     assert mal.emit_forged(5.0, random.Random(8)) == []
+
+
+# -- stateful fuzz ------------------------------------------------------
+
+POOL = [node_address(i) for i in (0, 5, 6, 7)]
+SELF_ADDR = node_address(1)
+FUZZ_PARAMS = SimParams(route_lifetime_s=20.0)
+
+
+class ClientMachine(RuleBasedStateMachine):
+    """One client fed arbitrary control traffic from a small neighbourhood.
+
+    The model tracks only the rank last heard from each sender, so the
+    client's rank can be checked against the one its parent advertised.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.node = NodeState("n01", SELF_ADDR, NodeRole.CLIENT, FUZZ_PARAMS, rt_cap=3)
+        self.rng = random.Random(0)
+        self.now = 0.0
+        self.heard = {}
+
+    @rule(dt=st.floats(0.0, 10.0))
+    def tick(self, dt):
+        self.now += dt
+
+    @rule(sender=st.sampled_from(POOL), rank=st.integers(0, 0xFFFF))
+    def dio(self, sender, rank):
+        if sender not in self.node.blacklist:
+            self.heard[sender] = rank
+        dio = DioMessage(sender=sender, dodag_id=ROOT_ADDR, version=1, rank=rank)
+        self.node.handle_dio(dio, self.now, self.rng)
+
+    @rule(sender=st.sampled_from(POOL), genuine=st.sampled_from(POOL) | st.none())
+    def dao(self, sender, genuine):
+        target = genuine or forged_address(self.rng)
+        dao = DaoModified(src=target, target=target, sequence=1, reserved=0)
+        self.node.handle_dao(dao, sender, self.now)
+
+    @rule(originator=st.sampled_from(POOL + [SELF_ADDR]), ack=st.booleans())
+    def status(self, originator, ack):
+        st_msg = DaoStatus(originator=originator, sequence=1,
+                           status=STATUS_ACK if ack else STATUS_NACK)
+        self.node.handle_status(st_msg, self.now)
+
+    @rule(sender=st.sampled_from(POOL))
+    def dis(self, sender):
+        self.node.handle_dis(DisMessage(sender=sender), self.now)
+
+    @rule()
+    def trickle(self):
+        self.node.trickle_fire(self.now, self.rng)
+
+    @invariant()
+    def attachment_is_one_state(self):
+        n = self.node
+        assert (n.parent is None) == (n.rank is None) == (n.trickle is None)
+        if n.parent is not None:
+            assert n.rank == compute_rank(self.heard[n.parent], FUZZ_PARAMS)
+
+    @invariant()
+    def tables_bounded_and_clean(self):
+        n = self.node
+        assert len(n.routing) <= n.rt_cap
+        assert not n.blacklist & (set(n.routing) | set(n.neighbors))
+        assert n.parent not in n.blacklist
+
+
+ClientMachine.TestCase.settings = settings(deadline=None)
+test_client_machine = ClientMachine.TestCase

@@ -95,6 +95,16 @@ def test_wide_license_requires_encrypted_mode():
         s.validate()
 
 
+@pytest.mark.parametrize("key", ["data_period_s", "dis_period_s", "dao_period_s",
+                                 "attack_period_s", "rt_sample_period_s",
+                                 "mobility_tick_s", "trickle_imin_s"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan"])
+def test_non_positive_period_rejected(key, value):
+    s = parse_scenario(f"{key} = {value}")
+    with pytest.raises(ScenarioError, match=f"^{key}: must be positive"):
+        s.validate()
+
+
 # -- experiment outputs -----------------------------------------------------
 
 
@@ -264,6 +274,19 @@ def test_cli_flags_parse_like_scenario_lines(tmp_path, monkeypatch):
     assert row.split(",")[:4] == ["defense_encrypted", "0", "1", "on"]
     assert main(["--scenario", str(path), "--seeds", "x"]) == 2
     assert main(["--scenario", str(path), "--attackers", "two"]) == 2
+
+
+def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+    path = tmp_path / "zero.scenario"
+    path.write_text("rt_sample_period_s = 0\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: rt_sample_period_s")
+    monkeypatch.setenv("LISEC_SEED_BASE", "x")
+    assert main(["--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: LISEC_SEED_BASE")
+    assert not out.exists()
 
 
 def test_cli_seed_base_env(tmp_path, monkeypatch):
