@@ -14,6 +14,13 @@ Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
 broadcast and cleared by `add_node` and at every mobility tick.
 Unicast range tests read the sender's cache when it is filled.
+
+Radio deliveries wait in `_inflight`, a FIFO beside the event heap with
+one entry per transmission: (arrival, seq, receivers, sender address,
+message, airtime).  Every delivery lands `d_hop_s` after it was sent, the
+clock never goes back and `d_hop_s` is a constant >= 0, so arrivals come due
+in send order.  `seq` is drawn from the heap's counter, and `run_until`
+takes whichever head has the smaller (time, seq).
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import hashlib
 import heapq
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -84,6 +92,8 @@ class RwpState:
 class World:
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
                  trace: bool = False):
+        if not params.d_hop_s >= 0:  # also refuses nan
+            raise ValueError(f"d_hop_s: must be non-negative, got {params.d_hop_s}")
         self.params = params
         self.arm = arm
         self.seed = seed
@@ -94,6 +104,7 @@ class World:
         self.rng_keys = random.Random((seed << 16) ^ 0x4E75)
         self.clock = 0.0
         self._queue: list[Event] = []
+        self._inflight: deque[tuple] = deque()
         self._seq = 0
         self.nodes: dict[str, NodeState] = {}
         self._in_range: dict[str, dict[str, NodeState]] = {}
@@ -167,10 +178,22 @@ class World:
     def run_until(self, t_end: float) -> None:
         if t_end < self.clock:
             raise ValueError("t_end before current clock")
-        while self._queue and self._queue[0].time <= t_end:
-            event = heapq.heappop(self._queue)
-            self.clock = event.time
-            self._dispatch(event)
+        queue, inflight = self._queue, self._inflight
+        receive, dispatch = self._receive, self._dispatch
+        while True:
+            if inflight and (not queue or inflight[0] < queue[0]):
+                if inflight[0][0] > t_end:
+                    break
+                self.clock, _, receivers, sender_addr, message, airtime = (
+                    inflight.popleft())
+                for node in receivers:
+                    receive(node, sender_addr, message, airtime)
+            elif queue and queue[0].time <= t_end:
+                event = heapq.heappop(queue)
+                self.clock = event.time
+                dispatch(event)
+            else:
+                break
         self.clock = t_end
 
     def run(self) -> RunCounters:
@@ -253,14 +276,18 @@ class World:
             if kind is DaoModified or kind is DaoStatus:
                 counters.dao_path_transmissions += 1
         if dest is None:
+            receivers = []
             for other in self._neighbours(sender).values():
                 if self.clock < self.start_times[other.node_id]:
                     continue
                 if self.rng.random() < p.loss_prob:
                     self.counters.link_losses += 1
                     continue
-                self.schedule(self.clock + p.d_hop_s, "deliver", other.node_id,
-                              payload=(sender.address, message, airtime))
+                receivers.append(other)
+            if receivers:
+                self._inflight.append((self.clock + p.d_hop_s, self._seq, receivers,
+                                       sender.address, message, airtime))
+                self._seq += 1
             return
         receiver = self.by_addr.get(dest)
         if receiver is None or self.clock < self.start_times[receiver.node_id]:
@@ -278,8 +305,9 @@ class World:
         if self.rng.random() < p.loss_prob:
             self.counters.link_losses += 1
             return
-        self.schedule(self.clock + p.d_hop_s, "deliver", receiver.node_id,
-                      payload=(sender.address, message, airtime))
+        self._inflight.append((self.clock + p.d_hop_s, self._seq, (receiver,),
+                               sender.address, message, airtime))
+        self._seq += 1
 
     def _send_all(self, node: NodeState, outgoing: list) -> None:
         for dest, message in outgoing:
@@ -315,9 +343,8 @@ class World:
         self._dis_wake[node.node_id] = t
         self._reschedule(t, "dis", node.node_id)
 
-    def _on_deliver(self, event: Event) -> None:
-        node = self.nodes[event.node_id]
-        sender_addr, message, airtime = event.payload
+    def _receive(self, node: NodeState, sender_addr: bytes, message,
+                 airtime: float) -> None:
         ledger = self.ledgers[node.node_id]
         ledger.rx_s += airtime
         ledger.cpu_s += self.params.cpu_per_packet_s

@@ -16,6 +16,9 @@ from .config import ARMS, SimParams
 # each drives a repeating event loop, which needs a positive period
 _PERIOD_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
                 "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s")
+# delays, windows and a doubling count: zero is allowed, negatives and nan not
+_NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
+                      "data_warmup_s", "trickle_doublings")
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -57,10 +60,14 @@ class Scenario:
                           "usual 0..3 range", stacklevel=2)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
-        for key in _PERIOD_KEYS:
+        for key in (*_PERIOD_KEYS, "duration_s"):
             value = getattr(self.params, key)
             if not value > 0:  # also refuses nan
                 raise ScenarioError(f"{key}: must be positive, got {value}")
+        for key in _NON_NEGATIVE_KEYS:
+            value = getattr(self.params, key)
+            if not value >= 0:  # also refuses nan
+                raise ScenarioError(f"{key}: must be non-negative, got {value}")
         plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
         if self.params.license_width > 8 and plain:
             raise ScenarioError(

@@ -1,5 +1,6 @@
 """Event kernel, radio, mobility, energy accounting and world properties."""
 
+import itertools
 import math
 import random
 
@@ -82,7 +83,86 @@ def test_run_until_rejects_backward_target():
         w.run_until(1.0)
 
 
+_GRID = (0.0, 0.25, 0.5)
+
+# one probe: grid slot, sender, unicast destination (None = broadcast), and
+# the offsets at which it schedules follow-up probes after transmitting
+_probes = st.tuples(st.integers(0, 11), st.integers(0, 3),
+                    st.one_of(st.none(), st.integers(0, 3)),
+                    st.lists(st.sampled_from(_GRID), max_size=2))
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_GRID), st.lists(_probes, min_size=1, max_size=20))
+def test_heap_and_inflight_merge_in_time_seq_order(d_hop_s, plan):
+    # oracle: every heap event and every transmission's arrival is handled
+    # once, in strictly increasing (time, seq), with arrivals tying events
+    # exactly on a 0.25 s grid; a transmission reaches each receiver once
+    w = World(SimParams(d_hop_s=d_hop_s), ARMS["baseline"], seed=3)
+    nodes = [w.add_node(f"n{i}", NodeRole.CLIENT, (10.0 * i, 0.0))
+             for i in range(4)]  # all in range, never joined: no replies
+    log, scheduled = [], set()
+    sent = {}  # seq -> (arrival, receivers, message kept alive so ids stay unique)
+    seq_of = {}  # id(message) -> seq of its transmission
+
+    def schedule(t, payload):
+        scheduled.add((t, w._seq))
+        w.schedule(t, "probe", payload=payload)
+
+    def on_probe(ev):
+        assert w.clock == ev.time
+        log.append((ev.time, ev.seq, None))
+        sender, dest, offsets = ev.payload
+        message = DisMessage(sender=nodes[sender].address)
+        seq_of[id(message)] = seq = w._seq
+        if dest is None:
+            receivers = [n.node_id for n in nodes if n is not nodes[sender]]
+            w.transmit(nodes[sender], None, message)
+        else:
+            receivers = [nodes[dest].node_id]
+            w.transmit(nodes[sender], nodes[dest].address, message)
+        assert w._seq == seq + 1
+        sent[seq] = (w.clock + d_hop_s, receivers, message)
+        for offset in offsets:
+            schedule(w.clock + offset, (sender, (sender + 1) % 4, []))
+
+    receive = w._receive
+
+    def spy(node, sender_addr, message, airtime):
+        log.append((w.clock, seq_of[id(message)], node.node_id))
+        receive(node, sender_addr, message, airtime)
+
+    w._on_probe = on_probe
+    w._receive = spy
+    for slot, sender, dest, offsets in plan:
+        schedule(slot * 0.25, (sender, dest, offsets))
+    w.run_until(10.0)
+
+    groups = [(key, [entry[2] for entry in group])
+              for key, group in itertools.groupby(log, key=lambda e: e[:2])]
+    keys = [key for key, _ in groups]
+    assert keys == sorted(set(keys))  # strictly increasing
+    assert set(keys) == scheduled | {(t, seq) for seq, (t, _, _) in sent.items()}
+    for (t, seq), who in groups:
+        if (t, seq) in scheduled:
+            assert who == [None]
+        else:
+            assert who == sent[seq][1]
+    assert not w._queue and not w._inflight
+
+
+def test_negative_or_nan_hop_delay_refused():
+    for bad in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="d_hop_s"):
+            World(SimParams(d_hop_s=bad), ARMS["baseline"], seed=1)
+
+
 # -- radio --------------------------------------------------------------
+
+
+def _receivers(w):
+    """Node ids of the pending deliveries, in the order they were sent."""
+    return [n.node_id for entry in w._inflight for n in entry[2]]
 
 
 def radio_world(distance, loss=0.0):
@@ -96,14 +176,14 @@ def radio_world(distance, loss=0.0):
 def test_unicast_within_range_delivers():
     w, a, b = radio_world(40.0)
     w.transmit(a, b.address, DisMessage(sender=a.address))
-    assert len(w._queue) == 1
-    assert w._queue[0].time == pytest.approx(w.params.d_hop_s)
+    assert _receivers(w) == ["b"]
+    assert w._inflight[0][0] == pytest.approx(w.params.d_hop_s)
 
 
 def test_unicast_beyond_range_lost():
     w, a, b = radio_world(60.0)
     w.transmit(a, b.address, DisMessage(sender=a.address))
-    assert w._queue == []
+    assert not w._inflight and w._queue == []
     assert w.counters.link_losses == 1
 
 
@@ -122,7 +202,7 @@ def test_loss_rate_monte_carlo():
     n = 10_000
     for _ in range(n):
         w.transmit(a, b.address, DisMessage(sender=a.address))
-    delivered = len(w._queue)
+    delivered = len(_receivers(w))
     assert delivered / n == pytest.approx(0.7, abs=0.02)
 
 
@@ -132,13 +212,7 @@ def test_broadcast_reaches_only_in_range_nodes():
     w.add_node("near", NodeRole.CLIENT, (30.0, 0.0))
     w.add_node("far", NodeRole.CLIENT, (90.0, 0.0))
     w.transmit(a, None, DisMessage(sender=a.address))
-    receivers = {ev.node_id for ev in w._queue}
-    assert receivers == {"near"}
-
-
-def _receivers(w):
-    """Node ids of the pending deliveries, in the order they were queued."""
-    return [ev.node_id for ev in sorted(w._queue) if ev.kind == "deliver"]
+    assert _receivers(w) == ["near"]
 
 
 def test_broadcast_matches_all_pairs_scan():
@@ -178,7 +252,7 @@ def test_broadcast_follows_mobility_tick():
     w.add_node("arriving", NodeRole.CLIENT, (0.0, 56.0))
     w.transmit(a, None, DisMessage(sender=a.address))
     assert _receivers(w) == ["leaving"]
-    w._queue.clear()
+    w._inflight.clear()
     w.mobility["leaving"] = RwpState(waypoint=(200.0, 0.0), speed=10.0)
     w.mobility["arriving"] = RwpState(waypoint=(0.0, 0.0), speed=10.0)
     w.schedule(1.0, "mobility")
@@ -192,7 +266,7 @@ def test_broadcast_after_add_node_includes_it():
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
     w.transmit(a, None, DisMessage(sender=a.address))
-    w._queue.clear()
+    w._inflight.clear()
     w.add_node("late", NodeRole.CLIENT, (0.0, 30.0))
     w.transmit(a, None, DisMessage(sender=a.address))
     assert _receivers(w) == ["b", "late"]
@@ -307,7 +381,9 @@ def _dio_driven_node(params):
 
     def deliver_dio(t, rank):
         dio = DioMessage(sender=parent, dodag_id=parent, version=1, rank=rank)
-        w.schedule(t, "deliver", "a", payload=(parent, dio, 0.0))
+        assert not w._inflight  # a hears no one, so the FIFO stays in order
+        w._inflight.append((t, w._seq, (a,), parent, dio, 0.0))
+        w._seq += 1
         w.run_until(t)
 
     return w, a, deliver_dio
@@ -685,12 +761,12 @@ def test_encrypted_arm_daos_carry_options_not_reserved():
     w = build_random_world(p, ARMS["defense_encrypted"], seed=3, n_clients=5,
                            n_attackers=0)
     seen = []
-    orig = w._on_deliver
-    def spy(ev, _o=orig):
-        if ev.payload and isinstance(ev.payload[1], DaoModified):
-            seen.append(ev.payload[1])
-        _o(ev)
-    w._on_deliver = spy
+    orig = w._receive
+    def spy(node, sender_addr, message, airtime, _o=orig):
+        if isinstance(message, DaoModified):
+            seen.append(message)
+        _o(node, sender_addr, message, airtime)
+    w._receive = spy
     w.run()
     assert seen
     for dao in seen:
@@ -729,21 +805,22 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     b = w.add_node("b", NodeRole.CLIENT, (90.0, 0.0))
     if with_c:
         c = w.add_node("c", NodeRole.CLIENT, (67.5, 20.0))  # hears a and b only
-    events = 0
-    dispatch = w._dispatch
+    events = 0  # heap events and deliveries
+    dispatch, receive = w._dispatch, w._receive
 
-    def bounded_dispatch(event):
+    def bounded(handler, *args):
         nonlocal events
         events += 1
-        assert events < 2_000, f"stuck at t={event.time}"
-        dispatch(event)
+        assert events < 2_000, f"stuck at t={w.clock}"
+        handler(*args)
 
-    w._dispatch = bounded_dispatch
+    w._dispatch = lambda event: bounded(dispatch, event)
+    w._receive = lambda *args: bounded(receive, *args)
     w._schedule_initial()
     w.run_until(t_nack)
     assert b.parent == a.address
     nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
-    w.schedule(t_nack, "deliver", "b", payload=(a.address, nack, 0.0))
+    w._receive(b, a.address, nack, 0.0)  # nothing else is due at t_nack
     w.run_until(t_nack + 50.0)
     refresh = [e for e in w._queue if e.kind == "dao_refresh" and e.node_id == "b"]
     assert len(refresh) == 1

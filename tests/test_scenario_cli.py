@@ -97,12 +97,26 @@ def test_wide_license_requires_encrypted_mode():
 
 @pytest.mark.parametrize("key", ["data_period_s", "dis_period_s", "dao_period_s",
                                  "attack_period_s", "rt_sample_period_s",
-                                 "mobility_tick_s", "trickle_imin_s"])
+                                 "mobility_tick_s", "trickle_imin_s",
+                                 "duration_s"])
 @pytest.mark.parametrize("value", ["0", "-1", "nan"])
 def test_non_positive_period_rejected(key, value):
     s = parse_scenario(f"{key} = {value}")
     with pytest.raises(ScenarioError, match=f"^{key}: must be positive"):
         s.validate()
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, value) for key in ("d_hop_s", "startup_stagger_s",
+                               "attacker_start_window_s", "data_warmup_s")
+      for value in ("-0.1", "nan")],
+    ("trickle_doublings", "-1"),
+])
+def test_negative_delay_or_window_rejected(key, value):
+    s = parse_scenario(f"{key} = {value}")
+    with pytest.raises(ScenarioError, match=f"^{key}: must be non-negative"):
+        s.validate()
+    parse_scenario(f"{key} = 0").validate()  # the bound itself is allowed
 
 
 # -- experiment outputs -----------------------------------------------------
@@ -287,6 +301,20 @@ def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch
     assert main(["--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: LISEC_SEED_BASE")
     assert not out.exists()
+
+
+def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
+    # each of these used to end in a traceback partway into the run
+    for line in ("d_hop_s = -0.1", "d_hop_s = nan", "startup_stagger_s = -5",
+                 "attacker_start_window_s = -1", "data_warmup_s = -1",
+                 "trickle_doublings = -1", "duration_s = -1"):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"seeds = 1\narms = baseline\n{line}\n")
+        out = tmp_path / "res"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 2, line
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {line.split()[0]}:"), err
+        assert not out.exists()
 
 
 def test_cli_seed_base_env(tmp_path, monkeypatch):
