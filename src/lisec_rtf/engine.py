@@ -202,47 +202,25 @@ class World:
         self._finalize()
         return self.counters
 
-    def _reschedule(self, time: float, kind: str, node_id: str) -> None:
-        """Periodic loops stop at the horizon; only deliveries may outlive it."""
+    def _reschedule(self, time: float, kind: str,
+                    node_id: str | None = None) -> None:
+        """Queue a periodic loop's next event unless it falls past the
+        horizon; after the horizon `run` only drains radio deliveries."""
         if time <= self.params.duration_s:
             self.schedule(time, kind, node_id)
 
     def _schedule_initial(self) -> None:
+        """Queue the start events, then the first event of each periodic
+        loop; every loop's handler schedules its own next event."""
         p = self.params
         for node_id, t0 in self.start_times.items():
             self.schedule(t0, "start", node_id)
-        k = int(p.data_warmup_s // p.data_period_s)
-        t = (k + 1) * p.data_period_s
-        grid = []
-        while t <= p.duration_s + 1e-9:
-            grid.append(t)
-            t += p.data_period_s
-        pre = [t for t in self._pre_window_grid() if t <= p.duration_s]
         for node in self.nodes.values():
-            if node.role is not NodeRole.CLIENT:
-                continue
-            for t in pre:
-                self.schedule(t, "data", node.node_id, payload=False)
-            for t in grid:
-                self.schedule(t, "data", node.node_id, payload=True)
-        t = p.rt_sample_period_s
-        while t <= p.duration_s:
-            self.schedule(t, "rt_sample")
-            t += p.rt_sample_period_s
+            if node.role is NodeRole.CLIENT:
+                self._reschedule(p.data_period_s, "data", node.node_id)
+        self._reschedule(p.rt_sample_period_s, "rt_sample")
         if self.mobility:
-            t = p.mobility_tick_s
-            while t <= p.duration_s:
-                self.schedule(t, "mobility")
-                t += p.mobility_tick_s
-
-    def _pre_window_grid(self) -> list[float]:
-        p = self.params
-        out = []
-        t = p.data_period_s
-        while t <= p.data_warmup_s + 1e-9:
-            out.append(t)
-            t += p.data_period_s
-        return out
+            self._reschedule(p.mobility_tick_s, "mobility")
 
     # -- radio -------------------------------------------------------------
 
@@ -441,7 +419,9 @@ class World:
 
     def _on_data(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        counted = bool(event.payload)
+        self._reschedule(self.clock + self.params.data_period_s, "data",
+                         node.node_id)
+        counted = self.clock > self.params.data_warmup_s
         if counted:
             self.counters.sent_per_node[node.node_id] = (
                 self.counters.sent_per_node.get(node.node_id, 0) + 1)
@@ -473,6 +453,7 @@ class World:
         self.transmit(node, node.parent, packet)
 
     def _on_rt_sample(self, event: Event) -> None:
+        self._reschedule(self.clock + self.params.rt_sample_period_s, "rt_sample")
         occ = max((n.rt_occupancy(self.clock) for n in self.nodes.values()
                    if n.role is not NodeRole.ROOT), default=0)
         if occ > self.counters.rt_peak:
@@ -485,6 +466,7 @@ class World:
         tick = p.mobility_tick_s
         grid = p.grid_m
         uniform = self.rng_mobility.uniform
+        self._reschedule(clock + tick, "mobility")
         self._in_range.clear()
         for node_id, state in self.mobility.items():
             if clock < state.pause_until:

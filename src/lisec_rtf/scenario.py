@@ -13,9 +13,10 @@ from dataclasses import dataclass, field, fields
 
 from .config import ARMS, SimParams
 
-# each drives a repeating event loop, which needs a positive period
-_PERIOD_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
-                "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s")
+# loop periods, the horizon, airtime's divisor and the license's bit count
+_POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
+                  "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s",
+                  "duration_s", "bitrate_bps", "license_width")
 # delays, windows and a doubling count: zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
                       "data_warmup_s", "trickle_doublings")
@@ -60,7 +61,7 @@ class Scenario:
                           "usual 0..3 range", stacklevel=2)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
-        for key in (*_PERIOD_KEYS, "duration_s"):
+        for key in _POSITIVE_KEYS:
             value = getattr(self.params, key)
             if not value > 0:  # also refuses nan
                 raise ScenarioError(f"{key}: must be positive, got {value}")
@@ -68,6 +69,9 @@ class Scenario:
             value = getattr(self.params, key)
             if not value >= 0:  # also refuses nan
                 raise ScenarioError(f"{key}: must be non-negative, got {value}")
+        if not 0 <= self.params.loss_prob <= 1:  # also refuses nan
+            raise ScenarioError(
+                f"loss_prob: must be in [0, 1], got {self.params.loss_prob}")
         plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
         if self.params.license_width > 8 and plain:
             raise ScenarioError(

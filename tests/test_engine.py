@@ -570,10 +570,7 @@ def test_rwp_time_average_concentrates_toward_center():
         w.mobility["a"] = RwpState(
             waypoint=(w.rng_topo.uniform(0, 200), w.rng_topo.uniform(0, 200)),
             speed=w.rng_topo.uniform(1, 2))
-        t = 1.0
-        while t <= p.duration_s:
-            w.schedule(t, "mobility")
-            t += 1.0
+        w.schedule(1.0, "mobility")  # each tick queues the next
         positions = []
         orig = w._on_mobility
         def spy(ev, _o=orig, _w=w, _p=positions):
@@ -774,13 +771,49 @@ def test_encrypted_arm_daos_carry_options_not_reserved():
 
 
 def test_orphan_data_counted_sent_but_lost():
-    w = World(SimParams(), ARMS["baseline"], seed=2)
+    w = World(SimParams(data_warmup_s=0.0), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))  # never joins: no DIO heard
-    w.schedule(30.0, "data", "a", payload=True)
+    w.schedule(30.0, "data", "a")
     w.run_until(31.0)
     assert w.counters.sent_per_node == {"a": 1}
     assert w.counters.received_at_root == 0
     assert w.counters.data_transmissions == 0
+
+
+def test_warmup_boundary_sends_one_packet_per_instant():
+    # 3.3 // 1.1 == 2.0 in floating point, so a data grid split at the warmup
+    # would queue the packet due at 3 * 1.1 on both sides of the split
+    p = SimParams(duration_s=30.0, data_period_s=1.1, data_warmup_s=3.3)
+    w = World(p, ARMS["baseline"], seed=2)
+    for node_id in ("a", "b"):
+        w.add_node(node_id, NodeRole.CLIENT, (0.0, 0.0))
+    sent = []
+    on_data = w._on_data
+    def spy(event):
+        sent.append((w.clock, event.node_id))
+        on_data(event)
+    w._on_data = spy
+    w.run()
+    assert len(sent) == len(set(sent)) == 2 * 27  # 27 * 1.1 <= 30
+
+
+def test_at_most_one_data_event_pending_per_client():
+    p = SimParams(duration_s=300.0, startup_stagger_s=60.0, data_warmup_s=120.0,
+                  grid_m=90.0)
+    w = build_random_world(p, ARMS["attack"], seed=3, n_clients=6, n_attackers=1)
+    peak = 0
+    dispatch = w._dispatch
+    def checked(event):
+        nonlocal peak
+        dispatch(event)
+        pending = [e.node_id for e in w._queue if e.kind == "data"]
+        assert len(pending) == len(set(pending)), f"t={w.clock}"
+        peak = max(peak, len(pending))
+    w._dispatch = checked
+    c = w.run()
+    assert peak == 6 and not w._queue
+    # counted: the packets sent at 150, 180, ..., 300
+    assert c.sent_per_node == {f"c{i:02d}": 6 for i in range(1, 7)}
 
 
 def test_sixteen_bit_licenses_work_encrypted():

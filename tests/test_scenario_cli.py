@@ -95,12 +95,14 @@ def test_wide_license_requires_encrypted_mode():
         s.validate()
 
 
-@pytest.mark.parametrize("key", ["data_period_s", "dis_period_s", "dao_period_s",
-                                 "attack_period_s", "rt_sample_period_s",
-                                 "mobility_tick_s", "trickle_imin_s",
-                                 "duration_s"])
-@pytest.mark.parametrize("value", ["0", "-1", "nan"])
-def test_non_positive_period_rejected(key, value):
+@pytest.mark.parametrize("value, key", [
+    *[(value, key) for value in ("0", "-1", "nan")
+      for key in ("data_period_s", "dis_period_s", "dao_period_s",
+                  "attack_period_s", "rt_sample_period_s", "mobility_tick_s",
+                  "trickle_imin_s", "duration_s", "bitrate_bps")],
+    ("0", "license_width"), ("-1", "license_width"),  # "nan" is not an int
+])
+def test_non_positive_period_rejected(value, key):
     s = parse_scenario(f"{key} = {value}")
     with pytest.raises(ScenarioError, match=f"^{key}: must be positive"):
         s.validate()
@@ -209,14 +211,8 @@ def test_data_schedule_arithmetic():
                        startup_stagger_s=0.0, data_warmup_s=0.0, grid_m=90.0)
     world = build_random_world(params, ARMS["baseline"], seed=3, n_clients=5,
                                n_attackers=0)
-    world._schedule_initial()
-    per_client = {}
-    for event in world._queue:
-        if event.kind == "data" and event.payload:
-            per_client[event.node_id] = per_client.get(event.node_id, 0) + 1
-    assert set(per_client.values()) == {60}
-    # at the reference scale of 29 clients that denominator is 1740
-    assert 29 * 60 == 1740
+    counters = world.run()
+    assert counters.sent_per_node == {f"c{i:02d}": 60 for i in range(1, 6)}
 
 
 def test_seed_base_offsets_runs(tmp_path):
@@ -304,10 +300,12 @@ def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch
 
 
 def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
-    # each of these used to end in a traceback partway into the run
+    # each of these used to end in a traceback or run on silently
     for line in ("d_hop_s = -0.1", "d_hop_s = nan", "startup_stagger_s = -5",
                  "attacker_start_window_s = -1", "data_warmup_s = -1",
-                 "trickle_doublings = -1", "duration_s = -1"):
+                 "trickle_doublings = -1", "duration_s = -1",
+                 "bitrate_bps = 0", "license_width = -1", "loss_prob = 1.5",
+                 "loss_prob = -0.1"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = baseline\n{line}\n")
         out = tmp_path / "res"
