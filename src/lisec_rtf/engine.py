@@ -89,6 +89,18 @@ class RwpState:
     pause_until: float = 0.0
 
 
+def _line_sink(lines: list[str]):
+    """A tracer that appends one tab-separated line per event to `lines`.
+
+    Callers build `detail` only when a tracer is attached.  The sink holds
+    the list and not the World, so the nodes that keep it make no cycle
+    and a finished World is freed by reference counting.
+    """
+    def trace(now: float, node_id: str, event: str, detail: str) -> None:
+        lines.append(f"{now:.6f}\t{node_id}\t{event}\t{detail}")
+    return trace
+
+
 class World:
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
                  trace: bool = False):
@@ -116,8 +128,8 @@ class World:
         self.db = CRDatabase(width=params.license_width)
         self.addr_to_id: dict[bytes, str] = {}
         self.counters = RunCounters()
-        self.trace_enabled = trace
         self.trace_lines: list[str] = []
+        self.tracer = _line_sink(self.trace_lines) if trace else None
         self._joined: set[str] = set()
         # fire time of each node's one live trickle wake-up; others are stale
         self._trickle_wake: dict[str, float] = {}
@@ -139,8 +151,7 @@ class World:
         address = node_address(len(self.nodes))
         node = NodeState(node_id, address, role, self.params, rt_cap=rt_cap)
         node.encrypted = self.arm.encrypted
-        if self.trace_enabled:
-            node.tracer = self._trace
+        node.tracer = self.tracer
         self.nodes[node_id] = node
         self._in_range.clear()
         self.by_addr[address] = node
@@ -314,8 +325,8 @@ class World:
         node = self.nodes[event.node_id]
         if node.joined or self._dis_wake[node.node_id] != event.time:
             return
-        if self.trace_enabled:
-            self._trace(self.clock, node.node_id, "DIS_TX", "soliciting")
+        if self.tracer is not None:
+            self.tracer(self.clock, node.node_id, "DIS_TX", "soliciting")
         self.transmit(node, None, DisMessage(sender=node.address))
         t = self.clock + self.params.dis_period_s
         self._dis_wake[node.node_id] = t
@@ -428,8 +439,8 @@ class World:
         if node.parent is None:
             return  # orphan: packet lost at the source
         packet = DataPacket(node.node_id, node.address, self.clock, counted)
-        if self.trace_enabled:
-            self._trace(self.clock, node.node_id, "DATA_TX", f"counted={counted}")
+        if self.tracer is not None:
+            self.tracer(self.clock, node.node_id, "DATA_TX", f"counted={counted}")
         self.transmit(node, node.parent, packet)
 
     def _handle_data(self, node: NodeState, packet: DataPacket) -> None:
@@ -440,8 +451,8 @@ class World:
             if packet.src_addr not in node.routing:
                 self.counters.root_admission_drops += 1
                 return
-            if self.trace_enabled:
-                self._trace(self.clock, node.node_id, "DATA_RX",
+            if self.tracer is not None:
+                self.tracer(self.clock, node.node_id, "DATA_RX",
                             f"from {packet.src_id}")
             if packet.counted:
                 self.counters.received_at_root += 1
@@ -504,10 +515,6 @@ class World:
                         if n.role is NodeRole.CLIENT]
         c.n_blacklisted = sum(len(n.blacklist) for n in self.nodes.values()
                               if n.role is not NodeRole.ROOT)
-
-    def _trace(self, now: float, node_id: str, event: str, detail: str) -> None:
-        """Append one trace line; callers build `detail` only when tracing."""
-        self.trace_lines.append(f"{now:.6f}\t{node_id}\t{event}\t{detail}")
 
     # -- debugging ---------------------------------------------------------
 

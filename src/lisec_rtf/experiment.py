@@ -117,23 +117,54 @@ def summarize(rows: list) -> list:
 
 def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
                    base: int | None = None) -> ExperimentReport:
+    """Run every (arm, seed) of `scenario`, then write the report.
+
+    With tracing on, each run's trace is written to `out_dir` as soon as
+    the run ends and dropped from its row, so memory holds one run's trace
+    at a time.  It is written under a hidden name and takes its final name
+    only when the whole matrix has run: an experiment that fails part way
+    leaves no trace file behind.  Without `out_dir` the rows keep their
+    traces.
+    """
     scenario.validate()
     base = seed_base() if base is None else base
+    out = None if out_dir is None else Path(out_dir)
     rows = []
-    traces = {}
-    for arm_name in scenario.effective_arms():
-        for s in scenario.seeds:
-            result = run_single(scenario, arm_name, base + s, trace=trace)
-            rows.append(result)
-            if trace:
-                traces[(arm_name, base + s)] = result.trace_lines
+    staged = []  # (hidden path, final path) per trace written so far
+    try:
+        for arm_name in scenario.effective_arms():
+            for s in scenario.seeds:
+                result = run_single(scenario, arm_name, base + s, trace=trace)
+                if trace and out is not None:
+                    final = _trace_path(out, arm_name, base + s)
+                    hidden = final.with_name(f".{final.name}.part")
+                    out.mkdir(parents=True, exist_ok=True)
+                    staged.append((hidden, final))
+                    _write_trace(hidden, result.trace_lines)
+                    result.trace_lines = []
+                rows.append(result)
+    except BaseException:
+        for hidden, _ in staged:
+            hidden.unlink(missing_ok=True)
+        raise
+    for hidden, final in staged:
+        hidden.replace(final)
     report = ExperimentReport(rows=rows, summary=summarize(rows))
-    if out_dir is not None:
-        write_report(report, traces, out_dir)
+    if out is not None:
+        write_report(report, {}, out)
     return report
 
 
+def _trace_path(out: Path, arm: str, seed: int) -> Path:
+    return out / f"trace-{arm}-{seed}.log"
+
+
+def _write_trace(path: Path, trace_lines: list) -> None:
+    path.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+
+
 def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
+    """Write runs.csv, summary.csv and one trace file per (arm, seed) key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = [RUNS_HEADER] + [r.csv_row() for r in report.rows]
@@ -148,5 +179,4 @@ def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
             f"{entry['apc_mw_mean']:.6f},{entry['apc_mw_ci95']:.6f}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
     for (arm, seed), trace_lines in traces.items():
-        path = out / f"trace-{arm}-{seed}.log"
-        path.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+        _write_trace(_trace_path(out, arm, seed), trace_lines)

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
-from scipy import stats
+from functools import lru_cache
 
 from .config import SimParams
 
@@ -87,13 +85,51 @@ def apc(counters: RunCounters, elapsed_s: float, params: SimParams) -> float:
     return float(sum(powers) / len(powers))
 
 
+def _t_central(t: float, df: int) -> float:
+    """P(|T| <= t) for Student's t with integer df >= 1, at t >= 0.
+
+    The finite series of Abramowitz & Stegun 26.7.3 (odd df) and 26.7.4
+    (even df) in theta = atan(t / sqrt(df)); every term is positive.
+    """
+    c2 = df / (df + t * t)                 # cos^2 theta
+    odd = df % 2
+    term = math.sqrt(c2) if odd else 1.0
+    total = 0.0
+    for k in range(1 + odd, df, 2):
+        total += term
+        term *= k / (k + 1) * c2
+    total *= t / math.sqrt(df + t * t)     # sin theta
+    if odd:
+        return 2.0 / math.pi * (math.atan(t / math.sqrt(df)) + total)
+    return total
+
+
+@lru_cache(maxsize=256)
+def t_critical(confidence: float, df: int) -> float:
+    """Two-sided Student-t critical value: P(|T| <= t) = confidence.
+
+    Bisects `_t_central` down to adjacent floats and returns the upper one.
+    """
+    if not 0.0 < confidence < 1.0:
+        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    lo, hi = 0.0, 1.0
+    while _t_central(hi, df) < confidence:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return hi
+        if _t_central(mid, df) < confidence:
+            lo = mid
+        else:
+            hi = mid
+
+
 def aggregate_ci(values: list[float], confidence: float = 0.95) -> tuple[float, float]:
     """Mean and Student-t half-width across per-seed values."""
     n = len(values)
     if n < 2:
         raise ValueError("need at least two values for a confidence interval")
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    sd = float(arr.std(ddof=1))
-    t = float(stats.t.ppf((1 + confidence) / 2, n - 1))
-    return mean, t * sd / math.sqrt(n)
+    mean = math.fsum(values) / n
+    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+    return mean, t_critical(confidence, n - 1) * sd / math.sqrt(n)

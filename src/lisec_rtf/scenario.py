@@ -61,6 +61,13 @@ class Scenario:
                           "usual 0..3 range", stacklevel=2)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
+        # a repeat would count one sample twice in the CIs and overwrite a trace
+        for key, values in (("arms", self.effective_arms()), ("seeds", self.seeds)):
+            seen = set()
+            for value in values:
+                if value in seen:
+                    raise ScenarioError(f"{key}: {value!r} is listed twice")
+                seen.add(value)
         for key in _POSITIVE_KEYS:
             value = getattr(self.params, key)
             if not value > 0:  # also refuses nan

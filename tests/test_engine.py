@@ -1,8 +1,10 @@
 """Event kernel, radio, mobility, energy accounting and world properties."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -658,6 +660,23 @@ def test_different_seeds_differ():
         w.run()
         worlds.append(w.digest())
     assert worlds[0] != worlds[1]
+
+
+@pytest.mark.parametrize("mobility", [False, True])
+def test_finished_traced_world_is_freed_by_reference_counting(mobility):
+    """Nodes hold the trace sink, not the World, so no cycle keeps a run alive."""
+    p = SimParams(duration_s=300.0, grid_m=140.0)
+    gc.disable()
+    try:
+        w = build_random_world(p, ARMS["defense"], seed=11, n_clients=12,
+                               n_attackers=1, mobility=mobility, trace=True)
+        w.run()
+        assert w.trace_lines
+        ref = weakref.ref(w)
+        del w
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_attack_raises_dao_path_traffic():

@@ -1,6 +1,11 @@
 """Metric formulas and the cross-seed confidence interval."""
 
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +18,7 @@ from lisec_rtf.metrics import (
     ae2ed,
     apc,
     pdr,
+    t_critical,
 )
 
 
@@ -153,3 +159,41 @@ def test_ci_coverage_monte_carlo():
         mean, half = aggregate_ci(values)
         covered += (mean - half) <= true_mean <= (mean + half)
     assert covered / trials >= 0.90
+
+
+# -- Student-t critical values ----------------------------------------------
+
+
+def test_t_critical_table_values():
+    # df 1 and 2 have closed forms; df 9 and 30 from 40-digit mpmath
+    assert t_critical(0.95, 1) == pytest.approx(math.tan(0.475 * math.pi), rel=1e-12)
+    assert t_critical(0.95, 2) == pytest.approx(
+        0.95 * math.sqrt(2 / (1 - 0.95 ** 2)), rel=1e-12)
+    assert t_critical(0.95, 9) == pytest.approx(2.2621571627982055, rel=1e-12)
+    assert t_critical(0.99, 30) == pytest.approx(2.7499956535672253, rel=1e-12)
+
+
+def test_t_critical_rejects_confidence_outside_unit_interval():
+    for confidence in (0.0, 1.0, 1.5, math.nan):
+        with pytest.raises(ValueError):
+            t_critical(confidence, 5)
+
+
+def test_t_critical_matches_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    dfs = range(1, 501)
+    for confidence in (0.8, 0.9, 0.95, 0.99):
+        expected = stats.t.ppf((1 + confidence) / 2, list(dfs))
+        for df, want in zip(dfs, expected.tolist()):
+            assert abs(t_critical(confidence, df) - want) <= 1e-12 * want, (confidence, df)
+
+
+def test_package_imports_neither_scipy_nor_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, lisec_rtf, lisec_rtf.cli; "
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

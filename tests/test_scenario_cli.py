@@ -4,8 +4,10 @@ import warnings
 
 import pytest
 
+from lisec_rtf import experiment
 from lisec_rtf.cli import main
-from lisec_rtf.experiment import RUNS_HEADER, SUMMARY_HEADER, run_experiment
+from lisec_rtf.engine import SetupError
+from lisec_rtf.experiment import RUNS_HEADER, SUMMARY_HEADER, run_experiment, run_single
 from lisec_rtf.scenario import (
     ScenarioError,
     load_scenario,
@@ -95,6 +97,17 @@ def test_wide_license_requires_encrypted_mode():
         s.validate()
 
 
+@pytest.mark.parametrize("text, key", [
+    ("seeds = 3,3,4", "seeds"),
+    ("arms = baseline,attack,attack", "arms"),
+    # encrypted=on runs defense as defense_encrypted
+    ("encrypted = on\narms = defense,defense_encrypted", "arms"),
+])
+def test_repeated_seed_or_arm_rejected(text, key):
+    with pytest.raises(ScenarioError, match=f"^{key}: .* is listed twice"):
+        parse_scenario(text).validate()
+
+
 @pytest.mark.parametrize("value, key", [
     *[(value, key) for value in ("0", "-1", "nan")
       for key in ("data_period_s", "dis_period_s", "dao_period_s",
@@ -161,6 +174,37 @@ def test_trace_files_written(small_report):
     body = (out / "trace-baseline-0.log").read_text().splitlines()
     fields = body[0].split("\t")
     assert len(fields) == 4  # time, node, event, detail
+
+
+def test_trace_files_stream_each_run(small_report):
+    scenario, report, out = small_report
+    for row in report.rows:
+        assert row.trace_lines == []  # dropped once the run's file is written
+        lines = run_single(scenario, row.arm, row.seed, trace=True).trace_lines
+        assert (out / f"trace-{row.arm}-{row.seed}.log").read_text() == \
+            "\n".join(lines) + "\n"
+    assert not list(out.glob(".*"))  # no staged file is left behind
+
+
+def test_setup_error_part_way_leaves_traces_as_they_were(tmp_path, monkeypatch):
+    out = tmp_path / "res"
+    out.mkdir()
+    (out / "trace-baseline-1.log").write_text("an earlier experiment\n")
+    build = experiment.build_random_world
+    calls = []
+
+    def fail_on_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise SetupError("no connected topology")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_random_world", fail_on_third)
+    with pytest.raises(SetupError):
+        run_experiment(parse_scenario(SMALL), out_dir=out, trace=True, base=0)
+    assert len(calls) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["trace-baseline-1.log"]
+    assert (out / "trace-baseline-1.log").read_text() == "an earlier experiment\n"
 
 
 def test_trace_vocabulary(small_report):
@@ -312,6 +356,15 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
         assert main(["--scenario", str(path), "--out", str(out)]) == 2, line
         err = capsys.readouterr().err
         assert err.startswith(f"error: {line.split()[0]}:"), err
+        assert not out.exists()
+
+
+def test_cli_refuses_repeated_seeds_and_arms(tmp_path, capsys):
+    out = tmp_path / "res"
+    for flag, value in (("--seeds", "3,3,4"), ("--arms", "baseline,attack,attack")):
+        assert main([flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag[2:]}: ") and "listed twice" in err, err
         assert not out.exists()
 
 
