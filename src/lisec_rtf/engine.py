@@ -61,6 +61,15 @@ DATA_HOP_LIMIT = 64
 DRAIN_S = 1.0  # lets transmissions issued right at the horizon land
 
 
+def _last_multiple(period: float, horizon: float) -> int:
+    """The largest k with k * period <= horizon, reading both floats as the
+    decimals they print as: 3 for 1.1 and 3.3, where 3.3 / 1.1 < 3."""
+    if float(period).is_integer() and float(horizon).is_integer():
+        return int(horizon // period)
+    from fractions import Fraction  # whole-second settings skip the import
+    return int(Fraction(repr(horizon)) // Fraction(repr(period)))
+
+
 class Event(NamedTuple):
     """Heap entry; (time, seq) is unique, so later fields never compare."""
 
@@ -135,6 +144,15 @@ class World:
         self._trickle_wake: dict[str, float] = {}
         # time of each node's one live DIS event; a detach makes others stale
         self._dis_wake: dict[str, float] = {}
+        # A loop that runs at period, 2 * period, ... ends half a period past
+        # its last multiple of the period within the horizon, so a period
+        # that divides the horizon in decimal keeps its last event when
+        # adding it up in binary lands that event a hair past the horizon.
+        self._loop_end = {
+            kind: (_last_multiple(period, params.duration_s) + 0.5) * period
+            for kind, period in (("data", params.data_period_s),
+                                 ("rt_sample", params.rt_sample_period_s),
+                                 ("mobility", params.mobility_tick_s))}
         self.ever_registered: set[str] = set()
         # airtime by message type; a DAO's size depends on its options
         self._airtime = {
@@ -216,8 +234,9 @@ class World:
     def _reschedule(self, time: float, kind: str,
                     node_id: str | None = None) -> None:
         """Queue a periodic loop's next event unless it falls past the
-        horizon; after the horizon `run` only drains radio deliveries."""
-        if time <= self.params.duration_s:
+        loop's end: its `_loop_end`, or else the horizon.  After the horizon
+        `run` only drains radio deliveries."""
+        if time <= self._loop_end.get(kind, self.params.duration_s):
             self.schedule(time, kind, node_id)
 
     def _schedule_initial(self) -> None:
@@ -544,23 +563,67 @@ class World:
 
 def _connected(positions: dict[str, tuple[float, float]], rng_range: float,
                root_id: str) -> tuple[bool, dict[str, int]]:
-    """BFS over the unit-disk graph; returns reachability and hop depths."""
-    ids = list(positions)
+    """BFS over the unit-disk graph; returns reachability and hop depths.
+
+    Nodes not yet reached wait in square cells a hair wider than the range,
+    so a frontier node tests only the 3x3 block of cells around its own and
+    a reached node leaves its cell.  Every pair the distance test accepts
+    lies in adjacent cells: rounding can put its exact distance above
+    `rng_range`, never above the cell side, and `//` floors exactly.  When
+    the placement spans fewer than six ranges a block covers over a quarter
+    of it and the lookups cost more than they save, so everything goes into
+    one cell and the BFS scans the shrinking set of unreached nodes.
+    """
+    hypot = math.hypot
+    coords = [c for xy in positions.values() for c in xy]
+    lo, hi = min(coords), max(coords)
+    # the second bound keeps `x // side` an exact floor; a range that is
+    # not positive fails it
+    if 6 * rng_range <= hi - lo and max(hi, -lo) < 2 ** 50 * rng_range:
+        side = rng_range * (1 + 2 ** -20)
+    else:
+        side = math.inf
+    cells: dict[tuple[float, float], list] = {}
+    for v, (x, y) in positions.items():
+        if v != root_id:
+            key = (x // side, y // side)
+            entry = (v, x, y, key)
+            cell = cells.get(key)
+            if cell is None:
+                cells[key] = [entry]
+            else:
+                cell.append(entry)
+    blocks: dict[tuple[float, float], list] = {}  # occupied cells around a cell
     depth = {root_id: 0}
-    frontier = [root_id]
+    x, y = positions[root_id]
+    frontier = [(root_id, x, y, (x // side, y // side))]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
-        for a in frontier:
-            xa, ya = positions[a]
-            for b in ids:
-                if b in depth:
+        for _, xa, ya, key in frontier:
+            block = blocks.get(key)
+            if block is None:
+                cx, cy = key
+                block = blocks[key] = [
+                    k for k in ((cx - 1, cy - 1), (cx - 1, cy), (cx - 1, cy + 1),
+                                (cx, cy - 1), key, (cx, cy + 1),
+                                (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1))
+                    if k in cells]
+            for k in block:
+                cell = cells[k]
+                if not cell:
                     continue
-                xb, yb = positions[b]
-                if math.hypot(xa - xb, ya - yb) <= rng_range:
-                    depth[b] = depth[a] + 1
-                    nxt.append(b)
+                rest = []
+                for entry in cell:
+                    if hypot(xa - entry[1], ya - entry[2]) <= rng_range:
+                        depth[entry[0]] = d
+                        nxt.append(entry)
+                    else:
+                        rest.append(entry)
+                cells[k] = rest
         frontier = nxt
-    return len(depth) == len(ids), depth
+    return len(depth) == len(positions), depth
 
 
 def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
@@ -570,28 +633,28 @@ def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
     A router stores one route per node below it, so a placement that funnels
     more nodes than the table cap through one relay cannot serve them even
     without an attacker; the generator rejects such deployments.
+
+    A node's parent is the first node in `sorted(positions)` order that is
+    one level above it and within range.  Nodes are grouped by depth once,
+    in that order, so each search reads only the level above, and loads pass
+    up from the deepest level so that a node's count is complete before it
+    reaches its parent.
     """
-    ids = sorted(positions)
-    parent = {}
-    for v in ids:
-        if v == root_id:
-            continue
-        xv, yv = positions[v]
-        for u in ids:
-            if depth.get(u) == depth[v] - 1:
-                xu, yu = positions[u]
-                if math.hypot(xv - xu, yv - yu) <= rng_range:
-                    parent[v] = u
+    hypot = math.hypot
+    levels: dict[int, list] = {}
+    for v in sorted(positions):
+        x, y = positions[v]
+        levels.setdefault(depth[v], []).append((v, x, y))
+    load = dict.fromkeys(positions, 0)
+    for d in range(max(levels), 0, -1):
+        above = levels[d - 1]
+        for v, xv, yv in levels[d]:
+            for u, xu, yu in above:
+                if hypot(xv - xu, yv - yu) <= rng_range:
+                    if u != root_id:
+                        load[u] += load[v] + 1
                     break
-    load = {v: 0 for v in ids}
-    for v in ids:
-        if v == root_id:
-            continue
-        u = parent.get(v)
-        while u is not None and u != root_id:
-            load[u] += 1
-            u = parent.get(u)
-    return max((load[v] for v in ids if v != root_id), default=0)
+    return max((n for v, n in load.items() if v != root_id), default=0)
 
 
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
@@ -605,23 +668,25 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     """
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
-    half = params.grid_m / 2
+    uniform = rng.uniform
+    grid = params.grid_m
+    half = grid / 2
+    client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
+    attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
 
     rejected = {"disconnected": 0, "attacker too shallow": 0,
                 "subtree overload": 0}
     for attempt in range(max_tries):
         positions = {"root": (half, half)}
-        for i in range(n_clients):
-            positions[f"c{i + 1:02d}"] = (rng.uniform(0, params.grid_m),
-                                          rng.uniform(0, params.grid_m))
-        for i in range(n_attackers):
-            positions[f"m{i + 1:02d}"] = (rng.uniform(0, params.grid_m),
-                                          rng.uniform(0, params.grid_m))
+        for node_id in client_ids:
+            positions[node_id] = (uniform(0, grid), uniform(0, grid))
+        for node_id in attacker_ids:
+            positions[node_id] = (uniform(0, grid), uniform(0, grid))
         ok, depth = _connected(positions, params.tx_range_m, "root")
         if not ok:
             rejected["disconnected"] += 1
             continue
-        if any(depth[f"m{i + 1:02d}"] < 2 for i in range(n_attackers)):
+        if any(depth[node_id] < 2 for node_id in attacker_ids):
             rejected["attacker too shallow"] += 1
             continue
         if _max_subtree_load(positions, depth, params.tx_range_m,
@@ -634,14 +699,12 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
         raise SetupError(f"no connected topology after {max_tries} tries ({counts})")
 
     world.add_node("root", NodeRole.ROOT, positions["root"], start_time=0.0)
-    for i in range(n_clients):
-        node_id = f"c{i + 1:02d}"
+    for node_id in client_ids:
         world.add_node(node_id, NodeRole.CLIENT, positions[node_id],
-                       start_time=rng.uniform(0.0, params.startup_stagger_s))
-    for i in range(n_attackers):
-        node_id = f"m{i + 1:02d}"
+                       start_time=uniform(0.0, params.startup_stagger_s))
+    for node_id in attacker_ids:
         world.add_node(node_id, NodeRole.MALICIOUS, positions[node_id],
-                       start_time=rng.uniform(0.0, params.attacker_start_window_s))
+                       start_time=uniform(0.0, params.attacker_start_window_s))
     world.provision()
 
     if mobility:

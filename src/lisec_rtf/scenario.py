@@ -13,10 +13,12 @@ from dataclasses import dataclass, field, fields
 
 from .config import ARMS, SimParams
 
-# loop periods, the horizon, airtime's divisor and the license's bit count
+# loop periods, the horizon, airtime's divisor, the license's bit count, and
+# the radio range and grid side that placement and its cell index rest on
 _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
                   "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s",
-                  "duration_s", "bitrate_bps", "license_width")
+                  "duration_s", "bitrate_bps", "license_width", "tx_range_m",
+                  "grid_m")
 # delays, windows and a doubling count: zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
                       "data_warmup_s", "trickle_doublings")

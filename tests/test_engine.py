@@ -9,6 +9,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from lisec_rtf import engine, node
 from lisec_rtf.config import ARMS, SimParams
@@ -735,6 +736,106 @@ def test_mobile_trajectories_equal_across_arms():
         assert all(v == seen["baseline"] for v in seen.values()), seed
 
 
+def _reference_connected(positions: dict[str, tuple[float, float]], rng_range: float,
+                         root_id: str) -> tuple[bool, dict[str, int]]:
+    """BFS over the unit-disk graph; returns reachability and hop depths."""
+    ids = list(positions)
+    depth = {root_id: 0}
+    frontier = [root_id]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            xa, ya = positions[a]
+            for b in ids:
+                if b in depth:
+                    continue
+                xb, yb = positions[b]
+                if math.hypot(xa - xb, ya - yb) <= rng_range:
+                    depth[b] = depth[a] + 1
+                    nxt.append(b)
+        frontier = nxt
+    return len(depth) == len(ids), depth
+
+
+def _reference_max_subtree_load(positions: dict, depth: dict, rng_range: float,
+                                root_id: str) -> int:
+    """Descendant count of the busiest router in a min-hop tree."""
+    ids = sorted(positions)
+    parent = {}
+    for v in ids:
+        if v == root_id:
+            continue
+        xv, yv = positions[v]
+        for u in ids:
+            if depth.get(u) == depth[v] - 1:
+                xu, yu = positions[u]
+                if math.hypot(xv - xu, yv - yu) <= rng_range:
+                    parent[v] = u
+                    break
+    load = {v: 0 for v in ids}
+    for v in ids:
+        if v == root_id:
+            continue
+        u = parent.get(v)
+        while u is not None and u != root_id:
+            load[u] += 1
+            u = parent.get(u)
+    return max((load[v] for v in ids if v != root_id), default=0)
+
+
+@st.composite
+def _placements(draw):
+    """(positions, range, root id): 1-300 nodes on grids from half a range
+    to 12.5 ranges wide, so that both the one-cell and the cell layouts run.
+    Hypothesis draws the shape; a seeded generator draws the bulk, mixing in
+    coincident nodes, the grid's edges, and exact multiples of the range and
+    their neighbouring floats."""
+    rng_range = draw(st.sampled_from([50.0, 1.0, 0.3, 7.25]))
+    grid = rng_range * draw(st.sampled_from([0.5, 3.0, 4.0, 6.0, 8.0, 12.5]))
+    n = draw(st.integers(1, 300))
+    special = draw(st.sampled_from([0.0, 0.2, 0.9]))
+    coincident = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+
+    def coord():
+        if rnd.random() >= special:
+            return rnd.uniform(0.0, grid)
+        multiple = rnd.randint(0, int(grid / rng_range)) * rng_range
+        return rnd.choice([0.0, grid, multiple, math.nextafter(multiple, -math.inf),
+                           math.nextafter(multiple, math.inf)])
+
+    positions = {}
+    for i in range(n):
+        if positions and rnd.random() < coincident:
+            positions[f"n{i}"] = rnd.choice(list(positions.values()))
+        else:
+            positions[f"n{i}"] = (coord(), coord())
+    return positions, rng_range, rnd.choice(list(positions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_placements())
+def test_topology_matches_all_pairs_reference(case):
+    positions, rng_range, root = case
+    ok, depth = engine._connected(positions, rng_range, root)
+    assert (ok, depth) == _reference_connected(positions, rng_range, root)
+    # the loads of the root's component; an unreached node has no depth
+    reached = {v: positions[v] for v in depth}
+    assert (engine._max_subtree_load(reached, depth, rng_range, root)
+            == _reference_max_subtree_load(reached, depth, rng_range, root))
+
+
+def test_pair_in_range_by_rounding_is_reached_across_cells():
+    # 2.0 - (1 - 2**-53) is 1 + 2**-53, which rounds to 1.0, so the pair is
+    # within a range of 1.0 though its exact distance is not; cells exactly
+    # one range wide would put it two cells apart (0 and 2).  The node at
+    # x = 7 makes the placement wide enough for the cell layout.
+    positions = {"root": (math.nextafter(1.0, 0.0), 0.0), "a": (2.0, 0.0),
+                 "far": (7.0, 0.0)}
+    ok, depth = engine._connected(positions, 1.0, "root")
+    assert (ok, depth) == (False, {"root": 0, "a": 1})
+
+
 def test_disconnected_topology_raises():
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
     with pytest.raises(SetupError, match=r"after 5 tries \(disconnected 5, "
@@ -816,6 +917,27 @@ def test_warmup_boundary_sends_one_packet_per_instant():
     assert len(sent) == len(set(sent)) == 2 * 27  # 27 * 1.1 <= 30
 
 
+@pytest.mark.parametrize("period, horizon", [(1.1, 3.3), (0.1, 0.3), (2.2, 6.6)])
+@pytest.mark.parametrize("kind", ["data", "rt_sample"])
+def test_period_dividing_horizon_in_decimal_keeps_last_event(kind, period, horizon):
+    # adding the period up three times lands a hair past the horizon:
+    # 1.1 + 1.1 + 1.1 == 3.3000000000000003
+    p = SimParams(duration_s=horizon, data_warmup_s=0.0,
+                  **{f"{kind}_period_s": period})
+    w = World(p, ARMS["baseline"], seed=2)
+    w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    fired = []
+    handler = getattr(w, f"_on_{kind}")
+    def spy(event):
+        fired.append(event.time)
+        handler(event)
+    setattr(w, f"_on_{kind}", spy)
+    w.run()
+    assert len(fired) == 3, fired
+    if kind == "data":
+        assert w.counters.sent_per_node == {"a": 3}
+
+
 def test_at_most_one_data_event_pending_per_client():
     p = SimParams(duration_s=300.0, startup_stagger_s=60.0, data_warmup_s=120.0,
                   grid_m=90.0)
@@ -895,3 +1017,79 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
         assert kinds == ["DIS_TX"] * len(kinds)
         assert times == [t_nack + k * params.dis_period_s for k in range(len(times))]
         assert times[-1] + params.dis_period_s > params.duration_s
+
+
+class WorldMachine(RuleBasedStateMachine):
+    """root, a and b on a line, a in range of both ends.  Between the steps
+    the World runs its own loops, so injected DIOs and NACKs interleave with
+    trickle fires, DIS solicitations and DAO refreshes.
+
+    A detached a may adopt its own child b, and a DAO then circulates
+    between them one hop per `d_hop_s`; a one-second hop keeps that cheap.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.w = World(SimParams(duration_s=1e6, d_hop_s=1.0), ARMS["baseline"],
+                       seed=5)
+        for node_id, x in (("root", 0.0), ("a", 45.0), ("b", 90.0)):
+            self.w.add_node(node_id, NodeRole.ROOT if node_id == "root"
+                            else NodeRole.CLIENT, (x, 0.0))
+        self.w._schedule_initial()
+        self.w.run_until(0.0)  # every node has started
+
+    @rule(dt=st.floats(0.0, 40.0))
+    def advance(self, dt):
+        self.w.run_until(self.w.clock + dt)
+
+    @rule(receiver=st.sampled_from(["a", "b"]),
+          sender=st.sampled_from(["root", "a", "b"]), rank=st.integers(256, 2048))
+    def dio(self, receiver, sender, rank):
+        w = self.w
+        sender_addr = w.nodes[sender].address
+        dio = DioMessage(sender=sender_addr, dodag_id=w.nodes["root"].address,
+                         version=1, rank=rank)
+        w._receive(w.nodes[receiver], sender_addr, dio, 0.0)
+
+    @rule(receiver=st.sampled_from(["a", "b"]))
+    def nack_for_parent(self, receiver):
+        node = self.w.nodes[receiver]
+        if node.parent is not None:
+            nack = DaoStatus(originator=node.parent, sequence=1, status=STATUS_NACK)
+            self.w._receive(node, node.parent, nack, 0.0)
+
+    def _queued(self, kind, node_id):
+        return [e.time for e in self.w._queue
+                if e.kind == kind and e.node_id == node_id]
+
+    # An event is live when its handler acts on it: it is queued at the time
+    # the World records for the node.  The first one dispatched at that time
+    # moves the record, so any later one at the same time is stale.
+
+    @invariant()
+    def one_live_trickle_wake_up(self):
+        # the live wake-up is where the trickle timer fires; a detached node
+        # has none, and `_schedule_trickle` never queues one time twice
+        w = self.w
+        for node in w.nodes.values():
+            wake = w._trickle_wake.get(node.node_id)
+            if node.trickle is None:
+                assert wake is None, node.node_id
+            else:
+                assert wake == node.trickle.t_fire, node.node_id
+                assert self._queued("trickle", node.node_id).count(wake) == 1
+
+    @invariant()
+    def one_live_dis_event(self):
+        # a node that has not joined keeps its one DIS loop alive; a joined
+        # node's DIS events all return at once.  A detach right at a DIS
+        # time can leave the old loop's event at the new loop's next time,
+        # where it runs in its place.
+        w = self.w
+        for node in w.nodes.values():
+            if node.role is NodeRole.CLIENT and not node.joined:
+                assert w._dis_wake[node.node_id] in self._queued("dis", node.node_id)
+
+
+WorldMachine.TestCase.settings = settings(deadline=None)
+test_world_machine = WorldMachine.TestCase

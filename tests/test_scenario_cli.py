@@ -112,7 +112,8 @@ def test_repeated_seed_or_arm_rejected(text, key):
     *[(value, key) for value in ("0", "-1", "nan")
       for key in ("data_period_s", "dis_period_s", "dao_period_s",
                   "attack_period_s", "rt_sample_period_s", "mobility_tick_s",
-                  "trickle_imin_s", "duration_s", "bitrate_bps")],
+                  "trickle_imin_s", "duration_s", "bitrate_bps", "tx_range_m",
+                  "grid_m")],
     ("0", "license_width"), ("-1", "license_width"),  # "nan" is not an int
 ])
 def test_non_positive_period_rejected(value, key):
@@ -344,12 +345,14 @@ def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch
 
 
 def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
-    # each of these used to end in a traceback or run on silently
+    # each of these used to end in a traceback, run on silently, or burn
+    # every placement try and report a SetupError naming no key
     for line in ("d_hop_s = -0.1", "d_hop_s = nan", "startup_stagger_s = -5",
                  "attacker_start_window_s = -1", "data_warmup_s = -1",
                  "trickle_doublings = -1", "duration_s = -1",
                  "bitrate_bps = 0", "license_width = -1", "loss_prob = 1.5",
-                 "loss_prob = -0.1"):
+                 "loss_prob = -0.1", "tx_range_m = 0", "tx_range_m = nan",
+                 "grid_m = 0", "grid_m = -5"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = baseline\n{line}\n")
         out = tmp_path / "res"
