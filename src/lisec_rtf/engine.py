@@ -144,15 +144,8 @@ class World:
         self._trickle_wake: dict[str, float] = {}
         # time of each node's one live DIS event; a detach makes others stale
         self._dis_wake: dict[str, float] = {}
-        # A loop that runs at period, 2 * period, ... ends half a period past
-        # its last multiple of the period within the horizon, so a period
-        # that divides the horizon in decimal keeps its last event when
-        # adding it up in binary lands that event a hair past the horizon.
-        self._loop_end = {
-            kind: (_last_multiple(period, params.duration_s) + 0.5) * period
-            for kind, period in (("data", params.data_period_s),
-                                 ("rt_sample", params.rt_sample_period_s),
-                                 ("mobility", params.mobility_tick_s))}
+        # end time of each loop that runs at period, 2 * period, ...
+        self._loop_end: dict[str, float] = {}
         self.ever_registered: set[str] = set()
         # airtime by message type; a DAO's size depends on its options
         self._airtime = {
@@ -245,6 +238,15 @@ class World:
         p = self.params
         for node_id, t0 in self.start_times.items():
             self.schedule(t0, "start", node_id)
+        loops = {"data": p.data_period_s, "rt_sample": p.rt_sample_period_s}
+        if self.mobility:
+            loops["mobility"] = p.mobility_tick_s
+        # Each ends half a period past its last multiple of the period within
+        # the horizon, so a period that divides the horizon in decimal keeps
+        # its last event when adding it up in binary lands that event a hair
+        # past the horizon.
+        for kind, period in loops.items():
+            self._loop_end[kind] = (_last_multiple(period, p.duration_s) + 0.5) * period
         for node in self.nodes.values():
             if node.role is NodeRole.CLIENT:
                 self._reschedule(p.data_period_s, "data", node.node_id)

@@ -19,6 +19,8 @@ _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_perio
                   "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s",
                   "duration_s", "bitrate_bps", "license_width", "tx_range_m",
                   "grid_m")
+# an infinite horizon never ends a run; an infinite grid places nodes at infinity
+_FINITE_KEYS = ("duration_s", "grid_m")
 # delays, windows and a doubling count: zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
                       "data_warmup_s", "trickle_doublings")
@@ -74,6 +76,10 @@ class Scenario:
             value = getattr(self.params, key)
             if not value > 0:  # also refuses nan
                 raise ScenarioError(f"{key}: must be positive, got {value}")
+        for key in _FINITE_KEYS:
+            value = getattr(self.params, key)
+            if value == float("inf"):
+                raise ScenarioError(f"{key}: must be finite, got {value}")
         for key in _NON_NEGATIVE_KEYS:
             value = getattr(self.params, key)
             if not value >= 0:  # also refuses nan

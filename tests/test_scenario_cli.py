@@ -135,6 +135,12 @@ def test_negative_delay_or_window_rejected(key, value):
     parse_scenario(f"{key} = 0").validate()  # the bound itself is allowed
 
 
+@pytest.mark.parametrize("key", ["duration_s", "grid_m"])
+def test_infinite_horizon_or_grid_rejected(key):
+    with pytest.raises(ScenarioError, match=f"^{key}: must be finite"):
+        parse_scenario(f"{key} = inf").validate()
+
+
 # -- experiment outputs -----------------------------------------------------
 
 
