@@ -736,6 +736,8 @@ def test_mobile_trajectories_equal_across_arms():
         assert all(v == seen["baseline"] for v in seen.values()), seed
 
 
+# The all-pairs O(N^2) versions that `engine._connected` and
+# `engine._max_subtree_load` replaced, kept as the reference.
 def _reference_connected(positions: dict[str, tuple[float, float]], rng_range: float,
                          root_id: str) -> tuple[bool, dict[str, int]]:
     """BFS over the unit-disk graph; returns reachability and hop depths."""
