@@ -31,6 +31,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 from .config import ArmFlags, SimParams
@@ -63,10 +64,13 @@ DRAIN_S = 1.0  # lets transmissions issued right at the horizon land
 
 def _last_multiple(period: float, horizon: float) -> int:
     """The largest k with k * period <= horizon, reading both floats as the
-    decimals they print as: 3 for 1.1 and 3.3, where 3.3 / 1.1 < 3."""
-    if float(period).is_integer() and float(horizon).is_integer():
-        return int(horizon // period)
-    from fractions import Fraction  # whole-second settings skip the import
+    decimals they print as: 3 for 1.1 and 3.3, where 3.3 / 1.1 < 3.
+
+    A period past the horizon, inf or nan gives 0 without reading it as a
+    decimal: shortest decimals keep the order of their floats, so no
+    multiple fits."""
+    if not period <= horizon:
+        return 0
     return int(Fraction(repr(horizon)) // Fraction(repr(period)))
 
 
@@ -244,9 +248,12 @@ class World:
         # Each ends half a period past its last multiple of the period within
         # the horizon, so a period that divides the horizon in decimal keeps
         # its last event when adding it up in binary lands that event a hair
-        # past the horizon.
+        # past the horizon.  A loop with no multiple within the horizon ends
+        # at the horizon, which its first event already lies past; half of
+        # an infinite period would not.
         for kind, period in loops.items():
-            self._loop_end[kind] = (_last_multiple(period, p.duration_s) + 0.5) * period
+            k = _last_multiple(period, p.duration_s)
+            self._loop_end[kind] = (k + 0.5) * period if k else p.duration_s
         for node in self.nodes.values():
             if node.role is NodeRole.CLIENT:
                 self._reschedule(p.data_period_s, "data", node.node_id)

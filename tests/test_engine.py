@@ -940,6 +940,26 @@ def test_period_dividing_horizon_in_decimal_keeps_last_event(kind, period, horiz
         assert w.counters.sent_per_node == {"a": 3}
 
 
+@pytest.mark.parametrize("period", [math.inf, math.nan, 4.0])
+@pytest.mark.parametrize("kind", ["data", "rt_sample", "mobility"])
+def test_loop_with_period_past_horizon_never_fires(kind, period):
+    # an infinite period once crashed the run: inf does not read as a decimal
+    key = "mobility_tick_s" if kind == "mobility" else f"{kind}_period_s"
+    p = SimParams(duration_s=3.0, data_warmup_s=0.0, **{key: period})
+    w = World(p, ARMS["baseline"], seed=2)
+    w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    w.mobility["a"] = RwpState(waypoint=(1.0, 1.0), speed=1.0)
+    fired = []
+    handler = getattr(w, f"_on_{kind}")
+    def spy(event):
+        fired.append(event.time)
+        handler(event)
+    setattr(w, f"_on_{kind}", spy)
+    w.run()
+    assert fired == []
+    assert all(event.kind != kind for event in w._queue)  # none queued at inf
+
+
 def test_at_most_one_data_event_pending_per_client():
     p = SimParams(duration_s=300.0, startup_stagger_s=60.0, data_warmup_s=120.0,
                   grid_m=90.0)

@@ -141,6 +141,18 @@ def test_infinite_horizon_or_grid_rejected(key):
         parse_scenario(f"{key} = inf").validate()
 
 
+@pytest.mark.parametrize("key", ["rt_sample_period_s", "mobility_tick_s"])
+def test_cli_runs_a_loop_with_infinite_period(tmp_path, capsys, key):
+    # a loop whose period is inf never fires; it once ended in a traceback
+    path = tmp_path / "inf.scenario"
+    path.write_text(f"{key} = inf\nmobility = on\nseeds = 1\n"
+                    "arms = baseline\nduration_s = 60\nn_clients = 3\n"
+                    "startup_stagger_s = 0\ndata_warmup_s = 0\n")
+    parse_scenario(path.read_text()).validate()
+    assert main(["--scenario", str(path), "--out", str(tmp_path / "res")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # -- experiment outputs -----------------------------------------------------
 
 
