@@ -9,7 +9,7 @@ import random
 
 from lisec_rtf import (
     CRDatabase,
-    TablePuf,
+    KeyedPuf,
     decrypt_license,
     encrypt_license,
     generate_license,
@@ -25,10 +25,11 @@ print(f"challenge {CH:08b}  response {RESP:08b}  ->  license {license_bits:08b}"
 print("\n== verification at the border router ==")
 db = CRDatabase()
 rng = random.Random(1)
-device = TablePuf("S1", {CH: RESP})
+device = KeyedPuf("S1", b"S1 device secret")
 challenge, provisioned = db.register("S1", device, rng)
+response = db.entries["S1"][1]
 recovered = recover_response(challenge, provisioned)
-print(f"stored pair ({challenge:08b}, {RESP:08b}); node provisioned with "
+print(f"stored pair ({challenge:08b}, {response:08b}); node provisioned with "
       f"{provisioned:08b}")
 print(f"root recovers {recovered:08b}; accept = {db.verify('S1', provisioned)}")
 

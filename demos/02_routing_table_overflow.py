@@ -6,7 +6,7 @@ join.  Run once without the defense and once with it.
 """
 
 from lisec_rtf.demo import run_overflow_demo
-from lisec_rtf.messages import format_address
+from lisec_rtf.messages import format_address, is_forged_address
 
 
 def show(arm: str) -> None:
@@ -16,7 +16,7 @@ def show(arm: str) -> None:
     print(f"\n== {arm} arm ==")
     print(f"b's routing table ({len(b.routing)}/{b.rt_cap} entries):")
     for target, entry in b.routing.items():
-        kind = "forged" if target[0] == 0xFE else "genuine"
+        kind = "forged" if is_forged_address(target) else "genuine"
         print(f"  {format_address(target)}  via {format_address(entry.next_hop)}"
               f"  [{kind}]")
     print(f"forged registrations acked/nacked: "

@@ -29,8 +29,7 @@ for entry in report.summary:
           f"{entry['ae2ed_s_mean']:8.4f}±{entry['ae2ed_s_ci95']:5.4f} "
           f"{entry['apc_mw_mean']:8.4f}±{entry['apc_mw_ci95']:5.4f}")
 
-base = report.arm_mean("baseline", "pdr")
-attack = report.arm_mean("attack", "pdr")
-defense = report.arm_mean("defense", "pdr")
+pdr_mean = {entry["arm"]: entry["pdr_mean"] for entry in report.summary}
+base, attack, defense = (pdr_mean[arm] for arm in ("baseline", "attack", "defense"))
 print(f"\nrelative to baseline: attack delivers {attack / base:.0%}, "
       f"the defended network {defense / base:.0%}")

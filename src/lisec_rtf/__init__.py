@@ -16,7 +16,6 @@ from .node import NodeRole, NodeState, TrickleState, compute_rank
 from .puf import (
     CRDatabase,
     KeyedPuf,
-    TablePuf,
     decrypt_license,
     encrypt_license,
     generate_license,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from .config import ARMS, SimParams
 from .engine import World
+from .messages import is_forged_address
 from .node import NodeRole
 
 # unit-disk links (range 50): root-a, root-b, a-c, c-f, c-g, b-d, b-e, e-h
@@ -30,11 +31,11 @@ _STARTS = {"e": 30.0, "h": 60.0}  # everyone else powers on at t=0
 _B_TABLE_CAP = 2
 
 
-def overflow_world(arm_name: str, trace: bool = False) -> World:
+def run_overflow_demo(arm_name: str) -> dict:
     params = SimParams(duration_s=120.0, startup_stagger_s=0.0,
                        data_warmup_s=0.0, data_period_s=1e9,
                        forged_per_period=2, attack_period_s=30.0)
-    world = World(params, ARMS[arm_name], seed=42, trace=trace)
+    world = World(params, ARMS[arm_name], seed=42)
     for node_id, pos in _LAYOUT.items():
         if node_id == "root":
             role = NodeRole.ROOT
@@ -47,16 +48,11 @@ def overflow_world(arm_name: str, trace: bool = False) -> World:
                        rt_cap=cap)
     # d was reprogrammed after capture and holds no valid registration
     world.provision(skip={"d"})
-    return world
-
-
-def run_overflow_demo(arm_name: str, trace: bool = False) -> dict:
-    world = overflow_world(arm_name, trace=trace)
     counters = world.run()
     b = world.nodes["b"]
     d = world.nodes["d"]
-    forged_targets = [t for t in b.routing if t[0] == 0xFE]
-    forged_anywhere = any(t[0] == 0xFE for n in world.nodes.values()
+    forged_targets = [t for t in b.routing if is_forged_address(t)]
+    forged_anywhere = any(is_forged_address(t) for n in world.nodes.values()
                           for t in n.routing)
     return {
         "arm": arm_name,

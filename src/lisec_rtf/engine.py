@@ -74,6 +74,24 @@ def _last_multiple(period: float, horizon: float) -> int:
     return int(Fraction(repr(horizon)) // Fraction(repr(period)))
 
 
+def _loop_end_time(period: float, horizon: float) -> float:
+    """Latest time a loop at `period` fires: half a period past its last
+    multiple within the horizon.  The margin keeps the last event where the
+    period divides the horizon in decimal but the binary sum lands a hair
+    past it.  With no multiple it is the horizon, as half of inf would not do."""
+    k = _last_multiple(period, horizon)
+    return (k + 0.5) * period if k else horizon
+
+
+def last_loop_time(period: float, horizon: float) -> float:
+    """When a loop started at 0 fires last, its times added up as a World
+    adds them (one addition per event); 0.0 if it never fires."""
+    end, last = _loop_end_time(period, horizon), 0.0
+    while last + period <= end:
+        last += period
+    return last
+
+
 class Event(NamedTuple):
     """Heap entry; (time, seq) is unique, so later fields never compare."""
 
@@ -189,7 +207,7 @@ class World:
             self.addr_to_id[node.address] = node.node_id
             if self.arm.encrypted:
                 key = self.rng_keys.randbytes(self.params.shared_key_bytes)
-                self.db.assign_key(node.node_id, key)
+                self.db.keys[node.node_id] = key
                 node.shared_key = key
 
     # -- event queue -------------------------------------------------------
@@ -245,15 +263,8 @@ class World:
         loops = {"data": p.data_period_s, "rt_sample": p.rt_sample_period_s}
         if self.mobility:
             loops["mobility"] = p.mobility_tick_s
-        # Each ends half a period past its last multiple of the period within
-        # the horizon, so a period that divides the horizon in decimal keeps
-        # its last event when adding it up in binary lands that event a hair
-        # past the horizon.  A loop with no multiple within the horizon ends
-        # at the horizon, which its first event already lies past; half of
-        # an infinite period would not.
         for kind, period in loops.items():
-            k = _last_multiple(period, p.duration_s)
-            self._loop_end[kind] = (k + 0.5) * period if k else p.duration_s
+            self._loop_end[kind] = _loop_end_time(period, p.duration_s)
         for node in self.nodes.values():
             if node.role is NodeRole.CLIENT:
                 self._reschedule(p.data_period_s, "data", node.node_id)
@@ -316,10 +327,7 @@ class World:
                             > p.tx_range_m)
         else:
             out_of_range = receiver.node_id not in near
-        if out_of_range:
-            self.counters.link_losses += 1
-            return
-        if self.rng.random() < p.loss_prob:
+        if out_of_range or self.rng.random() < p.loss_prob:
             self.counters.link_losses += 1
             return
         self._inflight.append((self.clock + p.d_hop_s, self._seq, (receiver,),

@@ -58,13 +58,6 @@ class ExperimentReport:
     rows: list
     summary: list  # dict per arm
 
-    def arm_rows(self, arm: str) -> list:
-        return [r for r in self.rows if r.arm == arm]
-
-    def arm_mean(self, arm: str, attr: str) -> float:
-        values = [getattr(r, attr) for r in self.arm_rows(arm)]
-        return sum(values) / len(values)
-
 
 def run_single(scenario: Scenario, arm_name: str, seed: int,
                trace: bool = False) -> RunResult:
@@ -92,11 +85,7 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
 
 def summarize(rows: list) -> list:
     out = []
-    arms_in_order = []
-    for row in rows:
-        if row.arm not in arms_in_order:
-            arms_in_order.append(row.arm)
-    for arm in arms_in_order:
+    for arm in dict.fromkeys(row.arm for row in rows):  # first-seen order
         group = [r for r in rows if r.arm == arm]
         entry = {"arm": arm, "attackers": group[0].attackers,
                  "mobility": group[0].mobility}

@@ -1,7 +1,8 @@
 """Control-message model and the DAO wire codec.
 
-DIS and DIO travel as in-memory values only.  DAO and the ACK/NACK status
-message have a fixed binary layout so traces can dump exact frames:
+Every message travels as an in-memory value.  The DAO has a fixed binary
+layout so traces can dump exact frames; the ACK/NACK status layout fixes
+its size, STATUS_LEN, and so its airtime:
 
 DAO (36 bytes + options):
     octet 0       instance id, constant 0
@@ -73,15 +74,10 @@ class DisMessage:
 @dataclass(frozen=True)
 class DioMessage:
     sender: bytes
-    dodag_id: bytes
-    version: int
     rank: int
 
     def __post_init__(self):
         _check_address(self.sender, "sender")
-        _check_address(self.dodag_id, "dodag_id")
-        if not 0 <= self.version < 256:
-            raise ValueError("version must be one octet")
         if not 0 <= self.rank < 1 << 16:
             raise ValueError("rank must fit 16 bits")
 
@@ -152,16 +148,3 @@ def decode_dao(buf: bytes) -> DaoModified:
         options = buf[DAO_BASE_LEN + 1:]
     return DaoModified(src=src, target=target, sequence=buf[3],
                        reserved=buf[2], options=options)
-
-
-def encode_status(m: DaoStatus) -> bytes:
-    return bytes([0, 0, m.status, m.sequence]) + m.originator
-
-
-def decode_status(buf: bytes) -> DaoStatus:
-    if len(buf) != STATUS_LEN:
-        raise DecodeError(f"status message must be {STATUS_LEN} bytes")
-    try:
-        return DaoStatus(originator=buf[4:20], sequence=buf[3], status=buf[2])
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from None

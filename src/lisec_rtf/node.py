@@ -26,7 +26,8 @@ from .messages import (
     forged_address,
     format_address,
 )
-from .puf import CRDatabase, LicenseDecodeError, decrypt_license, encrypt_license
+from .puf import (NONCE_LEN, CRDatabase, LicenseDecodeError, decrypt_license,
+                  encrypt_license, license_blob_len)
 
 
 class NodeRole(enum.Enum):
@@ -169,9 +170,7 @@ class NodeState:
         return [(None, self._dio())]
 
     def _dio(self) -> DioMessage:
-        return DioMessage(sender=self.address, dodag_id=self.address if
-                          self.role is NodeRole.ROOT else b"\x00" * 16,
-                          version=1, rank=self.rank)
+        return DioMessage(sender=self.address, rank=self.rank)
 
     def handle_dio(self, dio: DioMessage, now: float, rng: random.Random) -> list:
         if dio.sender in self.blacklist:
@@ -218,8 +217,10 @@ class NodeState:
         if self.parent is None:
             return []
         self.dao_seq = (self.dao_seq + 1) % 256
-        if self.encrypted:
-            nonce = rng.randbytes(8)
+        # a node that was never provisioned holds no key: its DAO carries
+        # the license octet it has, 0, and the root refuses it
+        if self.shared_key is not None:
+            nonce = rng.randbytes(NONCE_LEN)
             options = encrypt_license(self.shared_key, self.license, nonce,
                                       self.params.license_width)
             dao = DaoModified(src=self.address, target=self.address,
@@ -241,7 +242,7 @@ class NodeState:
             fake = forged_address(rng)
             self.dao_seq = (self.dao_seq + 1) % 256
             if self.encrypted:
-                n = 8 + (self.params.license_width + 7) // 8
+                n = license_blob_len(self.params.license_width)
                 dao = DaoModified(src=fake, target=fake, sequence=self.dao_seq,
                                   reserved=0, options=rng.randbytes(n))
             else:
@@ -305,11 +306,9 @@ class NodeState:
     def handle_status(self, st: DaoStatus, now: float) -> list:
         """Consume our own ACK/NACK or relay it one hop further down."""
         if st.originator == self.address:
-            if st.is_ack:
-                if self.tracer is not None:
-                    self._trace(now, "ACK", "registered")
-            elif self.tracer is not None:
-                self._trace(now, "NACK", "registration rejected")
+            if self.tracer is not None:
+                self._trace(now, "ACK" if st.is_ack else "NACK",
+                            "registered" if st.is_ack else "registration rejected")
             return []
 
         self._purge_expired(now)

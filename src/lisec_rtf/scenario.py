@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 from .config import ARMS, SimParams
+from .engine import last_loop_time
 
 # loop periods, the horizon, airtime's divisor, the license's bit count, and
 # the radio range and grid side that placement and its cell index rest on
@@ -87,6 +88,12 @@ class Scenario:
         if not 0 <= self.params.loss_prob <= 1:  # also refuses nan
             raise ScenarioError(
                 f"loss_prob: must be in [0, 1], got {self.params.loss_prob}")
+        # a packet counts when sent after the warm-up; with none, PDR is undefined
+        last = last_loop_time(self.params.data_period_s, self.params.duration_s)
+        if not last > self.params.data_warmup_s:
+            when = f"the last goes at {last!r} s" if last else "none goes by duration_s"
+            raise ScenarioError(f"data_warmup_s: no data packet is sent after "
+                                f"{self.params.data_warmup_s} s; {when}")
         plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
         if self.params.license_width > 8 and plain:
             raise ScenarioError(

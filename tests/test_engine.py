@@ -13,6 +13,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from lisec_rtf import engine, node
 from lisec_rtf.config import ARMS, SimParams
+from lisec_rtf.demo import run_overflow_demo
 from lisec_rtf.engine import (
     DRAIN_S,
     DataPacket,
@@ -338,11 +339,10 @@ def test_unicast_matches_distance_test():
 
 def _message_of_each_type(params):
     """(message, its size on the air in bytes) per message type."""
-    a, b = node_address(1), node_address(2)
+    a = node_address(1)
     return {
         "dis": (DisMessage(sender=a), params.dis_bytes),
-        "dio": (DioMessage(sender=a, dodag_id=b, version=1, rank=512),
-                params.dio_bytes),
+        "dio": (DioMessage(sender=a, rank=512), params.dio_bytes),
         "dao": (DaoModified(src=a, target=a, sequence=3, reserved=7), DAO_BASE_LEN),
         "dao_options": (DaoModified(src=a, target=a, sequence=3, reserved=0,
                                     options=bytes(range(9))), DAO_BASE_LEN + 1 + 9),
@@ -383,7 +383,7 @@ def _dio_driven_node(params):
     parent = node_address(9)
 
     def deliver_dio(t, rank):
-        dio = DioMessage(sender=parent, dodag_id=parent, version=1, rank=rank)
+        dio = DioMessage(sender=parent, rank=rank)
         assert not w._inflight  # a hears no one, so the FIFO stays in order
         w._inflight.append((t, w._seq, (a,), parent, dio, 0.0))
         w._seq += 1
@@ -892,6 +892,34 @@ def test_encrypted_arm_daos_carry_options_not_reserved():
         assert dao.reserved == 0 and len(dao.options) == 9
 
 
+def test_provision_registers_more_than_1024_nodes():
+    # the store once refused every node past the 1,024th with a traceback
+    w = World(SimParams(), ARMS["defense_encrypted"], seed=1)
+    for i in range(1100):
+        w.add_node(f"c{i:04d}", NodeRole.CLIENT, (0.0, 0.0))
+    w.provision()
+    assert len(w.db.entries) == len(w.db.keys) == len(w.addr_to_id) == 1100
+
+
+def _overflow_story(arm):
+    result = run_overflow_demo(arm)
+    del result["arm"], result["world"]
+    return result
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_overflow_demo_runs_in_every_arm(arm):
+    # node d is never provisioned: in the encrypted arm its own DAO once
+    # crashed on the shared key it does not hold
+    story = _overflow_story(arm)
+    flags = ARMS[arm]
+    assert story["h_registered"] == flags.defense  # d's own route fills b too
+    assert story["d_blacklisted_at_b"] == flags.defense
+    assert story["forged_routes_anywhere"] == (flags.attack and not flags.defense)
+    if flags.encrypted:
+        assert story == _overflow_story("defense")
+
+
 def test_orphan_data_counted_sent_but_lost():
     w = World(SimParams(data_warmup_s=0.0), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))  # never joins: no DIO heard
@@ -1069,8 +1097,7 @@ class WorldMachine(RuleBasedStateMachine):
     def dio(self, receiver, sender, rank):
         w = self.w
         sender_addr = w.nodes[sender].address
-        dio = DioMessage(sender=sender_addr, dodag_id=w.nodes["root"].address,
-                         version=1, rank=rank)
+        dio = DioMessage(sender=sender_addr, rank=rank)
         w._receive(w.nodes[receiver], sender_addr, dio, 0.0)
 
     @rule(receiver=st.sampled_from(["a", "b"]))

@@ -12,9 +12,7 @@ from lisec_rtf.messages import (
     DaoStatus,
     dao_length,
     decode_dao,
-    decode_status,
     encode_dao,
-    encode_status,
     forged_address,
     node_address,
 )
@@ -23,8 +21,6 @@ addresses = st.binary(min_size=16, max_size=16)
 octets = st.integers(0, 255)
 daos = st.builds(DaoModified, src=addresses, target=addresses, sequence=octets,
                  reserved=octets, options=st.binary(max_size=255))
-statuses = st.builds(DaoStatus, originator=addresses, sequence=octets,
-                     status=st.sampled_from([0, *range(128, 256)]))
 
 
 def random_dao(rng: random.Random, with_options: bool | None = None) -> DaoModified:
@@ -75,12 +71,6 @@ def test_dao_length_equals_encoded_length(dao):
     assert dao_length(dao) == len(encode_dao(dao))
 
 
-@settings(max_examples=300)
-@given(statuses)
-def test_status_roundtrip_property(status):
-    assert decode_status(encode_status(status)) == status
-
-
 def test_dao_short_buffer():
     with pytest.raises(msg.DecodeError):
         decode_dao(b"\x00" * 35)
@@ -108,26 +98,9 @@ def test_dao_decoder_totality_fuzz():
     assert outcomes["ok"] + outcomes["err"] == 10_000
 
 
-def test_status_roundtrip():
-    rng = random.Random(5)
-    for _ in range(500):
-        st = DaoStatus(originator=node_address(rng.randrange(1 << 16)),
-                       sequence=rng.randrange(256),
-                       status=rng.choice([0] + list(range(128, 256))))
-        assert decode_status(encode_status(st)) == st
-
-
 def test_status_rejects_reserved_range():
     with pytest.raises(ValueError):
         DaoStatus(originator=node_address(1), sequence=0, status=5)
-
-
-def test_status_decode_rejects_bad_status_byte():
-    st = DaoStatus(originator=node_address(1), sequence=0, status=0)
-    buf = bytearray(encode_status(st))
-    buf[2] = 17
-    with pytest.raises(msg.DecodeError):
-        decode_status(bytes(buf))
 
 
 def test_forged_addresses_never_collide_with_node_block():

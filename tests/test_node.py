@@ -35,7 +35,7 @@ def make_root(params=P):
 
 
 def join(node, parent_addr=ROOT_ADDR, parent_rank=P.min_rank, now=0.0, seed=1):
-    dio = DioMessage(sender=parent_addr, dodag_id=ROOT_ADDR, version=1, rank=parent_rank)
+    dio = DioMessage(sender=parent_addr, rank=parent_rank)
     return node.handle_dio(dio, now, random.Random(seed))
 
 
@@ -139,7 +139,7 @@ def test_worse_dio_does_not_switch():
     join(node, parent_rank=256)
     before = (node.parent, node.rank)
     out = node.handle_dio(
-        DioMessage(sender=node_address(7), dodag_id=ROOT_ADDR, version=1, rank=512),
+        DioMessage(sender=node_address(7), rank=512),
         1.0, random.Random(2))
     assert out == []
     assert (node.parent, node.rank) == before
@@ -149,7 +149,7 @@ def test_better_dio_beyond_hysteresis_switches():
     node = make_node()
     join(node, parent_addr=node_address(5), parent_rank=512)  # path rank 768
     out = node.handle_dio(
-        DioMessage(sender=node_address(6), dodag_id=ROOT_ADDR, version=1, rank=256),
+        DioMessage(sender=node_address(6), rank=256),
         2.0, random.Random(2))
     assert node.parent == node_address(6)
     assert node.rank == 512
@@ -161,7 +161,7 @@ def test_dio_from_blacklisted_sender_ignored():
     node = make_node()
     node.blacklist.add(node_address(7))
     out = node.handle_dio(
-        DioMessage(sender=node_address(7), dodag_id=ROOT_ADDR, version=1, rank=256),
+        DioMessage(sender=node_address(7), rank=256),
         1.0, random.Random(2))
     assert out == [] and not node.joined
 
@@ -313,6 +313,20 @@ def test_root_nacks_license_wider_than_width():
     assert node_address(1) not in root.routing
 
 
+def test_unprovisioned_node_sends_a_dao_the_encrypted_root_refuses():
+    # a node the registration phase skipped holds no shared key; building
+    # its DAO once raised TypeError in the cipher
+    node = make_node(1)
+    node.encrypted = True
+    (dest, dao), = join(node)
+    assert dest == ROOT_ADDR and dao.reserved == 0 and dao.options == b""
+    root = make_root()
+    root.encrypted = True
+    (_, status), = root.root_handle_dao(dao, node.address, 1.0, CRDatabase(),
+                                        {node.address: node.node_id}, defense=True)
+    assert not status.is_ack
+
+
 def test_root_nacks_encrypted_license_wider_than_width():
     # a 10-byte blob that decrypts to 51513, past 12 bits
     params = SimParams(license_width=12)
@@ -321,7 +335,7 @@ def test_root_nacks_encrypted_license_wider_than_width():
     db = CRDatabase(width=12)
     db.entries["n01"] = (0x123, 0x456)
     key = bytes(range(16))
-    db.assign_key("n01", key)
+    db.keys["n01"] = key
     blob = encrypt_license(key, 51513, b"\x07" * 8, width=16)
     assert len(blob) == 10
     dao = DaoModified(src=node_address(1), target=node_address(1),
@@ -402,7 +416,7 @@ class ClientMachine(RuleBasedStateMachine):
     def dio(self, sender, rank):
         if sender not in self.node.blacklist:
             self.heard[sender] = rank
-        dio = DioMessage(sender=sender, dodag_id=ROOT_ADDR, version=1, rank=rank)
+        dio = DioMessage(sender=sender, rank=rank)
         self.node.handle_dio(dio, self.now, self.rng)
 
     @rule(sender=st.sampled_from(POOL), genuine=st.sampled_from(POOL) | st.none())

@@ -9,7 +9,6 @@ from lisec_rtf import puf
 from lisec_rtf.puf import (
     CRDatabase,
     KeyedPuf,
-    TablePuf,
     decrypt_license,
     encrypt_license,
     generate_license,
@@ -72,17 +71,6 @@ def test_width_bounds_rejected():
     generate_license(300, 1, width=16)  # fits once widened
 
 
-def test_table_device_worked_pair():
-    dev = TablePuf("S1", {CH: RESP})
-    assert dev.derive_response(CH) == RESP
-
-
-def test_table_device_unknown_challenge():
-    dev = TablePuf("S1", {CH: RESP})
-    with pytest.raises(puf.MissingChallengeError):
-        dev.derive_response(0x00)
-
-
 def test_device_determinism():
     dev = KeyedPuf("n03", b"secret-a")
     values = {dev.derive_response(0x11) for _ in range(50)}
@@ -104,11 +92,13 @@ def test_distinct_secrets_give_distinct_mappings():
 
 def test_register_stores_pair_and_returns_license():
     db = CRDatabase()
-    rng = random.Random(1)
-    dev = TablePuf("S1", {CH: RESP})
-    ch, lic = db.register("S1", dev, rng)
-    assert (ch, lic) == (CH, LIC)
-    assert db.entries["S1"] == (CH, RESP)
+    dev = KeyedPuf("S1", b"secret-a")
+    ch, lic = db.register("S1", dev, random.Random(1))
+    assert ch == random.Random(1).randrange(256)  # the store draws the challenge
+    resp = dev.derive_response(ch)
+    assert db.entries["S1"] == (ch, resp)
+    assert lic == xor_oracle(ch, resp)
+    assert db.verify("S1", lic)
 
 
 def test_register_twice_fails():
@@ -117,15 +107,6 @@ def test_register_twice_fails():
     db.register("S1", KeyedPuf("S1", b"k"), rng)
     with pytest.raises(puf.AlreadyRegisteredError):
         db.register("S1", KeyedPuf("S1", b"k"), rng)
-
-
-def test_register_capacity():
-    db = CRDatabase(max_nodes=3)
-    rng = random.Random(1)
-    for i in range(3):
-        db.register(f"n{i}", KeyedPuf(f"n{i}", b"k"), rng)
-    with pytest.raises(puf.CapacityError):
-        db.register("n3", KeyedPuf("n3", b"k"), rng)
 
 
 def test_verify_accepts_genuine_license():
@@ -161,25 +142,6 @@ def test_false_accept_rate_is_exactly_one_in_256():
     db.entries["S1"] = (CH, RESP)
     accepted = [lic for lic in range(256) if db.verify("S1", lic)]
     assert accepted == [LIC]
-
-
-def test_database_file_roundtrip(tmp_path):
-    db = CRDatabase()
-    rng = random.Random(7)
-    for i in range(5):
-        db.register(f"n{i:02d}", KeyedPuf(f"n{i:02d}", b"prov"), rng)
-    path = tmp_path / "crdb.tsv"
-    db.save(path)
-    loaded = CRDatabase.load(path)
-    assert loaded.entries == db.entries
-
-
-def test_database_file_format(tmp_path):
-    db = CRDatabase()
-    db.entries["S1"] = (CH, RESP)
-    path = tmp_path / "crdb.tsv"
-    db.save(path)
-    assert path.read_text() == "S1\t75\tb5\n"
 
 
 def test_encrypt_roundtrip_random_triples():

@@ -141,6 +141,42 @@ def test_infinite_horizon_or_grid_rejected(key):
         parse_scenario(f"{key} = inf").validate()
 
 
+@pytest.mark.parametrize("text", [
+    "data_period_s = 100\nduration_s = 60",  # no data time within the run
+    "duration_s = 1200",                      # the last one falls at the warm-up
+])
+def test_scenario_without_counted_data_rejected(text):
+    with pytest.raises(ScenarioError, match="^data_warmup_s: no data packet"):
+        parse_scenario(text).validate()
+
+
+def test_warmup_rule_follows_accumulated_data_times():
+    # the engine adds the period up: 1.1 + 1.1 + 1.1 == 3.3000000000000003,
+    # which lies past a 3.3 s warm-up, so the third packet counts
+    from lisec_rtf.config import ARMS
+    from lisec_rtf.engine import World
+    from lisec_rtf.node import NodeRole
+    scenario = parse_scenario("data_period_s = 1.1\ndata_warmup_s = 3.3\n"
+                              "duration_s = 3.3\n")
+    scenario.validate()
+    w = World(scenario.params, ARMS["baseline"], seed=2)
+    w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    assert w.run().sent_per_node == {"a": 1}
+
+
+def test_cli_refuses_a_run_without_counted_data(tmp_path, capsys):
+    # no packet is sent after the warm-up, so PDR has no value; this once
+    # ended in a MetricUndefinedError traceback with exit 1
+    path = tmp_path / "late.scenario"
+    path.write_text("data_period_s = 100\nduration_s = 60\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--seeds", "1", "--arms", "baseline",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: data_warmup_s: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["rt_sample_period_s", "mobility_tick_s"])
 def test_cli_runs_a_loop_with_infinite_period(tmp_path, capsys, key):
     # a loop whose period is inf never fires; it once ended in a traceback
@@ -240,8 +276,8 @@ def test_trace_vocabulary(small_report):
 
 def test_baseline_lossfree_pdr_exactly_one(small_report):
     _, report, _ = small_report
-    for row in report.arm_rows("baseline"):
-        assert row.pdr == 1.0
+    baseline = [row for row in report.rows if row.arm == "baseline"]
+    assert baseline and all(row.pdr == 1.0 for row in baseline)
 
 
 def test_dao_trace_lines_carry_decodable_frames(small_report):
