@@ -1,8 +1,9 @@
 """The routing-table overflow story on a hand-placed nine-node network.
 
-Node d, a compromised child of b, registers two nonexistent children so
-that b's two-entry routing table is full when the late node h tries to
-join.  Run once without the defense and once with it.
+b's three-entry routing table has room for d, e and the late node h when
+no one attacks.  Node d, a compromised child of b, registers two
+nonexistent children so that the table is full when h tries to join.
+Run without the attack, with it undefended, and with the defense.
 """
 
 from lisec_rtf.demo import run_overflow_demo
@@ -25,8 +26,9 @@ def show(arm: str) -> None:
     print(f"h registered:       {result['h_registered']}")
 
 
+show("baseline")
 show("attack")
 show("defense")
-print("\nUndefended, the fakes hold b's table and h never completes its "
-      "registration;\nwith license checks on, the root refuses them, b purges "
-      "and blacklists d,\nand h registers normally.")
+print("\nWithout the attack h registers; undefended, the fakes hold b's table "
+      "and h never\ncompletes its registration; with license checks on, the "
+      "root refuses them,\nb purges and blacklists d, and h registers normally.")

@@ -1,8 +1,9 @@
 """Hand-placed nine-node topology that tells the overflow story end to end.
 
-Node b sits next to the root with a two-entry routing table.  The malicious
-child d floods b with registrations for nonexistent children, so the late
-joiner h (below e) cannot be registered while the network is undefended.
+Node b sits next to the root with a three-entry routing table, room for
+its genuine descendants d, e and the late joiner h (below e) when no one
+attacks.  The malicious child d floods b with registrations for nonexistent
+children, so h cannot be registered while the network is undefended.
 With license checks on, the border router refuses the forged registrations,
 b purges them and blacklists d once d's own unregistered DAO bounces, and h
 registers normally.
@@ -28,7 +29,7 @@ _LAYOUT = {
     "h": (180.0, 140.0),
 }
 _STARTS = {"e": 30.0, "h": 60.0}  # everyone else powers on at t=0
-_B_TABLE_CAP = 2
+_B_TABLE_CAP = 3
 
 
 def run_overflow_demo(arm_name: str) -> dict:

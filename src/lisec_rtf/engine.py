@@ -32,7 +32,7 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .config import ArmFlags, SimParams
 from .messages import (
@@ -120,21 +120,21 @@ class RwpState:
     pause_until: float = 0.0
 
 
-def _line_sink(lines: list[str]):
-    """A tracer that appends one tab-separated line per event to `lines`.
+def _line_sink(stream: TextIO):
+    """A tracer that writes one tab-separated line per event to `stream`.
 
     Callers build `detail` only when a tracer is attached.  The sink holds
-    the list and not the World, so the nodes that keep it make no cycle
+    the stream and not the World, so the nodes that keep it make no cycle
     and a finished World is freed by reference counting.
     """
     def trace(now: float, node_id: str, event: str, detail: str) -> None:
-        lines.append(f"{now:.6f}\t{node_id}\t{event}\t{detail}")
+        stream.write(f"{now:.6f}\t{node_id}\t{event}\t{detail}\n")
     return trace
 
 
 class World:
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
-                 trace: bool = False):
+                 trace: TextIO | None = None):
         if not params.d_hop_s >= 0:  # also refuses nan
             raise ValueError(f"d_hop_s: must be non-negative, got {params.d_hop_s}")
         self.params = params
@@ -159,8 +159,7 @@ class World:
         self.db = CRDatabase(width=params.license_width)
         self.addr_to_id: dict[bytes, str] = {}
         self.counters = RunCounters()
-        self.trace_lines: list[str] = []
-        self.tracer = _line_sink(self.trace_lines) if trace else None
+        self.tracer = None if trace is None else _line_sink(trace)
         self._joined: set[str] = set()
         # fire time of each node's one live trickle wake-up; others are stale
         self._trickle_wake: dict[str, float] = {}
@@ -676,7 +675,7 @@ def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
 
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                        n_clients: int = 29, n_attackers: int = 1,
-                       mobility: bool = False, trace: bool = False,
+                       mobility: bool = False, trace: TextIO | None = None,
                        max_tries: int = 200) -> World:
     """Uniform placement, root at the grid center, attackers at depth >= 2.
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .config import ARMS
 from .engine import build_random_world
@@ -44,7 +46,6 @@ class RunResult:
     apc_mw: float
     n_blacklist: int
     rt_peak: int
-    trace_lines: list = field(repr=False, default_factory=list)
 
     def csv_row(self) -> str:
         return (f"{self.arm},{self.seed},{self.attackers},"
@@ -60,7 +61,7 @@ class ExperimentReport:
 
 
 def run_single(scenario: Scenario, arm_name: str, seed: int,
-               trace: bool = False) -> RunResult:
+               trace: TextIO | None = None) -> RunResult:
     arm = ARMS[arm_name]
     # malicious nodes are placed in every arm (identical topology per seed)
     # but only emit volleys when the arm switches the attack on
@@ -79,8 +80,7 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
         mobility=scenario.mobility,
         pdr=pdr(counters), ae2ed_s=delay,
         apc_mw=apc(counters, scenario.params.duration_s, scenario.params),
-        n_blacklist=counters.n_blacklisted, rt_peak=counters.rt_peak,
-        trace_lines=world.trace_lines)
+        n_blacklist=counters.n_blacklisted, rt_peak=counters.rt_peak)
 
 
 def summarize(rows: list) -> list:
@@ -108,13 +108,13 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
                    base: int | None = None) -> ExperimentReport:
     """Run every (arm, seed) of `scenario`, then write the report.
 
-    With tracing on, each run's trace is written to `out_dir` as soon as
-    the run ends and dropped from its row, so memory holds one run's trace
-    at a time.  It is written under a hidden name and takes its final name
-    only when the whole matrix has run: an experiment that fails part way
-    leaves no trace file behind.  Without `out_dir` the rows keep their
-    traces.
+    With tracing on, each run streams its trace into a hidden file in
+    `out_dir`, which takes its final name only when the whole matrix has
+    run: no trace is held in memory, and an experiment that fails part way
+    leaves no trace file behind.
     """
+    if trace and out_dir is None:
+        raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
     scenario.validate()
     base = seed_base() if base is None else base
     out = None if out_dir is None else Path(out_dir)
@@ -123,15 +123,15 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     try:
         for arm_name in scenario.effective_arms():
             for s in scenario.seeds:
-                result = run_single(scenario, arm_name, base + s, trace=trace)
-                if trace and out is not None:
+                stream = nullcontext()
+                if trace:
                     final = _trace_path(out, arm_name, base + s)
                     hidden = final.with_name(f".{final.name}.part")
                     out.mkdir(parents=True, exist_ok=True)
                     staged.append((hidden, final))
-                    _write_trace(hidden, result.trace_lines)
-                    result.trace_lines = []
-                rows.append(result)
+                    stream = hidden.open("w", encoding="utf-8")
+                with stream as sink:
+                    rows.append(run_single(scenario, arm_name, base + s, trace=sink))
     except BaseException:
         for hidden, _ in staged:
             hidden.unlink(missing_ok=True)
@@ -148,8 +148,8 @@ def _trace_path(out: Path, arm: str, seed: int) -> Path:
     return out / f"trace-{arm}-{seed}.log"
 
 
-def _write_trace(path: Path, trace_lines: list) -> None:
-    path.write_text("\n".join(trace_lines) + "\n", encoding="utf-8")
+def _write_trace(path: Path, lines: list) -> None:
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
@@ -167,5 +167,5 @@ def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
             f"{entry['ae2ed_s_mean']:.6f},{entry['ae2ed_s_ci95']:.6f},"
             f"{entry['apc_mw_mean']:.6f},{entry['apc_mw_ci95']:.6f}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    for (arm, seed), trace_lines in traces.items():
-        _write_trace(_trace_path(out, arm, seed), trace_lines)
+    for (arm, seed), trace in traces.items():
+        _write_trace(_trace_path(out, arm, seed), trace)

@@ -22,9 +22,12 @@ _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_perio
                   "grid_m")
 # an infinite horizon never ends a run; an infinite grid places nodes at infinity
 _FINITE_KEYS = ("duration_s", "grid_m")
-# delays, windows and a doubling count: zero is allowed, negatives and nan not
+# delays, windows, a doubling count and the rank step: zero is allowed,
+# negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
-                      "data_warmup_s", "trickle_doublings")
+                      "data_warmup_s", "trickle_doublings", "rank_increase")
+# ranks travel in the DIO's 16-bit rank field
+_RANK_KEYS = ("min_rank", "max_rank")
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -85,6 +88,10 @@ class Scenario:
             value = getattr(self.params, key)
             if not value >= 0:  # also refuses nan
                 raise ScenarioError(f"{key}: must be non-negative, got {value}")
+        for key in _RANK_KEYS:
+            value = getattr(self.params, key)
+            if not 0 <= value <= 0xFFFF:
+                raise ScenarioError(f"{key}: must be in [0, 65535], got {value}")
         if not 0 <= self.params.loss_prob <= 1:  # also refuses nan
             raise ScenarioError(
                 f"loss_prob: must be in [0, 1], got {self.params.loss_prob}")

@@ -111,9 +111,11 @@ def test_criterion_3_false_accept_enumeration():
 
 def test_criterion_4_overflow_reproduction():
     t0 = time.time()
+    baseline = run_overflow_demo("baseline")
     attack = run_overflow_demo("attack")
     defense = run_overflow_demo("defense")
     runtime = time.time() - t0
+    check(4, baseline["h_registered"], "h not registered without the attack")
     check(4, attack["b_forged_entries"] == 2, "forged routes did not fill b")
     check(4, not attack["h_registered"], "h registered despite the overflow")
     check(4, defense["forged_nacked"] == 8 and defense["forged_acked"] == 0,
@@ -122,8 +124,8 @@ def test_criterion_4_overflow_reproduction():
     check(4, defense["d_blacklisted_at_b"], "attacker not blacklisted at b")
     check(4, defense["h_registered"], "h failed to register under defense")
     check(4, runtime < 1.0, f"overflow demo took {runtime:.2f}s")
-    report(4, "overflow blocks h undefended; defense purges, blacklists d, "
-              "h registers")
+    report(4, "h registers without the attack; overflow blocks h undefended; "
+              "defense purges, blacklists d, h registers")
 
 
 def test_criterion_5_ordinal_pdr_reproduction(grid):

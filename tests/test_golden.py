@@ -1,8 +1,9 @@
 """Golden-behaviour lock: SHA-256 of a small fixed scenario matrix.
 
-Every arm, static and mobile, tracing on, two seeds, a shortened run.  Per
-(arm, mobility) the lock holds the hashes of `runs.csv`, `summary.csv` and
-each `trace-<arm>-<seed>.log`, and each run's `World.digest()`.  A change
+Every arm, static and mobile, tracing on, two seeds, a shortened run, each
+(arm, mobility) run through `run_experiment` as the command line runs it.
+Per (arm, mobility) the lock holds the hashes of `runs.csv`, `summary.csv`
+and each `trace-<arm>-<seed>.log`, and each run's `World.digest()`.  A change
 that must keep behaviour reproduces `golden.json` unmodified; a change that
 alters behaviour regenerates the entries it alters and says why:
 
@@ -20,7 +21,7 @@ from unittest import mock
 
 from lisec_rtf import experiment
 from lisec_rtf.config import ARMS, SimParams
-from lisec_rtf.experiment import ExperimentReport, run_single, summarize, write_report
+from lisec_rtf.experiment import run_experiment
 from lisec_rtf.scenario import Scenario
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -54,14 +55,12 @@ def compute(arms=ARMS) -> dict:
         for arm in arms:
             for mobility in (False, True):
                 scenario = _scenario(mobility)
-                rows, traces, hashes = [], {}, {}
-                for seed in scenario.seeds:
-                    result = run_single(scenario, arm, seed, trace=True)
-                    hashes[f"digest-{seed}"] = built.pop().digest()
-                    traces[(arm, seed)] = result.trace_lines
-                    rows.append(result)
+                scenario.arms = [arm]
                 out = Path(tmp) / entry_name(arm, mobility).replace("/", "-")
-                write_report(ExperimentReport(rows, summarize(rows)), traces, out)
+                run_experiment(scenario, out_dir=out, trace=True, base=0)
+                hashes = {f"digest-{seed}": world.digest()
+                          for seed, world in zip(scenario.seeds, built, strict=True)}
+                built.clear()
                 for path in sorted(out.iterdir()):
                     hashes[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
                 golden[entry_name(arm, mobility)] = hashes

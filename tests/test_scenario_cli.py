@@ -1,5 +1,6 @@
 """Scenario parsing, experiment outputs and CLI behavior."""
 
+import io
 import warnings
 
 import pytest
@@ -234,11 +235,32 @@ def test_trace_files_written(small_report):
 def test_trace_files_stream_each_run(small_report):
     scenario, report, out = small_report
     for row in report.rows:
-        assert row.trace_lines == []  # dropped once the run's file is written
-        lines = run_single(scenario, row.arm, row.seed, trace=True).trace_lines
-        assert (out / f"trace-{row.arm}-{row.seed}.log").read_text() == \
-            "\n".join(lines) + "\n"
+        trace = io.StringIO()
+        run_single(scenario, row.arm, row.seed, trace=trace)
+        assert (out / f"trace-{row.arm}-{row.seed}.log").read_text() == trace.getvalue()
     assert not list(out.glob(".*"))  # no staged file is left behind
+
+
+def test_run_writes_its_trace_into_the_staged_file(tmp_path, monkeypatch):
+    build = experiment.build_random_world
+    streams = []
+
+    def build_with_open_stream(*args, trace=None, **kwargs):
+        streams.append(trace)
+        assert not trace.closed and trace.name.endswith(".part")
+        return build(*args, trace=trace, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_random_world", build_with_open_stream)
+    scenario = parse_scenario(SMALL + "seeds = 1\narms = baseline\n")
+    run_experiment(scenario, out_dir=tmp_path, trace=True, base=0)
+    assert [s.name for s in streams] == [str(tmp_path / ".trace-baseline-0.log.part")]
+    assert all(s.closed for s in streams)
+
+
+def test_trace_without_out_dir_refused():
+    # traces are streamed into files; there is no in-memory place for them
+    with pytest.raises(ValueError, match="out_dir"):
+        run_experiment(parse_scenario(SMALL), trace=True, base=0)
 
 
 def test_setup_error_part_way_leaves_traces_as_they_were(tmp_path, monkeypatch):
@@ -406,7 +428,9 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "trickle_doublings = -1", "duration_s = -1",
                  "bitrate_bps = 0", "license_width = -1", "loss_prob = 1.5",
                  "loss_prob = -0.1", "tx_range_m = 0", "tx_range_m = nan",
-                 "grid_m = 0", "grid_m = -5"):
+                 "grid_m = 0", "grid_m = -5", "min_rank = 70000",
+                 "min_rank = -1", "max_rank = 100000\nrank_increase = 40000",
+                 "rank_increase = -300"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = baseline\n{line}\n")
         out = tmp_path / "res"
