@@ -673,26 +673,17 @@ def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
     return max((n for v, n in load.items() if v != root_id), default=0)
 
 
-def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
-                       n_clients: int = 29, n_attackers: int = 1,
-                       mobility: bool = False, trace: TextIO | None = None,
-                       max_tries: int = 200) -> World:
-    """Uniform placement, root at the grid center, attackers at depth >= 2.
-
-    Positions, start times and provisioning draw only from the topology
-    generator, so every arm sees the same network for a given seed.
-    """
-    world = World(params, arm, seed, trace=trace)
-    rng = world.rng_topo
+def _search(rng: random.Random, params: SimParams, seed: int,
+            client_ids: list[str], attacker_ids: list[str],
+            max_tries: int) -> dict[str, tuple[float, float]]:
+    """Draw uniform placements from `rng` until one is connected, puts every
+    attacker at depth >= 2 and overloads no router; returns its positions."""
     uniform = rng.uniform
     grid = params.grid_m
     half = grid / 2
-    client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
-    attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
-
     rejected = {"disconnected": 0, "attacker too shallow": 0,
                 "subtree overload": 0}
-    for attempt in range(max_tries):
+    for _ in range(max_tries):
         positions = {"root": (half, half)}
         for node_id in client_ids:
             positions[node_id] = (uniform(0, grid), uniform(0, grid))
@@ -709,11 +700,44 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                              "root") > params.rt_cap - 4:
             rejected["subtree overload"] += 1
             continue
-        break
-    else:
-        counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
-        raise SetupError(f"no connected topology after {max_tries} tries ({counts})")
+        return positions
+    counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
+    raise SetupError(
+        f"seed {seed}: no connected topology after {max_tries} tries ({counts})")
 
+
+def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
+                       n_clients: int = 29, n_attackers: int = 1,
+                       mobility: bool = False, trace: TextIO | None = None,
+                       max_tries: int = 200,
+                       placements: dict | None = None) -> World:
+    """Uniform placement, root at the grid center, attackers at depth >= 2.
+
+    Positions, start times and provisioning draw only from the topology
+    generator, so every arm sees the same network for a given seed.
+
+    `placements` is a memo the caller owns, keyed by every input the search
+    reads.  A hit skips the search: it reuses the accepted positions and
+    restores `rng_topo` to its state right after the accepted try, so every
+    later draw is the one a fresh search would have led to.  A miss searches
+    and stores both; a failed search stores nothing.
+    """
+    world = World(params, arm, seed, trace=trace)
+    rng = world.rng_topo
+    client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
+    attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
+    key = (seed, params.grid_m, params.tx_range_m, params.rt_cap,
+           n_clients, n_attackers, max_tries)
+    hit = None if placements is None else placements.get(key)
+    if hit is None:
+        positions = _search(rng, params, seed, client_ids, attacker_ids, max_tries)
+        if placements is not None:
+            placements[key] = (positions, rng.getstate())
+    else:
+        positions, state = hit
+        rng.setstate(state)
+
+    uniform = rng.uniform
     world.add_node("root", NodeRole.ROOT, positions["root"], start_time=0.0)
     for node_id in client_ids:
         world.add_node(node_id, NodeRole.CLIENT, positions[node_id],

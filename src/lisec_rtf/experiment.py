@@ -61,7 +61,10 @@ class ExperimentReport:
 
 
 def run_single(scenario: Scenario, arm_name: str, seed: int,
-               trace: TextIO | None = None) -> RunResult:
+               trace: TextIO | None = None,
+               placements: dict | None = None) -> RunResult:
+    """Build and run one world; `placements` is passed to
+    `build_random_world` as its placement memo."""
     arm = ARMS[arm_name]
     # malicious nodes are placed in every arm (identical topology per seed)
     # but only emit volleys when the arm switches the attack on
@@ -69,7 +72,7 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
                                n_clients=scenario.n_clients,
                                n_attackers=scenario.n_attackers,
                                mobility=scenario.mobility,
-                               trace=trace)
+                               trace=trace, placements=placements)
     counters = world.run()
     try:
         delay = ae2ed(counters)
@@ -112,6 +115,10 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     `out_dir`, which takes its final name only when the whole matrix has
     run: no trace is held in memory, and an experiment that fails part way
     leaves no trace file behind.
+
+    All runs share one placement memo that lives only for this call, so
+    each seed's placement is searched by its first arm and reused by the
+    others.
     """
     if trace and out_dir is None:
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
@@ -119,6 +126,7 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     base = seed_base() if base is None else base
     out = None if out_dir is None else Path(out_dir)
     rows = []
+    placements: dict = {}
     staged = []  # (hidden path, final path) per trace written so far
     try:
         for arm_name in scenario.effective_arms():
@@ -131,7 +139,8 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
                     staged.append((hidden, final))
                     stream = hidden.open("w", encoding="utf-8")
                 with stream as sink:
-                    rows.append(run_single(scenario, arm_name, base + s, trace=sink))
+                    rows.append(run_single(scenario, arm_name, base + s, trace=sink,
+                                           placements=placements))
     except BaseException:
         for hidden, _ in staged:
             hidden.unlink(missing_ok=True)

@@ -14,18 +14,22 @@ from dataclasses import dataclass, field, fields
 from .config import ARMS, SimParams
 from .engine import last_loop_time
 
-# loop periods, the horizon, airtime's divisor, the license's bit count, and
-# the radio range and grid side that placement and its cell index rest on
+# loop periods, the horizon, airtime's divisor, the license's bit count,
+# the radio range and grid side that placement and its cell index rest on,
+# the shared key's length and the frame sizes that airtime charges
 _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
                   "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s",
                   "duration_s", "bitrate_bps", "license_width", "tx_range_m",
-                  "grid_m")
-# an infinite horizon never ends a run; an infinite grid places nodes at infinity
-_FINITE_KEYS = ("duration_s", "grid_m")
-# delays, windows, a doubling count and the rank step: zero is allowed,
-# negatives and nan not
+                  "grid_m", "shared_key_bytes", "data_bytes", "dio_bytes",
+                  "dis_bytes")
+# an infinite horizon never ends a run; an infinite grid places nodes at
+# infinity; an infinite speed moves them to nan
+_FINITE_KEYS = ("duration_s", "grid_m", "speed_min_mps", "speed_max_mps")
+# delays, windows, a doubling count, the rank step and the waypoint speeds
+# and pause: zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
-                      "data_warmup_s", "trickle_doublings", "rank_increase")
+                      "data_warmup_s", "trickle_doublings", "rank_increase",
+                      "speed_min_mps", "speed_max_mps", "pause_s")
 # ranks travel in the DIO's 16-bit rank field
 _RANK_KEYS = ("min_rank", "max_rank")
 

@@ -15,6 +15,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from lisec_rtf import engine, node
 from lisec_rtf.config import ARMS, SimParams
 from lisec_rtf.demo import run_overflow_demo
+from lisec_rtf.experiment import run_experiment
 from lisec_rtf.engine import (
     DRAIN_S,
     DataPacket,
@@ -37,6 +38,7 @@ from lisec_rtf.messages import (
 )
 from lisec_rtf.metrics import EnergyLedger
 from lisec_rtf.node import NodeRole, TrickleState, compute_rank
+from lisec_rtf.scenario import Scenario
 
 
 def empty_world(params=None, arm="baseline", seed=1):
@@ -844,8 +846,9 @@ def test_pair_in_range_by_rounding_is_reached_across_cells():
 
 def test_disconnected_topology_raises():
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
-    with pytest.raises(SetupError, match=r"after 5 tries \(disconnected 5, "
-                       r"attacker too shallow 0, subtree overload 0\)"):
+    with pytest.raises(SetupError, match=r"^seed 1: no connected topology after "
+                       r"5 tries \(disconnected 5, attacker too shallow 0, "
+                       r"subtree overload 0\)$"):
         build_random_world(p, ARMS["baseline"], seed=1, n_clients=10,
                            n_attackers=0, max_tries=5)
 
@@ -862,6 +865,119 @@ def test_setup_error_names_the_failed_constraint(params, n_attackers, reason):
     with pytest.raises(SetupError, match=reason):
         build_random_world(params, ARMS["baseline"], seed=1, n_clients=10,
                            n_attackers=n_attackers, max_tries=5)
+
+
+# -- placement memo ---------------------------------------------------------
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record one entry per placement try (each try runs `_connected` once)."""
+    tries = []
+    connected = engine._connected
+
+    def counted(*args):
+        tries.append(args)
+        return connected(*args)
+
+    monkeypatch.setattr(engine, "_connected", counted)
+    return tries
+
+
+def _built(world) -> tuple:
+    """Everything set-up draws: placement, start times, provisioning, keys,
+    waypoints and where the topology stream stands."""
+    return (dict(world.positions), dict(world.start_times), dict(world.db.entries),
+            {n: node.license for n, node in world.nodes.items()},
+            dict(world.db.keys),
+            {n: (s.waypoint, s.speed) for n, s in world.mobility.items()},
+            world.rng_topo.getstate())
+
+
+@pytest.mark.parametrize("mobility", [False, True])
+def test_warm_placement_memo_builds_the_fresh_world(monkeypatch, mobility):
+    p = SimParams(duration_s=120.0, grid_m=140.0, startup_stagger_s=30.0)
+    tries = _count_searches(monkeypatch)
+    for seed in range(5):
+        memo = {}
+        # the other mobility setting fills the memo: the search ignores it
+        build_random_world(p, ARMS["attack"], seed, n_clients=12, n_attackers=1,
+                           mobility=not mobility, placements=memo)
+        for arm in ARMS:
+            fresh = build_random_world(p, ARMS[arm], seed, n_clients=12,
+                                       n_attackers=1, mobility=mobility)
+            searched = len(tries)
+            warm = build_random_world(p, ARMS[arm], seed, n_clients=12,
+                                      n_attackers=1, mobility=mobility,
+                                      placements=memo)
+            assert len(tries) == searched, (seed, arm)  # a hit: no search
+            assert _built(warm) == _built(fresh), (seed, arm)
+            assert warm.run() == fresh.run()
+            assert warm.digest() == fresh.digest(), (seed, arm)
+        assert len(memo) == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"seed": 2}, {"grid_m": 141.0}, {"tx_range_m": 51.0}, {"rt_cap": 17},
+    {"n_clients": 11}, {"n_attackers": 2}, {"max_tries": 199},
+])
+def test_placement_memo_key_covers_every_search_input(monkeypatch, change):
+    tries = _count_searches(monkeypatch)
+    memo = {}
+
+    def build(seed=1, grid_m=140.0, tx_range_m=50.0, rt_cap=16, n_clients=10,
+              n_attackers=1, max_tries=200, placements=memo):
+        p = SimParams(grid_m=grid_m, tx_range_m=tx_range_m, rt_cap=rt_cap)
+        return build_random_world(p, ARMS["baseline"], seed, n_clients=n_clients,
+                                  n_attackers=n_attackers, max_tries=max_tries,
+                                  placements=placements)
+
+    build()
+    searched = len(tries)
+    build()
+    assert len(tries) == searched  # the same inputs hit
+    changed = build(**change)
+    assert len(tries) > searched and len(memo) == 2
+    assert _built(changed) == _built(build(**change, placements=None))
+
+
+def test_failed_search_raises_the_same_error_and_stores_nothing():
+    p = SimParams(grid_m=2000.0)  # far too sparse to connect
+    memo = {}
+    messages = []
+    for placements in (None, memo):
+        with pytest.raises(SetupError) as info:
+            build_random_world(p, ARMS["baseline"], seed=1, n_clients=10,
+                               n_attackers=0, max_tries=5, placements=placements)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert memo == {}
+
+
+def _small_scenario(arms: list) -> Scenario:
+    p = SimParams(grid_m=120.0, duration_s=420.0, startup_stagger_s=120.0,
+                  data_warmup_s=180.0)
+    return Scenario(params=p, n_clients=8, n_attackers=1, arms=arms,
+                    seeds=[0, 1, 2])
+
+
+def test_experiment_searches_each_seed_once_for_all_arms(monkeypatch):
+    tries = _count_searches(monkeypatch)
+    run_experiment(_small_scenario(["baseline"]), base=0)
+    one_arm = len(tries)
+    tries.clear()
+    run_experiment(_small_scenario(["baseline", "attack", "defense"]), base=0)
+    assert len(tries) == one_arm > 0
+
+
+def test_experiment_keeps_no_placement_across_calls(monkeypatch):
+    tries = _count_searches(monkeypatch)
+    scenario = _small_scenario(["baseline", "attack"])
+    counts = []
+    for _ in range(2):
+        tries.clear()
+        run_experiment(scenario, base=0)
+        counts.append(len(tries))
+    assert counts[1] == counts[0] > 0
 
 
 def test_encrypted_arm_full_run_matches_plain_defense():

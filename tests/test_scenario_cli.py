@@ -115,7 +115,10 @@ def test_repeated_seed_or_arm_rejected(text, key):
                   "attack_period_s", "rt_sample_period_s", "mobility_tick_s",
                   "trickle_imin_s", "duration_s", "bitrate_bps", "tx_range_m",
                   "grid_m")],
-    ("0", "license_width"), ("-1", "license_width"),  # "nan" is not an int
+    # "nan" is not an int
+    *[(value, key) for value in ("0", "-1")
+      for key in ("license_width", "shared_key_bytes", "data_bytes",
+                  "dio_bytes", "dis_bytes")],
 ])
 def test_non_positive_period_rejected(value, key):
     s = parse_scenario(f"{key} = {value}")
@@ -125,7 +128,8 @@ def test_non_positive_period_rejected(value, key):
 
 @pytest.mark.parametrize("key, value", [
     *[(key, value) for key in ("d_hop_s", "startup_stagger_s",
-                               "attacker_start_window_s", "data_warmup_s")
+                               "attacker_start_window_s", "data_warmup_s",
+                               "speed_min_mps", "speed_max_mps", "pause_s")
       for value in ("-0.1", "nan")],
     ("trickle_doublings", "-1"),
 ])
@@ -136,7 +140,8 @@ def test_negative_delay_or_window_rejected(key, value):
     parse_scenario(f"{key} = 0").validate()  # the bound itself is allowed
 
 
-@pytest.mark.parametrize("key", ["duration_s", "grid_m"])
+@pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
+                                 "speed_max_mps"])
 def test_infinite_horizon_or_grid_rejected(key):
     with pytest.raises(ScenarioError, match=f"^{key}: must be finite"):
         parse_scenario(f"{key} = inf").validate()
@@ -430,11 +435,16 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "loss_prob = -0.1", "tx_range_m = 0", "tx_range_m = nan",
                  "grid_m = 0", "grid_m = -5", "min_rank = 70000",
                  "min_rank = -1", "max_rank = 100000\nrank_increase = 40000",
-                 "rank_increase = -300"):
+                 "rank_increase = -300", "shared_key_bytes = -1",
+                 "shared_key_bytes = 0", "data_bytes = -30", "dio_bytes = 0",
+                 "dis_bytes = -8", "speed_min_mps = nan", "speed_max_mps = -1",
+                 "speed_max_mps = inf", "pause_s = nan"):
         path = tmp_path / "bad.scenario"
-        path.write_text(f"seeds = 1\narms = baseline\n{line}\n")
+        path.write_text(f"seeds = 1\narms = defense\n{line}\n")
         out = tmp_path / "res"
-        assert main(["--scenario", str(path), "--out", str(out)]) == 2, line
+        # defense_encrypted draws the shared keys; mobility reads the speeds
+        flags = ["--encrypted", "on", "--mobility", "on"]
+        assert main(["--scenario", str(path), *flags, "--out", str(out)]) == 2, line
         err = capsys.readouterr().err
         assert err.startswith(f"error: {line.split()[0]}:"), err
         assert not out.exists()
