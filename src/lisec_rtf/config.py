@@ -7,6 +7,7 @@ Nothing in the simulator reads a constant that is not on this object.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -71,7 +72,8 @@ class SimParams:
     shared_key_bytes: int = 16
 
     def trickle_cap_s(self) -> float:
-        return self.trickle_imin_s * (1 << self.trickle_doublings)
+        """`trickle_imin_s * 2**trickle_doublings`; OverflowError past floats."""
+        return math.ldexp(self.trickle_imin_s, self.trickle_doublings)
 
     def airtime_s(self, n_bytes: int) -> float:
         return n_bytes * 8.0 / self.bitrate_bps

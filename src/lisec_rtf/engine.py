@@ -161,10 +161,9 @@ class World:
         self.counters = RunCounters()
         self.tracer = None if trace is None else _line_sink(trace)
         self._joined: set[str] = set()
-        # fire time of each node's one live trickle wake-up; others are stale
-        self._trickle_wake: dict[str, float] = {}
-        # time of each node's one live DIS event; a detach makes others stale
-        self._dis_wake: dict[str, float] = {}
+        # time of each node's one live wake-up: its trickle fire time while
+        # joined, its next DIS while not; events at other times are stale
+        self._wake: dict[str, float] = {}
         # end time of each loop that runs at period, 2 * period, ...
         self._loop_end: dict[str, float] = {}
         self.ever_registered: set[str] = set()
@@ -348,24 +347,7 @@ class World:
         if node.role is NodeRole.ROOT:
             node.trickle = TrickleState.start(self.params, self.rng, self.clock)
             self._joined.add(node.node_id)
-            self._schedule_trickle(node)
-        else:
-            self._solicit_now(node.node_id)
-
-    def _solicit_now(self, node_id: str) -> None:
-        self._dis_wake[node_id] = self.clock
-        self.schedule(self.clock, "dis", node_id)
-
-    def _on_dis(self, event: Event) -> None:
-        node = self.nodes[event.node_id]
-        if node.joined or self._dis_wake[node.node_id] != event.time:
-            return
-        if self.tracer is not None:
-            self.tracer(self.clock, node.node_id, "DIS_TX", "soliciting")
-        self.transmit(node, None, DisMessage(sender=node.address))
-        t = self.clock + self.params.dis_period_s
-        self._dis_wake[node.node_id] = t
-        self._reschedule(t, "dis", node.node_id)
+        self._wake_at(node, node.trickle.t_fire if node.joined else self.clock)
 
     def _receive(self, node: NodeState, sender_addr: bytes, message,
                  airtime: float) -> None:
@@ -402,9 +384,8 @@ class World:
                 self.ever_registered.add(node.node_id)
             self._send_all(node, out)
             if joined and not node.joined:
-                # detached: no wake-up; solicit like a node that never joined
-                self._trickle_wake.pop(node.node_id, None)
-                self._solicit_now(node.node_id)
+                # detached: solicit at once, like a node that never joined
+                self._wake_at(node, now)
 
     def _record_root_decision(self, dao: DaoModified, out: list) -> None:
         accepted = bool(out) and out[0][1].is_ack
@@ -420,9 +401,10 @@ class World:
                 self.counters.genuine_nacked += 1
 
     def _after_protocol_step(self, node: NodeState) -> None:
+        if node.trickle is not None:
+            self._wake_at(node, node.trickle.t_fire)
         if node.joined and node.node_id not in self._joined:
             self._joined.add(node.node_id)
-            self._schedule_trickle(node)
             if node.role is NodeRole.MALICIOUS:
                 if self.arm.attack:
                     self.schedule(self.clock, "volley", node.node_id)
@@ -431,25 +413,30 @@ class World:
             else:
                 self._reschedule(self.clock + self.params.dao_period_s,
                                  "dao_refresh", node.node_id)
-        elif node.trickle is not None:
-            self._schedule_trickle(node)
 
-    def _schedule_trickle(self, node: NodeState) -> None:
-        """Move the node's wake-up to `t_fire`, or drop it past the horizon."""
-        t = node.trickle.t_fire
+    def _wake_at(self, node: NodeState, t: float) -> None:
+        """Move the node's one wake-up to `t`, or drop it past the horizon."""
         if t > self.params.duration_s:
-            self._trickle_wake.pop(node.node_id, None)
-        elif self._trickle_wake.get(node.node_id) != t:
-            self._trickle_wake[node.node_id] = t
-            self.schedule(t, "trickle", node.node_id)
+            self._wake.pop(node.node_id, None)
+        elif self._wake.get(node.node_id) != t:
+            self._wake[node.node_id] = t
+            self.schedule(t, "wake", node.node_id)
 
-    def _on_trickle(self, event: Event) -> None:
-        if self._trickle_wake.get(event.node_id) != event.time:
-            return  # stale: the fire time has moved since
-        del self._trickle_wake[event.node_id]
+    def _on_wake(self, event: Event) -> None:
+        """Fire the trickle timer of a joined node; solicit with a DIS
+        while the node has not joined."""
+        if self._wake.get(event.node_id) != event.time:
+            return  # stale: the wake-up has moved since
+        del self._wake[event.node_id]
         node = self.nodes[event.node_id]
-        self._send_all(node, node.trickle_fire(self.clock, self.rng))
-        self._schedule_trickle(node)
+        if node.joined:
+            self._send_all(node, node.trickle_fire(self.clock, self.rng))
+            self._wake_at(node, node.trickle.t_fire)
+            return
+        if self.tracer is not None:
+            self.tracer(self.clock, node.node_id, "DIS_TX", "soliciting")
+        self.transmit(node, None, DisMessage(sender=node.address))
+        self._wake_at(node, self.clock + self.params.dis_period_s)
 
     def _on_dao_refresh(self, event: Event) -> None:
         node = self.nodes[event.node_id]

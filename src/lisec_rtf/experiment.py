@@ -157,12 +157,11 @@ def _trace_path(out: Path, arm: str, seed: int) -> Path:
     return out / f"trace-{arm}-{seed}.log"
 
 
-def _write_trace(path: Path, lines: list) -> None:
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
-    """Write runs.csv, summary.csv and one trace file per (arm, seed) key."""
+    """Write runs.csv and summary.csv.  Each run streams its own trace file,
+    so `traces` must be empty."""
+    if traces:
+        raise ValueError("write_report writes no traces: each run streams its own")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = [RUNS_HEADER] + [r.csv_row() for r in report.rows]
@@ -176,5 +175,3 @@ def write_report(report: ExperimentReport, traces: dict, out_dir) -> None:
             f"{entry['ae2ed_s_mean']:.6f},{entry['ae2ed_s_ci95']:.6f},"
             f"{entry['apc_mw_mean']:.6f},{entry['apc_mw_ci95']:.6f}")
     (out / "summary.csv").write_text("\n".join(lines) + "\n", encoding="ascii")
-    for (arm, seed), trace in traces.items():
-        _write_trace(_trace_path(out, arm, seed), trace)

@@ -416,8 +416,8 @@ def test_trickle_wake_follows_resets(monkeypatch):
     w, a, trace, deliver_dio = _dio_driven_node(SimParams(duration_s=600.0))
 
     def live_wakeups():
-        return [e.time for e in w._queue if e.kind == "trickle"
-                and e.time == w._trickle_wake.get("a")]
+        return [e.time for e in w._queue if e.kind == "wake"
+                and e.time == w._wake.get("a")]
 
     deliver_dio(1.0, 256)  # joins: first fire time drawn
     w.run_until(200.0)  # the interval has doubled to 64 s or more
@@ -426,7 +426,7 @@ def test_trickle_wake_follows_resets(monkeypatch):
         pending = a.trickle.t_fire
         deliver_dio(pending - lead, rank)  # the parent's rank changed: reset
         assert (a.trickle.t_fire < pending) == (moved == "earlier")
-        assert w._trickle_wake == {"a": a.trickle.t_fire}
+        assert w._wake == {"a": a.trickle.t_fire}
         assert live_wakeups() == [a.trickle.t_fire]
         superseded.append(f"{pending:.6f}")
     w.run_until(w.params.duration_s)
@@ -446,7 +446,7 @@ def test_trickle_wake_dropped_past_horizon():
     a.trickle.i_min = 1000.0  # the next reset draws a time past the horizon
     deliver_dio(pending - 0.5, 512)
     assert a.trickle.t_fire > w.params.duration_s
-    assert w._trickle_wake == {}
+    assert w._wake == {}
     w.run_until(w.params.duration_s + DRAIN_S)
     assert _dio_tx_times(trace) == []
 
@@ -1167,6 +1167,7 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     assert b.parent == a.address
     nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)  # nothing else is due at t_nack
+    assert w._wake["b"] == t_nack  # the trickle wake-up became a DIS
     w.run_until(t_nack + 50.0)
     refresh = [e for e in w._queue if e.kind == "dao_refresh" and e.node_id == "b"]
     assert len(refresh) == 1
@@ -1184,11 +1185,36 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
         assert "DIO_TX" in kinds  # advertises again once rejoined
     else:
         assert b.parent is None and b.rank is None and b.trickle is None
-        assert "b" not in w._trickle_wake
+        assert "b" not in w._wake  # the next DIS falls past the horizon
         times = [float(t) for t, _, _, _ in after[1:]]
         assert kinds == ["DIS_TX"] * len(kinds)
         assert times == [t_nack + k * params.dis_period_s for k in range(len(times))]
         assert times[-1] + params.dis_period_s > params.duration_s
+
+
+def test_nack_for_parent_after_horizon_sends_nothing():
+    """A detach heard in the drain second after `duration_s` queues no DIS:
+    after the horizon a run only drains radio deliveries."""
+    params = SimParams(duration_s=300.0)
+    trace = io.StringIO()
+    w = World(params, ARMS["baseline"], seed=2, trace=trace)
+    w.add_node("root", NodeRole.ROOT, (0.0, 0.0))
+    a = w.add_node("a", NodeRole.CLIENT, (45.0, 0.0))
+    b = w.add_node("b", NodeRole.CLIENT, (90.0, 0.0))
+    w._schedule_initial()
+    t_nack = params.duration_s + 0.5
+    w.run_until(t_nack)
+    assert b.parent == a.address
+    sent = w.counters.control_transmissions
+    nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
+    w._receive(b, a.address, nack, 0.0)
+    w.run_until(params.duration_s + DRAIN_S)
+    assert b.parent is None and "b" not in w._wake
+    assert w.counters.control_transmissions == sent
+    late = [line.split("\t") for line in trace.getvalue().splitlines()
+            if float(line.split("\t")[0]) > params.duration_s]
+    assert ["b", "BLACKLIST"] in [[node_id, kind] for _, node_id, kind, _ in late]
+    assert "DIS_TX" not in [kind for _, _, kind, _ in late]
 
 
 class WorldMachine(RuleBasedStateMachine):
@@ -1238,28 +1264,20 @@ class WorldMachine(RuleBasedStateMachine):
     # moves the record, so any later one at the same time is stale.
 
     @invariant()
-    def one_live_trickle_wake_up(self):
-        # the live wake-up is where the trickle timer fires; a detached node
-        # has none, and `_schedule_trickle` never queues one time twice
+    def one_live_wake_up(self):
+        # a node with a trickle timer wakes where it fires, at a time queued
+        # once; a node without one has not joined and wakes for its next
+        # DIS.  A detach right at a DIS time can leave the old DIS loop's
+        # event at the new loop's next time, where it runs in its place.
         w = self.w
         for node in w.nodes.values():
-            wake = w._trickle_wake.get(node.node_id)
+            wake = w._wake[node.node_id]
             if node.trickle is None:
-                assert wake is None, node.node_id
+                assert not node.joined, node.node_id
+                assert wake in self._queued("wake", node.node_id), node.node_id
             else:
                 assert wake == node.trickle.t_fire, node.node_id
-                assert self._queued("trickle", node.node_id).count(wake) == 1
-
-    @invariant()
-    def one_live_dis_event(self):
-        # a node that has not joined keeps its one DIS loop alive; a joined
-        # node's DIS events all return at once.  A detach right at a DIS
-        # time can leave the old loop's event at the new loop's next time,
-        # where it runs in its place.
-        w = self.w
-        for node in w.nodes.values():
-            if node.role is NodeRole.CLIENT and not node.joined:
-                assert w._dis_wake[node.node_id] in self._queued("dis", node.node_id)
+                assert self._queued("wake", node.node_id).count(wake) == 1
 
 
 WorldMachine.TestCase.settings = settings(deadline=None)

@@ -118,7 +118,7 @@ def test_repeated_seed_or_arm_rejected(text, key):
     # "nan" is not an int
     *[(value, key) for value in ("0", "-1")
       for key in ("license_width", "shared_key_bytes", "data_bytes",
-                  "dio_bytes", "dis_bytes")],
+                  "dio_bytes", "dis_bytes", "trickle_k")],
 ])
 def test_non_positive_period_rejected(value, key):
     s = parse_scenario(f"{key} = {value}")
@@ -129,9 +129,14 @@ def test_non_positive_period_rejected(value, key):
 @pytest.mark.parametrize("key, value", [
     *[(key, value) for key in ("d_hop_s", "startup_stagger_s",
                                "attacker_start_window_s", "data_warmup_s",
-                               "speed_min_mps", "speed_max_mps", "pause_s")
+                               "speed_min_mps", "speed_max_mps", "pause_s",
+                               "attacker_self_dao_delay_s", "p_tx_mw", "p_rx_mw",
+                               "p_cpu_mw", "p_lpm_mw", "cpu_per_packet_s",
+                               "route_lifetime_s")
       for value in ("-0.1", "nan")],
-    ("trickle_doublings", "-1"),
+    # "nan" is not an int
+    *[(key, "-1") for key in ("trickle_doublings", "forged_per_period",
+                              "rt_cap", "root_rt_cap")],
 ])
 def test_negative_delay_or_window_rejected(key, value):
     s = parse_scenario(f"{key} = {value}")
@@ -141,10 +146,23 @@ def test_negative_delay_or_window_rejected(key, value):
 
 
 @pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
-                                 "speed_max_mps"])
+                                 "speed_max_mps", "trickle_imin_s"])
 def test_infinite_horizon_or_grid_rejected(key):
     with pytest.raises(ScenarioError, match=f"^{key}: must be finite"):
         parse_scenario(f"{key} = inf").validate()
+
+
+@pytest.mark.parametrize("text", [
+    "trickle_doublings = 4000",  # 2**4000 is no float
+    "trickle_doublings = 1022",  # 4 * 2**1022 overflows
+    "trickle_imin_s = 1e300\ntrickle_doublings = 100",
+    "trickle_doublings = 100000000000000000000",  # no 2**d is ever built
+])
+def test_trickle_cap_past_float_range_rejected(text):
+    pattern = r"^trickle_doublings: trickle_imin_s \* 2\*\*\d+ must be finite"
+    with pytest.raises(ScenarioError, match=pattern):
+        parse_scenario(text).validate()
+    parse_scenario("trickle_doublings = 1021").validate()  # 4 * 2**1021 fits
 
 
 @pytest.mark.parametrize("text", [
@@ -266,6 +284,18 @@ def test_trace_without_out_dir_refused():
     # traces are streamed into files; there is no in-memory place for them
     with pytest.raises(ValueError, match="out_dir"):
         run_experiment(parse_scenario(SMALL), trace=True, base=0)
+
+
+def test_write_report_refuses_traces(tmp_path):
+    # each run streams its own trace file; the report writes none
+    report = experiment.ExperimentReport(rows=[], summary=[])
+    with pytest.raises(ValueError, match="no traces"):
+        experiment.write_report(report, {("baseline", 0): ["a line"]},
+                                tmp_path / "res")
+    assert not (tmp_path / "res").exists()
+    experiment.write_report(report, {}, tmp_path / "res")
+    assert sorted(p.name for p in (tmp_path / "res").iterdir()) == [
+        "runs.csv", "summary.csv"]
 
 
 def test_setup_error_part_way_leaves_traces_as_they_were(tmp_path, monkeypatch):
@@ -438,7 +468,12 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "rank_increase = -300", "shared_key_bytes = -1",
                  "shared_key_bytes = 0", "data_bytes = -30", "dio_bytes = 0",
                  "dis_bytes = -8", "speed_min_mps = nan", "speed_max_mps = -1",
-                 "speed_max_mps = inf", "pause_s = nan"):
+                 "speed_max_mps = inf", "pause_s = nan",
+                 "attacker_self_dao_delay_s = -1", "trickle_imin_s = inf",
+                 "trickle_doublings = 4000", "p_tx_mw = -1", "p_rx_mw = -1",
+                 "p_cpu_mw = -1", "p_lpm_mw = -1", "cpu_per_packet_s = -1",
+                 "forged_per_period = -1", "root_rt_cap = -1",
+                 "route_lifetime_s = -1", "trickle_k = -1", "rt_cap = -1"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = defense\n{line}\n")
         out = tmp_path / "res"
