@@ -4,11 +4,15 @@ protocol handlers in `node`.
 
 One World is one logical timeline.  Everything random flows through seeded
 generators: `rng_topo` (topology and provisioning, identical across
-comparison arms for a given seed), `rng_mobility` (trajectories, likewise
-arm-independent), `rng_keys` (shared keys of the encrypted arm, kept apart
-so that drawing them leaves the other streams untouched) and `rng`
-(protocol-driven draws).  Replaying the same seed and configuration
-reproduces the event trace byte for byte.
+comparison arms for a given seed), the trajectory's `rng` (random-waypoint
+draws, likewise arm-independent), `rng_keys` (shared keys of the encrypted
+arm, kept apart so that drawing them leaves the other streams untouched)
+and `rng` (protocol-driven draws).  Replaying the same seed and
+configuration reproduces the event trace byte for byte.
+
+The walkers of a mobile world live in a `Trajectory`, which worlds built
+through one placement memo share: whichever world first reaches a tick
+computes it, and the others copy its positions.
 
 Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
@@ -29,9 +33,11 @@ import hashlib
 import heapq
 import math
 import random
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, TextIO
 
 from .config import ArmFlags, SimParams
@@ -120,6 +126,85 @@ class RwpState:
     pause_until: float = 0.0
 
 
+class Trajectory:
+    """The random-waypoint walk of `walkers` from their `positions`.
+
+    `at(k, clock)` gives each walker's (x, y) after mobility tick k, counted
+    from 0, in `ids` order; it computes the tick at `clock` when no world
+    has reached it yet.  Every world ticks at the same accumulated times,
+    so a shared tick is computed at the clock each of them would use.
+    `now` holds the latest tick.  With `keep`, `xy` also holds every tick
+    so far, so that worlds sharing the walk can replay it: flat
+    `array("d")` blocks of `TICKS_PER_BLOCK` ticks, x and y per walker, 16 B
+    per walker per tick.  Blocks of about 30 kB fit into memory the heap
+    already holds, where one growing array would raise the peak by its
+    whole size.  Without `keep`, nothing older than `now` is kept.
+    """
+
+    TICKS_PER_BLOCK = 64
+
+    def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
+                 positions: dict[str, tuple[float, float]], keep: bool = False):
+        self.params = params
+        # a stream of its own, so trajectories match across arms at equal seed
+        self.rng = random.Random((seed << 16) ^ 0x30B1)
+        self.walkers = walkers
+        self.ids = tuple(walkers)
+        self.now = [positions[node_id] for node_id in self.ids]
+        self.xy: list[array] | None = [] if keep else None
+        self.ticks = 0
+
+    def at(self, k: int, clock: float):
+        if k == self.ticks:
+            self._step(clock)
+        if k == self.ticks - 1:
+            return self.now
+        block, row = divmod(k, self.TICKS_PER_BLOCK)
+        width = 2 * len(self.ids)
+        start = row * width
+        end = start + width
+        xy = self.xy[block]
+        return zip(xy[start:end:2], xy[start + 1:end:2])
+
+    def _step(self, clock: float) -> None:
+        p = self.params
+        tick = p.mobility_tick_s
+        grid = p.grid_m
+        uniform = self.rng.uniform
+        now = self.now
+        for i, state in enumerate(self.walkers.values()):
+            if clock < state.pause_until:
+                continue
+            x, y = now[i]
+            wx, wy = state.waypoint
+            dx, dy = wx - x, wy - y
+            dist = math.hypot(dx, dy)
+            step = state.speed * tick
+            if dist <= step:
+                now[i] = state.waypoint
+                state.waypoint = (uniform(0, grid), uniform(0, grid))
+                state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
+                state.pause_until = clock + p.pause_s
+            else:
+                # clamp into the grid; branches cost less than min/max calls
+                nx = x + dx / dist * step
+                if nx < 0.0:
+                    nx = 0.0
+                elif nx > grid:
+                    nx = grid
+                ny = y + dy / dist * step
+                if ny < 0.0:
+                    ny = 0.0
+                elif ny > grid:
+                    ny = grid
+                now[i] = (nx, ny)
+        if self.xy is not None:
+            if not self.ticks % self.TICKS_PER_BLOCK:
+                self.xy.append(array("d"))
+            self.xy[-1].fromlist(list(chain.from_iterable(now)))
+        self.ticks += 1
+
+
 def _line_sink(stream: TextIO):
     """A tracer that writes one tab-separated line per event to `stream`.
 
@@ -142,8 +227,6 @@ class World:
         self.seed = seed
         self.rng_topo = random.Random(seed)
         self.rng = random.Random((seed << 16) ^ 0x5EED)
-        # separate stream so trajectories match across arms at equal seed
-        self.rng_mobility = random.Random((seed << 16) ^ 0x30B1)
         self.rng_keys = random.Random((seed << 16) ^ 0x4E75)
         self.clock = 0.0
         self._queue: list[Event] = []
@@ -154,7 +237,8 @@ class World:
         self.by_addr: dict[bytes, NodeState] = {}
         self.positions: dict[str, tuple[float, float]] = {}
         self.start_times: dict[str, float] = {}
-        self.mobility: dict[str, RwpState] = {}
+        self.trajectory: Trajectory | None = None
+        self._ticks = 0  # mobility ticks this world has taken
         self.ledgers: dict[str, EnergyLedger] = {}
         self.db = CRDatabase(width=params.license_width)
         self.addr_to_id: dict[bytes, str] = {}
@@ -190,6 +274,11 @@ class World:
         self.start_times[node_id] = start_time
         self.ledgers[node_id] = EnergyLedger()
         return node
+
+    @property
+    def mobility(self) -> tuple[str, ...]:
+        """Ids of the nodes that walk, in trajectory order; empty if static."""
+        return () if self.trajectory is None else self.trajectory.ids
 
     def provision(self, skip: set[str] | None = None) -> None:
         """Registration phase: store one pair per node, hand out licenses."""
@@ -493,40 +582,12 @@ class World:
             self.counters.rt_peak = occ
 
     def _on_mobility(self, event: Event) -> None:
-        p = self.params
-        positions = self.positions
-        clock = self.clock
-        tick = p.mobility_tick_s
-        grid = p.grid_m
-        uniform = self.rng_mobility.uniform
-        self._reschedule(clock + tick, "mobility")
+        self._reschedule(self.clock + self.params.mobility_tick_s, "mobility")
         self._in_range.clear()
-        for node_id, state in self.mobility.items():
-            if clock < state.pause_until:
-                continue
-            x, y = positions[node_id]
-            wx, wy = state.waypoint
-            dx, dy = wx - x, wy - y
-            dist = math.hypot(dx, dy)
-            step = state.speed * tick
-            if dist <= step:
-                positions[node_id] = (wx, wy)
-                state.waypoint = (uniform(0, grid), uniform(0, grid))
-                state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
-                state.pause_until = clock + p.pause_s
-            else:
-                # clamp into the grid; branches cost less than min/max calls
-                nx = x + dx / dist * step
-                if nx < 0.0:
-                    nx = 0.0
-                elif nx > grid:
-                    nx = grid
-                ny = y + dy / dist * step
-                if ny < 0.0:
-                    ny = 0.0
-                elif ny > grid:
-                    ny = grid
-                positions[node_id] = (nx, ny)
+        trajectory = self.trajectory
+        self.positions.update(zip(trajectory.ids,
+                                  trajectory.at(self._ticks, self.clock)))
+        self._ticks += 1
 
     # -- teardown ----------------------------------------------------------
 
@@ -693,6 +754,16 @@ def _search(rng: random.Random, params: SimParams, seed: int,
         f"seed {seed}: no connected topology after {max_tries} tries ({counts})")
 
 
+@dataclass
+class _Placement:
+    """A memo entry: an accepted placement, where `rng_topo` stood right
+    after it, and the walk that mobile worlds built on it share."""
+
+    positions: dict
+    rng_state: tuple
+    trajectory: Trajectory | None = None
+
+
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                        n_clients: int = 29, n_attackers: int = 1,
                        mobility: bool = False, trace: TextIO | None = None,
@@ -704,25 +775,32 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     generator, so every arm sees the same network for a given seed.
 
     `placements` is a memo the caller owns, keyed by every input the search
-    reads.  A hit skips the search: it reuses the accepted positions and
-    restores `rng_topo` to its state right after the accepted try, so every
-    later draw is the one a fresh search would have led to.  A miss searches
-    and stores both; a failed search stores nothing.
+    and the walk read.  A hit skips the search: it reuses the accepted
+    positions and restores `rng_topo` to its state right after the accepted
+    try, so every later draw is the one a fresh search would have led to.
+    A miss searches and stores both; a failed search stores nothing.  Mobile
+    worlds built on one entry share its trajectory, which keeps every tick
+    for as long as the entry lives; a world built without a memo keeps only
+    its latest tick.
     """
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
     attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
+    # license_width sets how many draws provisioning takes from rng_topo,
+    # and so the walkers' first waypoints
     key = (seed, params.grid_m, params.tx_range_m, params.rt_cap,
-           n_clients, n_attackers, max_tries)
-    hit = None if placements is None else placements.get(key)
-    if hit is None:
+           n_clients, n_attackers, max_tries, params.license_width,
+           params.mobility_tick_s, params.speed_min_mps, params.speed_max_mps,
+           params.pause_s)
+    entry = None if placements is None else placements.get(key)
+    if entry is None:
         positions = _search(rng, params, seed, client_ids, attacker_ids, max_tries)
         if placements is not None:
-            placements[key] = (positions, rng.getstate())
+            entry = placements[key] = _Placement(positions, rng.getstate())
     else:
-        positions, state = hit
-        rng.setstate(state)
+        positions = entry.positions
+        rng.setstate(entry.rng_state)
 
     uniform = rng.uniform
     world.add_node("root", NodeRole.ROOT, positions["root"], start_time=0.0)
@@ -735,10 +813,19 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     world.provision()
 
     if mobility:
+        # every world draws the first waypoints, so rng_topo ends where it would
+        walkers = {}
         for node in world.nodes.values():
             if node.role is NodeRole.ROOT:
                 continue  # the sink stays where it is deployed
-            world.mobility[node.node_id] = RwpState(
+            walkers[node.node_id] = RwpState(
                 waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),
                 speed=rng.uniform(params.speed_min_mps, params.speed_max_mps))
+        if entry is None:
+            world.trajectory = Trajectory(params, seed, walkers, positions)
+        elif entry.trajectory is None:
+            world.trajectory = entry.trajectory = Trajectory(
+                params, seed, walkers, positions, keep=True)
+        else:
+            world.trajectory = entry.trajectory
     return world

@@ -116,21 +116,23 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     run: no trace is held in memory, and an experiment that fails part way
     leaves no trace file behind.
 
-    All runs share one placement memo that lives only for this call, so
-    each seed's placement is searched by its first arm and reused by the
-    others.
+    Seeds go in the outer loop.  A seed's arms share one placement memo, so
+    its placement is searched and its trajectory walked by its first arm
+    and reused by the others; the memo goes before the next seed, so one
+    trajectory is alive at a time.  Rows are reported arm by arm.
     """
     if trace and out_dir is None:
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
     scenario.validate()
     base = seed_base() if base is None else base
     out = None if out_dir is None else Path(out_dir)
-    rows = []
-    placements: dict = {}
+    arms = scenario.effective_arms()
+    by_arm: dict[str, list] = {arm_name: [] for arm_name in arms}
     staged = []  # (hidden path, final path) per trace written so far
     try:
-        for arm_name in scenario.effective_arms():
-            for s in scenario.seeds:
+        for s in scenario.seeds:
+            placements: dict = {}
+            for arm_name in arms:
                 stream = nullcontext()
                 if trace:
                     final = _trace_path(out, arm_name, base + s)
@@ -139,14 +141,16 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
                     staged.append((hidden, final))
                     stream = hidden.open("w", encoding="utf-8")
                 with stream as sink:
-                    rows.append(run_single(scenario, arm_name, base + s, trace=sink,
-                                           placements=placements))
+                    by_arm[arm_name].append(run_single(
+                        scenario, arm_name, base + s, trace=sink,
+                        placements=placements))
     except BaseException:
         for hidden, _ in staged:
             hidden.unlink(missing_ok=True)
         raise
     for hidden, final in staged:
         hidden.replace(final)
+    rows = [row for arm_rows in by_arm.values() for row in arm_rows]
     report = ExperimentReport(rows=rows, summary=summarize(rows))
     if out is not None:
         write_report(report, {}, out)

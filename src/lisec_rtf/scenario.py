@@ -119,6 +119,11 @@ class Scenario:
             when = f"the last goes at {last!r} s" if last else "none goes by duration_s"
             raise ScenarioError(f"data_warmup_s: no data packet is sent after "
                                 f"{self.params.data_warmup_s} s; {when}")
+        # a client not yet powered on counts its packets as sent and lost
+        if self.params.startup_stagger_s > self.params.data_warmup_s:
+            raise ScenarioError(
+                f"startup_stagger_s: must not exceed data_warmup_s "
+                f"({self.params.data_warmup_s}), got {self.params.startup_stagger_s}")
         plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
         if self.params.license_width > 8 and plain:
             raise ScenarioError(

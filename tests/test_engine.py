@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from lisec_rtf import engine, node
+from lisec_rtf import engine, experiment, node
 from lisec_rtf.config import ARMS, SimParams
 from lisec_rtf.demo import run_overflow_demo
 from lisec_rtf.experiment import run_experiment
@@ -23,6 +23,7 @@ from lisec_rtf.engine import (
     RwpState,
     ScheduleInPastError,
     SetupError,
+    Trajectory,
     World,
     build_random_world,
 )
@@ -43,6 +44,12 @@ from lisec_rtf.scenario import Scenario
 
 def empty_world(params=None, arm="baseline", seed=1):
     return World(params or SimParams(), ARMS[arm], seed)
+
+
+def walk(w, walkers, keep=False):
+    """Give `w` a trajectory of its own for `walkers` (id -> RwpState)."""
+    w.trajectory = Trajectory(w.params, w.seed, walkers, w.positions, keep=keep)
+    return w.trajectory
 
 
 # -- event queue --------------------------------------------------------
@@ -260,8 +267,8 @@ def test_broadcast_follows_mobility_tick():
     w.transmit(a, None, DisMessage(sender=a.address))
     assert _receivers(w) == ["leaving"]
     w._inflight.clear()
-    w.mobility["leaving"] = RwpState(waypoint=(200.0, 0.0), speed=10.0)
-    w.mobility["arriving"] = RwpState(waypoint=(0.0, 0.0), speed=10.0)
+    walk(w, {"leaving": RwpState(waypoint=(200.0, 0.0), speed=10.0),
+             "arriving": RwpState(waypoint=(0.0, 0.0), speed=10.0)})
     w.schedule(1.0, "mobility")
     w.run_until(1.0)
     w.transmit(a, None, DisMessage(sender=a.address))
@@ -288,13 +295,15 @@ def test_unicast_matches_distance_test():
     for trial in range(10):
         params = SimParams(loss_prob=0.3)
         w = World(params, ARMS["baseline"], seed=trial)
+        walkers = {}
         for i in range(30):
             w.add_node(f"n{i:02d}", NodeRole.CLIENT,
                        (rng.uniform(0, 150), rng.uniform(0, 150)),
                        start_time=rng.choice([0.0, 0.0, 5.0]))
-            w.mobility[f"n{i:02d}"] = RwpState(
+            walkers[f"n{i:02d}"] = RwpState(
                 waypoint=(rng.uniform(0, 150), rng.uniform(0, 150)),
                 speed=rng.uniform(5.0, 20.0))
+        walk(w, walkers)
         oracle_rng = random.Random()
         oracle_rng.setstate(w.rng.getstate())
         expected, losses = [], 0
@@ -469,28 +478,25 @@ def test_untraced_run_formats_nothing(monkeypatch, arm):
 # -- mobility -----------------------------------------------------------
 
 
-def _reference_mobility_tick(w):
+def _reference_mobility_tick(positions, walkers, rng, p, clock):
     """The random-waypoint tick written plainly, kept as the oracle."""
-    p = w.params
-    w._in_range.clear()
-    for node_id, state in w.mobility.items():
-        x, y = w.positions[node_id]
-        if w.clock < state.pause_until:
+    for node_id, state in walkers.items():
+        x, y = positions[node_id]
+        if clock < state.pause_until:
             continue
         wx, wy = state.waypoint
         dx, dy = wx - x, wy - y
         dist = math.hypot(dx, dy)
         step = state.speed * p.mobility_tick_s
         if dist <= step:
-            w.positions[node_id] = (wx, wy)
-            state.waypoint = (w.rng_mobility.uniform(0, p.grid_m),
-                              w.rng_mobility.uniform(0, p.grid_m))
-            state.speed = w.rng_mobility.uniform(p.speed_min_mps, p.speed_max_mps)
-            state.pause_until = w.clock + p.pause_s
+            positions[node_id] = (wx, wy)
+            state.waypoint = (rng.uniform(0, p.grid_m), rng.uniform(0, p.grid_m))
+            state.speed = rng.uniform(p.speed_min_mps, p.speed_max_mps)
+            state.pause_until = clock + p.pause_s
         else:
             nx = min(max(x + dx / dist * step, 0.0), p.grid_m)
             ny = min(max(y + dy / dist * step, 0.0), p.grid_m)
-            w.positions[node_id] = (nx, ny)
+            positions[node_id] = (nx, ny)
 
 
 @st.composite
@@ -526,32 +532,34 @@ def _rwp_worlds(draw):
 
 
 @settings(max_examples=200)
-@given(_rwp_worlds())
-def test_mobility_tick_matches_reference(case):
+@given(_rwp_worlds(), st.integers(1, 4), st.booleans())
+def test_mobility_tick_matches_reference(case, n_ticks, keep):
     params, seed, clock, nodes = case
-    worlds = []
-    for _ in range(2):
-        w = World(params, ARMS["baseline"], seed=seed)
-        for i, (pos, state) in enumerate(nodes):
-            w.add_node(f"n{i}", NodeRole.CLIENT, pos)
-            w.mobility[f"n{i}"] = RwpState(state.waypoint, state.speed,
-                                           state.pause_until)
+    w = World(params, ARMS["baseline"], seed=seed)
+    walkers, ref_walkers = {}, {}
+    for i, (pos, state) in enumerate(nodes):
+        w.add_node(f"n{i}", NodeRole.CLIENT, pos)
+        walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
+        ref_walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
+    trajectory = walk(w, walkers, keep)
+    ref_positions = dict(w.positions)
+    ref_rng = random.Random((seed << 16) ^ 0x30B1)  # the walk's own stream
+    for _ in range(n_ticks):
         w.clock = clock
         w._in_range["n0"] = {}
-        worlds.append(w)
-    tick, ref = worlds
-    tick._on_mobility(Event(clock, 0, "mobility"))
-    _reference_mobility_tick(ref)
-    assert repr(tick.positions) == repr(ref.positions)  # tells -0.0 from 0.0
-    assert tick.mobility == ref.mobility
-    assert tick.rng_mobility.getstate() == ref.rng_mobility.getstate()
-    assert tick._in_range == {}
+        w._on_mobility(Event(clock, 0, "mobility"))
+        _reference_mobility_tick(ref_positions, ref_walkers, ref_rng, params, clock)
+        assert repr(w.positions) == repr(ref_positions)  # tells -0.0 from 0.0
+        assert trajectory.walkers == ref_walkers
+        assert trajectory.rng.getstate() == ref_rng.getstate()
+        assert w._in_range == {}
+        clock += params.mobility_tick_s
 
 
 def test_rwp_step_unit_vector():
     w = World(SimParams(), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
-    w.mobility["a"] = RwpState(waypoint=(3.0, 4.0), speed=1.0)
+    walk(w, {"a": RwpState(waypoint=(3.0, 4.0), speed=1.0)})
     w.schedule(1.0, "mobility")
     w.run_until(1.0)
     x, y = w.positions["a"]
@@ -575,9 +583,9 @@ def test_rwp_time_average_concentrates_toward_center():
         w = World(p, ARMS["baseline"], seed=seed)
         w.add_node("a", NodeRole.CLIENT, (w.rng_topo.uniform(0, 200),
                                           w.rng_topo.uniform(0, 200)))
-        w.mobility["a"] = RwpState(
+        walk(w, {"a": RwpState(
             waypoint=(w.rng_topo.uniform(0, 200), w.rng_topo.uniform(0, 200)),
-            speed=w.rng_topo.uniform(1, 2))
+            speed=w.rng_topo.uniform(1, 2))})
         w.schedule(1.0, "mobility")  # each tick queues the next
         positions = []
         orig = w._on_mobility
@@ -736,7 +744,8 @@ def test_mobile_trajectories_equal_across_arms():
         for arm in ARMS:
             w = build_random_world(p, ARMS[arm], seed=seed, n_clients=12,
                                    n_attackers=1, mobility=True)
-            start = {n: (s.waypoint, s.speed) for n, s in w.mobility.items()}
+            start = {n: (s.waypoint, s.speed)
+                     for n, s in w.trajectory.walkers.items()}
             w.run()
             seen[arm] = (start, w.positions)
         assert all(v == seen["baseline"] for v in seen.values()), seed
@@ -885,12 +894,11 @@ def _count_searches(monkeypatch) -> list:
 
 def _built(world) -> tuple:
     """Everything set-up draws: placement, start times, provisioning, keys,
-    waypoints and where the topology stream stands."""
+    the walkers and where the topology stream stands.  The first waypoints
+    are the last topology draws; the trajectory oracle below checks the walk."""
     return (dict(world.positions), dict(world.start_times), dict(world.db.entries),
             {n: node.license for n, node in world.nodes.items()},
-            dict(world.db.keys),
-            {n: (s.waypoint, s.speed) for n, s in world.mobility.items()},
-            world.rng_topo.getstate())
+            dict(world.db.keys), world.mobility, world.rng_topo.getstate())
 
 
 @pytest.mark.parametrize("mobility", [False, True])
@@ -978,6 +986,176 @@ def test_experiment_keeps_no_placement_across_calls(monkeypatch):
         run_experiment(scenario, base=0)
         counts.append(len(tries))
     assert counts[1] == counts[0] > 0
+
+
+# -- shared trajectory -------------------------------------------------------
+
+
+def _ticks_of(w) -> list:
+    """Run `w`; the repr of its positions after each mobility tick."""
+    seen = []
+    tick = w._on_mobility
+
+    def spy(event):
+        tick(event)
+        seen.append(repr(w.positions))  # tells -0.0 from 0.0
+
+    w._on_mobility = spy
+    w.run()
+    return seen
+
+
+@st.composite
+def _walk_params(draw):
+    """Walks that pause and reach their waypoints often: a grid small enough
+    for every placement to connect, slow or fast walkers, coarse or fine ticks."""
+    low = draw(st.floats(0.1, 4.0))
+    return SimParams(duration_s=draw(st.sampled_from([30.0, 75.0])),
+                     grid_m=draw(st.floats(20.0, 70.0)),
+                     pause_s=draw(st.floats(0.5, 15.0)),
+                     speed_min_mps=low,
+                     speed_max_mps=low + draw(st.floats(0.0, 8.0)),
+                     mobility_tick_s=draw(st.sampled_from([0.5, 1.0, 2.5, 3.3])),
+                     startup_stagger_s=5.0, data_warmup_s=10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_walk_params(), st.integers(0, 2**16))
+def test_shared_trajectory_matches_a_fresh_walk_at_every_tick(params, seed):
+    memo = {}
+    shared = set()
+    for arm in ARMS:
+        # no attacker: on a grid this small it would never be two hops deep
+        fresh = build_random_world(params, ARMS[arm], seed, n_clients=5,
+                                   n_attackers=0, mobility=True)
+        warm = build_random_world(params, ARMS[arm], seed, n_clients=5,
+                                  n_attackers=0, mobility=True, placements=memo)
+        expected = _ticks_of(fresh)
+        assert expected and fresh.trajectory.xy is None  # no memo, no history
+        assert _ticks_of(warm) == expected, arm
+        shared.add(id(warm.trajectory))
+    assert len(shared) == 1 and len(memo) == 1
+    assert warm.trajectory.ticks == len(expected)  # walked once for all arms
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_longer_world_walks_past_the_shared_ticks(seed):
+    short, long = (SimParams(duration_s=d, grid_m=140.0, startup_stagger_s=30.0,
+                             data_warmup_s=40.0, pause_s=4.0)
+                   for d in (60.0, 200.0))
+    memo = {}
+    first = build_random_world(short, ARMS["attack"], seed, n_clients=12,
+                               n_attackers=1, mobility=True, placements=memo)
+    assert len(_ticks_of(first)) == 60
+    second = build_random_world(long, ARMS["baseline"], seed, n_clients=12,
+                                n_attackers=1, mobility=True, placements=memo)
+    assert second.trajectory is first.trajectory
+    fresh = build_random_world(long, ARMS["baseline"], seed, n_clients=12,
+                               n_attackers=1, mobility=True)
+    assert _ticks_of(second) == _ticks_of(fresh)
+    assert second.trajectory.ticks == 200
+
+
+@pytest.mark.parametrize("change", [
+    {"mobility_tick_s": 2.0}, {"speed_min_mps": 0.5}, {"speed_max_mps": 3.0},
+    {"pause_s": 5.0},
+    # provisioning draws from rng_topo as many times as the width asks for,
+    # and the first waypoints are drawn after it
+    {"license_width": 6},
+])
+def test_walks_of_other_parameters_never_share_a_trajectory(change):
+    base = dict(duration_s=80.0, grid_m=140.0, startup_stagger_s=30.0,
+                data_warmup_s=40.0)
+    memo = {}
+    first = build_random_world(SimParams(**base), ARMS["baseline"], 5,
+                               n_clients=12, n_attackers=1, mobility=True,
+                               placements=memo)
+    _ticks_of(first)
+    p = SimParams(**base, **change)
+    other = build_random_world(p, ARMS["baseline"], 5, n_clients=12,
+                               n_attackers=1, mobility=True, placements=memo)
+    assert other.trajectory is not first.trajectory and len(memo) == 2
+    fresh = build_random_world(p, ARMS["baseline"], 5, n_clients=12,
+                               n_attackers=1, mobility=True)
+    assert _ticks_of(other) == _ticks_of(fresh)
+
+
+def _mobile_scenario(arms: list) -> Scenario:
+    scenario = _small_scenario(arms)
+    scenario.mobility = True
+    return scenario
+
+
+def test_experiment_walks_each_seed_once_for_all_arms(monkeypatch):
+    steps = []
+    step = Trajectory._step
+
+    def counted(self, clock):
+        steps.append(clock)
+        step(self, clock)
+
+    monkeypatch.setattr(Trajectory, "_step", counted)
+    run_experiment(_mobile_scenario(["baseline"]), base=0)
+    one_arm = list(steps)
+    steps.clear()
+    run_experiment(_mobile_scenario(["baseline", "attack", "defense"]), base=0)
+    assert steps == one_arm
+    assert len(steps) == 3 * 420  # three seeds, one tick a second
+
+
+def test_experiment_keeps_one_trajectory_alive_at_a_time(monkeypatch):
+    alive = []
+
+    class Tracked(Trajectory):
+        def __init__(self, *args, **kwargs):
+            assert all(ref() is None for ref in alive)  # the last seed's is gone
+            super().__init__(*args, **kwargs)
+            alive.append(weakref.ref(self))
+
+    monkeypatch.setattr(engine, "Trajectory", Tracked)
+    gc.disable()  # freed by reference counting, not by a collection
+    try:
+        run_experiment(_mobile_scenario(["baseline", "attack", "defense"]), base=0)
+    finally:
+        gc.enable()
+    assert len(alive) == 3 and alive[-1]() is None
+
+
+def test_experiment_runs_seeds_outer_and_reports_arms_outer(monkeypatch):
+    built = []
+    build = experiment.build_random_world
+
+    def recorded(params, arm, seed, **kwargs):
+        built.append((arm.name, seed))
+        return build(params, arm, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_random_world", recorded)
+    arms = ["baseline", "attack", "defense"]
+    report = run_experiment(_mobile_scenario(arms), base=10)
+    assert built == [(arm, seed) for seed in (10, 11, 12) for arm in arms]
+    assert [(r.arm, r.seed) for r in report.rows] == [
+        (arm, seed) for arm in arms for seed in (10, 11, 12)]
+
+
+def test_setup_error_at_a_later_seed_leaves_no_trace(tmp_path, monkeypatch):
+    built = []
+    build = experiment.build_random_world
+
+    def fail_at_last_seed(params, arm, seed, **kwargs):
+        built.append((arm.name, seed))
+        if seed == 2:
+            raise SetupError(f"seed {seed}: no connected topology")
+        return build(params, arm, seed, **kwargs)
+
+    monkeypatch.setattr(experiment, "build_random_world", fail_at_last_seed)
+    out = tmp_path / "res"
+    with pytest.raises(SetupError, match="^seed 2: "):
+        run_experiment(_mobile_scenario(["baseline", "attack", "defense"]),
+                       out_dir=out, trace=True, base=0)
+    # every arm of seeds 0 and 1 ran and streamed its trace first
+    assert built[:6] == [(arm, seed) for seed in (0, 1)
+                         for arm in ("baseline", "attack", "defense")]
+    assert list(out.iterdir()) == []
 
 
 def test_encrypted_arm_full_run_matches_plain_defense():
@@ -1097,7 +1275,7 @@ def test_loop_with_period_past_horizon_never_fires(kind, period):
     p = SimParams(duration_s=3.0, data_warmup_s=0.0, **{key: period})
     w = World(p, ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
-    w.mobility["a"] = RwpState(waypoint=(1.0, 1.0), speed=1.0)
+    walk(w, {"a": RwpState(waypoint=(1.0, 1.0), speed=1.0)})
     fired = []
     handler = getattr(w, f"_on_{kind}")
     def spy(event):

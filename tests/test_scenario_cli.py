@@ -142,7 +142,8 @@ def test_negative_delay_or_window_rejected(key, value):
     s = parse_scenario(f"{key} = {value}")
     with pytest.raises(ScenarioError, match=f"^{key}: must be non-negative"):
         s.validate()
-    parse_scenario(f"{key} = 0").validate()  # the bound itself is allowed
+    # the bound itself is allowed; a warm-up of 0 also needs a stagger of 0
+    parse_scenario(f"startup_stagger_s = 0\n{key} = 0").validate()
 
 
 @pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
@@ -181,7 +182,7 @@ def test_warmup_rule_follows_accumulated_data_times():
     from lisec_rtf.engine import World
     from lisec_rtf.node import NodeRole
     scenario = parse_scenario("data_period_s = 1.1\ndata_warmup_s = 3.3\n"
-                              "duration_s = 3.3\n")
+                              "duration_s = 3.3\nstartup_stagger_s = 0\n")
     scenario.validate()
     w = World(scenario.params, ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
@@ -198,6 +199,29 @@ def test_cli_refuses_a_run_without_counted_data(tmp_path, capsys):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: data_warmup_s: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_stagger_past_warmup_rejected():
+    # clients still off after the warm-up counted their packets as sent: this
+    # ran with exit 0 and reported PDR 0.000
+    text = "duration_s = 600\ndata_warmup_s = 300\nstartup_stagger_s = {}\n"
+    with pytest.raises(ScenarioError, match=r"^startup_stagger_s: must not exceed "
+                                            r"data_warmup_s \(300.0\), got 3000.0"):
+        parse_scenario(text.format(3000)).validate()
+    with pytest.raises(ScenarioError, match="^startup_stagger_s: "):
+        parse_scenario(text.format("300.001")).validate()
+    parse_scenario(text.format(300)).validate()  # every client is on by then
+
+
+def test_cli_refuses_stagger_past_warmup(tmp_path, capsys):
+    path = tmp_path / "late.scenario"
+    path.write_text("seeds = 2\narms = baseline\nduration_s = 600\n"
+                    "data_warmup_s = 300\nstartup_stagger_s = 3000\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: startup_stagger_s: ") and "Traceback" not in err
     assert not out.exists()
 
 
