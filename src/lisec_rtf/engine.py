@@ -14,6 +14,10 @@ The walkers of a mobile world live in a `Trajectory`, which worlds built
 through one placement memo share: whichever world first reaches a tick
 computes it, and the others copy its positions.
 
+Every client sends with the same period and phase, so data leaves from one
+`"data"` event per period whose handler sends each client's packet in
+`nodes` order.
+
 Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
 broadcast and cleared by `add_node` and at every mobility tick.
@@ -352,9 +356,7 @@ class World:
             loops["mobility"] = p.mobility_tick_s
         for kind, period in loops.items():
             self._loop_end[kind] = _loop_end_time(period, p.duration_s)
-        for node in self.nodes.values():
-            if node.role is NodeRole.CLIENT:
-                self._reschedule(p.data_period_s, "data", node.node_id)
+        self._reschedule(p.data_period_s, "data")
         self._reschedule(p.rt_sample_period_s, "rt_sample")
         if self.mobility:
             self._reschedule(p.mobility_tick_s, "mobility")
@@ -540,19 +542,22 @@ class World:
                          node.node_id)
 
     def _on_data(self, event: Event) -> None:
-        node = self.nodes[event.node_id]
-        self._reschedule(self.clock + self.params.data_period_s, "data",
-                         node.node_id)
-        counted = self.clock > self.params.data_warmup_s
-        if counted:
-            self.counters.sent_per_node[node.node_id] = (
-                self.counters.sent_per_node.get(node.node_id, 0) + 1)
-        if node.parent is None:
-            return  # orphan: packet lost at the source
-        packet = DataPacket(node.node_id, node.address, self.clock, counted)
-        if self.tracer is not None:
-            self.tracer(self.clock, node.node_id, "DATA_TX", f"counted={counted}")
-        self.transmit(node, node.parent, packet)
+        """Send one data packet from every client, in `nodes` order."""
+        now = self.clock
+        self._reschedule(now + self.params.data_period_s, "data")
+        counted = now > self.params.data_warmup_s
+        sent = self.counters.sent_per_node
+        for node in self.nodes.values():
+            if node.role is not NodeRole.CLIENT:
+                continue
+            if counted:
+                sent[node.node_id] = sent.get(node.node_id, 0) + 1
+            if node.parent is None:
+                continue  # orphan: packet lost at the source
+            packet = DataPacket(node.node_id, node.address, now, counted)
+            if self.tracer is not None:
+                self.tracer(now, node.node_id, "DATA_TX", f"counted={counted}")
+            self.transmit(node, node.parent, packet)
 
     def _handle_data(self, node: NodeState, packet: DataPacket) -> None:
         if node.role is NodeRole.ROOT:

@@ -30,14 +30,15 @@ _FINITE_KEYS = ("duration_s", "grid_m", "speed_min_mps", "speed_max_mps",
                 "trickle_imin_s")
 # delays, windows, a doubling count, the rank step, the waypoint speeds and
 # pause, the power and CPU figures, the forged rate, the table caps (0 is
-# unbounded at the root) and the route lifetime (0 never expires): zero is
-# allowed, negatives and nan not
+# unbounded at the root), the route lifetime (0 never expires) and the
+# parent-switch margin (below 0 a node leaves its parent for a neighbour no
+# better, and parents swap in a loop): zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
                       "attacker_self_dao_delay_s", "data_warmup_s",
                       "trickle_doublings", "rank_increase", "speed_min_mps",
                       "speed_max_mps", "pause_s", "p_tx_mw", "p_rx_mw", "p_cpu_mw",
                       "p_lpm_mw", "cpu_per_packet_s", "forged_per_period",
-                      "rt_cap", "root_rt_cap", "route_lifetime_s")
+                      "rt_cap", "root_rt_cap", "route_lifetime_s", "hysteresis")
 # ranks travel in the DIO's 16-bit rank field
 _RANK_KEYS = ("min_rank", "max_rank")
 

@@ -1222,7 +1222,7 @@ def test_overflow_demo_runs_in_every_arm(arm):
 def test_orphan_data_counted_sent_but_lost():
     w = World(SimParams(data_warmup_s=0.0), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))  # never joins: no DIO heard
-    w.schedule(30.0, "data", "a")
+    w.schedule(30.0, "data")
     w.run_until(31.0)
     assert w.counters.sent_per_node == {"a": 1}
     assert w.counters.received_at_root == 0
@@ -1236,14 +1236,19 @@ def test_warmup_boundary_sends_one_packet_per_instant():
     w = World(p, ARMS["baseline"], seed=2)
     for node_id in ("a", "b"):
         w.add_node(node_id, NodeRole.CLIENT, (0.0, 0.0))
-    sent = []
+    instants = []
     on_data = w._on_data
     def spy(event):
-        sent.append((w.clock, event.node_id))
+        instants.append(w.clock)
         on_data(event)
     w._on_data = spy
     w.run()
-    assert len(sent) == len(set(sent)) == 2 * 27  # 27 * 1.1 <= 30
+    assert len(instants) == len(set(instants)) == 27  # 27 * 1.1 <= 30
+    # each client sends once per instant; 1.1 + 1.1 + 1.1 lands past 3.3, so
+    # the third packet counts
+    counted = sum(t > p.data_warmup_s for t in instants)
+    assert counted == 25
+    assert w.counters.sent_per_node == {"a": counted, "b": counted}
 
 
 @pytest.mark.parametrize("period, horizon", [(1.1, 3.3), (0.1, 0.3), (2.2, 6.6)])
@@ -1287,23 +1292,52 @@ def test_loop_with_period_past_horizon_never_fires(kind, period):
     assert all(event.kind != kind for event in w._queue)  # none queued at inf
 
 
-def test_at_most_one_data_event_pending_per_client():
+def test_one_data_event_pending_while_the_data_loop_runs():
     p = SimParams(duration_s=300.0, startup_stagger_s=60.0, data_warmup_s=120.0,
                   grid_m=90.0)
     w = build_random_world(p, ARMS["attack"], seed=3, n_clients=6, n_attackers=1)
-    peak = 0
+    last = engine.last_loop_time(p.data_period_s, p.duration_s)
+    fired = []
     dispatch = w._dispatch
     def checked(event):
-        nonlocal peak
         dispatch(event)
-        pending = [e.node_id for e in w._queue if e.kind == "data"]
-        assert len(pending) == len(set(pending)), f"t={w.clock}"
-        peak = max(peak, len(pending))
+        if event.kind == "data":
+            fired.append(event.time)
+        pending = sum(e.kind == "data" for e in w._queue)
+        # the event at the last data time queues no successor
+        assert pending == (0 if fired and fired[-1] == last else 1), f"t={w.clock}"
     w._dispatch = checked
     c = w.run()
-    assert peak == 6 and not w._queue
+    assert fired[-1] == last == 300.0 and not w._queue
     # counted: the packets sent at 150, 180, ..., 300
     assert c.sent_per_node == {f"c{i:02d}": 6 for i in range(1, 7)}
+
+
+@pytest.mark.parametrize("d_hop_s", [0.0, 30.0])
+def test_every_client_sends_before_any_delivery_at_a_data_instant(d_hop_s):
+    # packets land at the instant they are sent (d_hop_s = 0) or at the next
+    # data instant (d_hop_s = data_period_s); either way every client's
+    # DATA_TX at an instant comes first, in `nodes` order
+    p = SimParams(duration_s=600.0, startup_stagger_s=0.0, data_warmup_s=0.0,
+                  grid_m=90.0, d_hop_s=d_hop_s)
+    trace = io.StringIO()
+    w = build_random_world(p, ARMS["baseline"], seed=3, n_clients=6,
+                           n_attackers=0, trace=trace)
+    w.run()
+    order = list(w.nodes)
+    instants: dict[str, list] = {}
+    for line in trace.getvalue().splitlines():
+        t, node_id, event, detail = line.split("\t")
+        if event in ("DATA_TX", "DATA_RX"):
+            instants.setdefault(t, []).append((event, node_id))
+    busy = 0
+    for t, lines in instants.items():
+        senders = [node_id for event, node_id in lines if event == "DATA_TX"]
+        assert senders == sorted(senders, key=order.index), t
+        events = [event for event, _ in lines]
+        assert events == sorted(events, key=("DATA_TX", "DATA_RX").index), t
+        busy += len(senders) >= 2 and "DATA_RX" in events
+    assert busy >= 5  # several joined clients send, and packets land, at once
 
 
 def test_sixteen_bit_licenses_work_encrypted():

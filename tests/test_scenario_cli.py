@@ -134,9 +134,10 @@ def test_non_positive_period_rejected(value, key):
                                "p_cpu_mw", "p_lpm_mw", "cpu_per_packet_s",
                                "route_lifetime_s")
       for value in ("-0.1", "nan")],
-    # "nan" is not an int
+    # "nan" is not an int; a negative hysteresis swaps parents in a loop (at
+    # -300 a baseline run made 139 times the default's DAO-path traffic)
     *[(key, "-1") for key in ("trickle_doublings", "forged_per_period",
-                              "rt_cap", "root_rt_cap")],
+                              "rt_cap", "root_rt_cap", "hysteresis")],
 ])
 def test_negative_delay_or_window_rejected(key, value):
     s = parse_scenario(f"{key} = {value}")
