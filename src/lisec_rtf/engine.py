@@ -137,25 +137,24 @@ class Trajectory:
     from 0, in `ids` order; it computes the tick at `clock` when no world
     has reached it yet.  Every world ticks at the same accumulated times,
     so a shared tick is computed at the clock each of them would use.
-    `now` holds the latest tick.  With `keep`, `xy` also holds every tick
-    so far, so that worlds sharing the walk can replay it: flat
-    `array("d")` blocks of `TICKS_PER_BLOCK` ticks, x and y per walker, 16 B
-    per walker per tick.  Blocks of about 30 kB fit into memory the heap
-    already holds, where one growing array would raise the peak by its
-    whole size.  Without `keep`, nothing older than `now` is kept.
+    `now` holds the latest tick, and `xy` every tick so far, so that worlds
+    sharing the walk can replay it: flat `array("d")` blocks of
+    `TICKS_PER_BLOCK` ticks, x and y per walker, 16 B per walker per tick.
+    Blocks of about 30 kB fit into memory the heap already holds, where one
+    growing array would raise the peak by its whole size.
     """
 
     TICKS_PER_BLOCK = 64
 
     def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
-                 positions: dict[str, tuple[float, float]], keep: bool = False):
+                 positions: dict[str, tuple[float, float]]):
         self.params = params
         # a stream of its own, so trajectories match across arms at equal seed
         self.rng = random.Random((seed << 16) ^ 0x30B1)
         self.walkers = walkers
         self.ids = tuple(walkers)
         self.now = [positions[node_id] for node_id in self.ids]
-        self.xy: list[array] | None = [] if keep else None
+        self.xy: list[array] = []
         self.ticks = 0
 
     def at(self, k: int, clock: float):
@@ -202,10 +201,9 @@ class Trajectory:
                 elif ny > grid:
                     ny = grid
                 now[i] = (nx, ny)
-        if self.xy is not None:
-            if not self.ticks % self.TICKS_PER_BLOCK:
-                self.xy.append(array("d"))
-            self.xy[-1].fromlist(list(chain.from_iterable(now)))
+        if not self.ticks % self.TICKS_PER_BLOCK:
+            self.xy.append(array("d"))
+        self.xy[-1].fromlist(list(chain.from_iterable(now)))
         self.ticks += 1
 
 
@@ -779,30 +777,26 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     Positions, start times and provisioning draw only from the topology
     generator, so every arm sees the same network for a given seed.
 
-    `placements` is a memo the caller owns, keyed by every input the search
-    and the walk read.  A hit skips the search: it reuses the accepted
+    `placements` is a memo the caller owns, keyed by the seed, the counts,
+    `max_tries` and every `SimParams` field; without one the build uses a
+    memo of its own.  A hit skips the search: it reuses the accepted
     positions and restores `rng_topo` to its state right after the accepted
     try, so every later draw is the one a fresh search would have led to.
     A miss searches and stores both; a failed search stores nothing.  Mobile
     worlds built on one entry share its trajectory, which keeps every tick
-    for as long as the entry lives; a world built without a memo keeps only
-    its latest tick.
+    for as long as the entry lives.
     """
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
     attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
-    # license_width sets how many draws provisioning takes from rng_topo,
-    # and so the walkers' first waypoints
-    key = (seed, params.grid_m, params.tx_range_m, params.rt_cap,
-           n_clients, n_attackers, max_tries, params.license_width,
-           params.mobility_tick_s, params.speed_min_mps, params.speed_max_mps,
-           params.pause_s)
-    entry = None if placements is None else placements.get(key)
+    key = (seed, n_clients, n_attackers, max_tries, *vars(params).values())
+    if placements is None:
+        placements = {}
+    entry = placements.get(key)
     if entry is None:
         positions = _search(rng, params, seed, client_ids, attacker_ids, max_tries)
-        if placements is not None:
-            entry = placements[key] = _Placement(positions, rng.getstate())
+        entry = placements[key] = _Placement(positions, rng.getstate())
     else:
         positions = entry.positions
         rng.setstate(entry.rng_state)
@@ -826,11 +820,7 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
             walkers[node.node_id] = RwpState(
                 waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),
                 speed=rng.uniform(params.speed_min_mps, params.speed_max_mps))
-        if entry is None:
-            world.trajectory = Trajectory(params, seed, walkers, positions)
-        elif entry.trajectory is None:
-            world.trajectory = entry.trajectory = Trajectory(
-                params, seed, walkers, positions, keep=True)
-        else:
-            world.trajectory = entry.trajectory
+        if entry.trajectory is None:
+            entry.trajectory = Trajectory(params, seed, walkers, positions)
+        world.trajectory = entry.trajectory
     return world

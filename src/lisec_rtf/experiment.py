@@ -125,6 +125,8 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
     scenario.validate()
     base = seed_base() if base is None else base
+    if base + min(scenario.seeds) < 0:
+        raise ScenarioError(f"LISEC_SEED_BASE: run seed {base + min(scenario.seeds)} is negative")
     out = None if out_dir is None else Path(out_dir)
     arms = scenario.effective_arms()
     by_arm: dict[str, list] = {arm_name: [] for arm_name in arms}

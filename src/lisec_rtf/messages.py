@@ -31,6 +31,7 @@ NODE_PREFIX = 0xFD     # addresses assigned to real nodes
 FORGED_PREFIX = 0xFE   # reserved block the attacker draws fake addresses from
 
 DAO_BASE_LEN = 36
+OPTIONS_MAX = 255  # the options' length travels in one octet
 STATUS_LEN = 20
 STATUS_ACK = 0
 STATUS_NACK = 128
@@ -99,8 +100,8 @@ class DaoModified:
             raise ValueError("sequence must be one octet")
         if not 0 <= self.reserved < 256:
             raise ValueError("reserved must be one octet")
-        if len(self.options) > 255:
-            raise ValueError("options longer than 255 bytes")
+        if len(self.options) > OPTIONS_MAX:
+            raise ValueError(f"options longer than {OPTIONS_MAX} bytes")
 
 
 @dataclass(frozen=True)

@@ -98,7 +98,7 @@ class NodeState:
 
         self.rank: int | None = params.min_rank if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
-        self.neighbors: dict[bytes, int | None] = {}
+        self.neighbors: set[bytes] = set()
         self.routing: dict[bytes, RoutingEntry] = {}
         self.blacklist: set[bytes] = set()  # only grows
         self.trickle: TrickleState | None = None
@@ -154,11 +154,9 @@ class NodeState:
                         f"{format_address(target)} via {format_address(next_hop)}")
         return "added"
 
-    def _learn_neighbor(self, addr: bytes, rank: int | None) -> None:
-        if addr in self.blacklist or addr == self.address:
-            return
-        if rank is not None or addr not in self.neighbors:
-            self.neighbors[addr] = rank
+    def _learn_neighbor(self, addr: bytes) -> None:
+        if addr not in self.blacklist and addr != self.address:
+            self.neighbors.add(addr)
 
     # -- control plane ----------------------------------------------------
 
@@ -175,7 +173,7 @@ class NodeState:
     def handle_dio(self, dio: DioMessage, now: float, rng: random.Random) -> list:
         if dio.sender in self.blacklist:
             return []
-        self._learn_neighbor(dio.sender, dio.rank)
+        self._learn_neighbor(dio.sender)
         if self.role is NodeRole.ROOT:
             return []
 
@@ -257,7 +255,7 @@ class NodeState:
         """Storing-mode relay: install the advertised route, forward upward."""
         if dao.src in self.blacklist:
             return []
-        self._learn_neighbor(sender, None)
+        self._learn_neighbor(sender)
         self.add_route(dao.target, sender, now)
         if self.parent is None:
             return []
@@ -275,7 +273,7 @@ class NodeState:
         actually stored; a full table means the node cannot be registered
         and is refused like any other bad DAO.
         """
-        self._learn_neighbor(sender, None)
+        self._learn_neighbor(sender)
         accepted = self._verify_dao(dao, db, addr_to_id) if defense else True
         if accepted:
             accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
@@ -322,7 +320,7 @@ class NodeState:
                 self.blacklist.add(st.originator)
                 if self.tracer is not None:
                     self._trace(now, "BLACKLIST", format_address(st.originator))
-            self.neighbors.pop(st.originator, None)
+            self.neighbors.discard(st.originator)
             if self.parent == st.originator:
                 # detach: a node without a parent advertises no rank
                 self.parent = self.rank = self.trickle = None

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields
 
 from .config import ARMS, SimParams
 from .engine import last_loop_time
+from .messages import OPTIONS_MAX
+from .puf import NONCE_LEN, license_blob_len
 
 # loop periods, the horizon, airtime's divisor, the license's bit count,
 # the radio range and grid side that placement and its cell index rest on,
@@ -82,6 +84,8 @@ class Scenario:
                           "usual 0..3 range", stacklevel=2)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
+        if min(self.seeds) < 0:  # Random(-n) seeds exactly as Random(n) does
+            raise ScenarioError(f"seeds: must be non-negative, got {min(self.seeds)}")
         # a repeat would count one sample twice in the CIs and overwrite a trace
         for key, values in (("arms", self.effective_arms()), ("seeds", self.seeds)):
             seen = set()
@@ -131,6 +135,11 @@ class Scenario:
                 f"license_width: arm {plain[0]!r} carries the license in the "
                 "8-bit reserved octet; wider licenses need encrypted=on "
                 "with only the defense arm")
+        # the encrypted license and its nonce ride in the DAO options
+        if license_blob_len(self.params.license_width) > OPTIONS_MAX:
+            raise ScenarioError(
+                f"license_width: at most {(OPTIONS_MAX - NONCE_LEN) * 8} bits fit "
+                f"the DAO options, got {self.params.license_width}")
 
 
 _PARAM_FIELDS = {f.name: f.type for f in fields(SimParams)}

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import weakref
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -46,9 +47,9 @@ def empty_world(params=None, arm="baseline", seed=1):
     return World(params or SimParams(), ARMS[arm], seed)
 
 
-def walk(w, walkers, keep=False):
+def walk(w, walkers):
     """Give `w` a trajectory of its own for `walkers` (id -> RwpState)."""
-    w.trajectory = Trajectory(w.params, w.seed, walkers, w.positions, keep=keep)
+    w.trajectory = Trajectory(w.params, w.seed, walkers, w.positions)
     return w.trajectory
 
 
@@ -532,8 +533,8 @@ def _rwp_worlds(draw):
 
 
 @settings(max_examples=200)
-@given(_rwp_worlds(), st.integers(1, 4), st.booleans())
-def test_mobility_tick_matches_reference(case, n_ticks, keep):
+@given(_rwp_worlds(), st.integers(1, 4))
+def test_mobility_tick_matches_reference(case, n_ticks):
     params, seed, clock, nodes = case
     w = World(params, ARMS["baseline"], seed=seed)
     walkers, ref_walkers = {}, {}
@@ -541,7 +542,7 @@ def test_mobility_tick_matches_reference(case, n_ticks, keep):
         w.add_node(f"n{i}", NodeRole.CLIENT, pos)
         walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
         ref_walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
-    trajectory = walk(w, walkers, keep)
+    trajectory = walk(w, walkers)
     ref_positions = dict(w.positions)
     ref_rng = random.Random((seed << 16) ^ 0x30B1)  # the walk's own stream
     for _ in range(n_ticks):
@@ -948,6 +949,26 @@ def test_placement_memo_key_covers_every_search_input(monkeypatch, change):
     assert _built(changed) == _built(build(**change, placements=None))
 
 
+@pytest.mark.parametrize("name", [f.name for f in fields(SimParams)])
+def test_placement_memo_key_covers_every_params_field(name):
+    base = SimParams(duration_s=120.0, grid_m=140.0, startup_stagger_s=30.0,
+                     data_warmup_s=40.0)
+    value = getattr(base, name)
+    p = replace(base, **{name: value - 1 if isinstance(value, int) else value + 0.5})
+    Scenario(params=p, n_clients=10).validate()  # another valid value
+
+    def build(params, placements=None):
+        return build_random_world(params, ARMS["baseline"], 1, n_clients=10,
+                                  n_attackers=1, mobility=True,
+                                  placements=placements)
+
+    memo = {}
+    first = build(base, memo)
+    changed = build(p, memo)
+    assert len(memo) == 2 and changed.trajectory is not first.trajectory
+    assert _built(changed) == _built(build(p))
+
+
 def test_failed_search_raises_the_same_error_and_stores_nothing():
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
     memo = {}
@@ -1031,29 +1052,12 @@ def test_shared_trajectory_matches_a_fresh_walk_at_every_tick(params, seed):
         warm = build_random_world(params, ARMS[arm], seed, n_clients=5,
                                   n_attackers=0, mobility=True, placements=memo)
         expected = _ticks_of(fresh)
-        assert expected and fresh.trajectory.xy is None  # no memo, no history
+        assert expected  # a memo-less world keeps its history, x and y per walker
+        assert sum(map(len, fresh.trajectory.xy)) == 2 * 5 * len(expected)
         assert _ticks_of(warm) == expected, arm
         shared.add(id(warm.trajectory))
     assert len(shared) == 1 and len(memo) == 1
     assert warm.trajectory.ticks == len(expected)  # walked once for all arms
-
-
-@pytest.mark.parametrize("seed", [3, 4])
-def test_longer_world_walks_past_the_shared_ticks(seed):
-    short, long = (SimParams(duration_s=d, grid_m=140.0, startup_stagger_s=30.0,
-                             data_warmup_s=40.0, pause_s=4.0)
-                   for d in (60.0, 200.0))
-    memo = {}
-    first = build_random_world(short, ARMS["attack"], seed, n_clients=12,
-                               n_attackers=1, mobility=True, placements=memo)
-    assert len(_ticks_of(first)) == 60
-    second = build_random_world(long, ARMS["baseline"], seed, n_clients=12,
-                                n_attackers=1, mobility=True, placements=memo)
-    assert second.trajectory is first.trajectory
-    fresh = build_random_world(long, ARMS["baseline"], seed, n_clients=12,
-                               n_attackers=1, mobility=True)
-    assert _ticks_of(second) == _ticks_of(fresh)
-    assert second.trajectory.ticks == 200
 
 
 @pytest.mark.parametrize("change", [

@@ -98,6 +98,29 @@ def test_wide_license_requires_encrypted_mode():
         s.validate()
 
 
+def test_encrypted_license_must_fit_the_dao_options():
+    # the nonce and the ciphertext share options whose length is one octet
+    s = parse_scenario(SMALL + "license_width = 1976\nencrypted = on\n"
+                               "arms = defense\nseeds = 1\n")
+    s.validate()
+    assert run_single(s, "defense_encrypted", 0).pdr > 0
+    s.params.license_width = 1977
+    with pytest.raises(ScenarioError, match="^license_width: at most 1976 bits"):
+        s.validate()
+
+
+def test_negative_seed_rejected():
+    # Random(-n) seeds exactly as Random(n): the two rows would be one sample
+    with pytest.raises(ScenarioError, match="^seeds: must be non-negative"):
+        parse_scenario("seeds = -2,2").validate()
+
+
+def test_seed_base_that_makes_a_seed_negative_rejected():
+    scenario = parse_scenario(SMALL + "seeds = 2,3\n")
+    with pytest.raises(ScenarioError, match="^LISEC_SEED_BASE: run seed -1 "):
+        run_experiment(scenario, base=-3)
+
+
 @pytest.mark.parametrize("text, key", [
     ("seeds = 3,3,4", "seeds"),
     ("arms = baseline,attack,attack", "arms"),
@@ -474,9 +497,10 @@ def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch
     out = tmp_path / "res"
     assert main(["--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: rt_sample_period_s")
-    monkeypatch.setenv("LISEC_SEED_BASE", "x")
-    assert main(["--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: LISEC_SEED_BASE")
+    for base in ("x", "-1"):
+        monkeypatch.setenv("LISEC_SEED_BASE", base)
+        assert main(["--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: LISEC_SEED_BASE")
     assert not out.exists()
 
 
@@ -498,7 +522,8 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "trickle_doublings = 4000", "p_tx_mw = -1", "p_rx_mw = -1",
                  "p_cpu_mw = -1", "p_lpm_mw = -1", "cpu_per_packet_s = -1",
                  "forged_per_period = -1", "root_rt_cap = -1",
-                 "route_lifetime_s = -1", "trickle_k = -1", "rt_cap = -1"):
+                 "route_lifetime_s = -1", "trickle_k = -1", "rt_cap = -1",
+                 "license_width = 1977", "seeds = -1,1"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = defense\n{line}\n")
         out = tmp_path / "res"
