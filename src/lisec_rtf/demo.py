@@ -44,9 +44,8 @@ def run_overflow_demo(arm_name: str) -> dict:
             role = NodeRole.MALICIOUS
         else:
             role = NodeRole.CLIENT
-        cap = _B_TABLE_CAP if node_id == "b" else None
-        world.add_node(node_id, role, pos, start_time=_STARTS.get(node_id, 0.0),
-                       rt_cap=cap)
+        world.add_node(node_id, role, pos, start_time=_STARTS.get(node_id, 0.0))
+    world.nodes["b"].rt_cap = _B_TABLE_CAP
     # d was reprogrammed after capture and holds no valid registration
     world.provision(skip={"d"})
     counters = world.run()

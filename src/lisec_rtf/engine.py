@@ -69,6 +69,7 @@ class SetupError(RuntimeError):
 
 
 DATA_HOP_LIMIT = 64
+MAX_TRIES = 200  # placements drawn before a build gives up
 DRAIN_S = 1.0  # lets transmissions issued right at the horizon land
 
 
@@ -243,7 +244,6 @@ class World:
         self._ticks = 0  # mobility ticks this world has taken
         self.ledgers: dict[str, EnergyLedger] = {}
         self.db = CRDatabase(width=params.license_width)
-        self.addr_to_id: dict[bytes, str] = {}
         self.counters = RunCounters()
         self.tracer = None if trace is None else _line_sink(trace)
         self._joined: set[str] = set()
@@ -264,9 +264,9 @@ class World:
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
-                 start_time: float = 0.0, rt_cap: int | None = None) -> NodeState:
+                 start_time: float = 0.0) -> NodeState:
         address = node_address(len(self.nodes))
-        node = NodeState(node_id, address, role, self.params, rt_cap=rt_cap)
+        node = NodeState(node_id, address, role, self.params)
         node.encrypted = self.arm.encrypted
         node.tracer = self.tracer
         self.nodes[node_id] = node
@@ -291,12 +291,11 @@ class World:
             secret = hashlib.blake2b(f"{self.seed}|{node.node_id}".encode(),
                                      digest_size=16).digest()
             device = KeyedPuf(node.node_id, secret, self.params.license_width)
-            _, license_bits = self.db.register(node.node_id, device, self.rng_topo)
+            _, license_bits = self.db.register(node.address, device, self.rng_topo)
             node.license = license_bits
-            self.addr_to_id[node.address] = node.node_id
             if self.arm.encrypted:
                 key = self.rng_keys.randbytes(self.params.shared_key_bytes)
-                self.db.keys[node.node_id] = key
+                self.db.keys[node.address] = key
                 node.shared_key = key
 
     # -- event queue -------------------------------------------------------
@@ -459,8 +458,8 @@ class World:
             return
         if kind is DaoModified:
             if node.role is NodeRole.ROOT:
-                out = node.root_handle_dao(message, sender_addr, now, self.db,
-                                           self.addr_to_id, self.arm.defense)
+                out = node.root_handle_dao(message, sender_addr, now,
+                                           self.db if self.arm.defense else None)
                 self._record_root_decision(message, out)
                 self._send_all(node, out)
             else:
@@ -524,7 +523,7 @@ class World:
             return
         if self.tracer is not None:
             self.tracer(self.clock, node.node_id, "DIS_TX", "soliciting")
-        self.transmit(node, None, DisMessage(sender=node.address))
+        self.transmit(node, None, DisMessage())
         self._wake_at(node, self.clock + self.params.dis_period_s)
 
     def _on_dao_refresh(self, event: Event) -> None:
@@ -724,9 +723,8 @@ def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
     return max((n for v, n in load.items() if v != root_id), default=0)
 
 
-def _search(rng: random.Random, params: SimParams, seed: int,
-            client_ids: list[str], attacker_ids: list[str],
-            max_tries: int) -> dict[str, tuple[float, float]]:
+def _search(rng: random.Random, params: SimParams, seed: int, client_ids: list[str],
+            attacker_ids: list[str]) -> dict[str, tuple[float, float]]:
     """Draw uniform placements from `rng` until one is connected, puts every
     attacker at depth >= 2 and overloads no router; returns its positions."""
     uniform = rng.uniform
@@ -734,7 +732,7 @@ def _search(rng: random.Random, params: SimParams, seed: int,
     half = grid / 2
     rejected = {"disconnected": 0, "attacker too shallow": 0,
                 "subtree overload": 0}
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         positions = {"root": (half, half)}
         for node_id in client_ids:
             positions[node_id] = (uniform(0, grid), uniform(0, grid))
@@ -754,7 +752,7 @@ def _search(rng: random.Random, params: SimParams, seed: int,
         return positions
     counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
     raise SetupError(
-        f"seed {seed}: no connected topology after {max_tries} tries ({counts})")
+        f"seed {seed}: no connected topology after {MAX_TRIES} tries ({counts})")
 
 
 @dataclass
@@ -770,18 +768,17 @@ class _Placement:
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                        n_clients: int = 29, n_attackers: int = 1,
                        mobility: bool = False, trace: TextIO | None = None,
-                       max_tries: int = 200,
                        placements: dict | None = None) -> World:
     """Uniform placement, root at the grid center, attackers at depth >= 2.
 
     Positions, start times and provisioning draw only from the topology
     generator, so every arm sees the same network for a given seed.
 
-    `placements` is a memo the caller owns, keyed by the seed, the counts,
-    `max_tries` and every `SimParams` field; without one the build uses a
-    memo of its own.  A hit skips the search: it reuses the accepted
-    positions and restores `rng_topo` to its state right after the accepted
-    try, so every later draw is the one a fresh search would have led to.
+    `placements` is a memo the caller owns, keyed by the seed, the counts
+    and every `SimParams` field; without one the build uses a memo of its
+    own.  A hit skips the search: it reuses the accepted positions and
+    restores `rng_topo` to its state right after the accepted try, so
+    every later draw is the one a fresh search would have led to.
     A miss searches and stores both; a failed search stores nothing.  Mobile
     worlds built on one entry share its trajectory, which keeps every tick
     for as long as the entry lives.
@@ -790,12 +787,12 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
     attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
-    key = (seed, n_clients, n_attackers, max_tries, *vars(params).values())
+    key = (seed, n_clients, n_attackers, *vars(params).values())
     if placements is None:
         placements = {}
     entry = placements.get(key)
     if entry is None:
-        positions = _search(rng, params, seed, client_ids, attacker_ids, max_tries)
+        positions = _search(rng, params, seed, client_ids, attacker_ids)
         entry = placements[key] = _Placement(positions, rng.getstate())
     else:
         positions = entry.positions

@@ -4,13 +4,11 @@ Outputs land in the chosen directory as `runs.csv` (one row per run),
 `summary.csv` (per-arm mean and 95% CI half-width across seeds; `nan` when
 fewer than two seeds give a value) and, when tracing is on,
 `trace-<arm>-<seed>.log` in the shared trace format.
-Seeds are offset by the LISEC_SEED_BASE environment variable.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,15 +22,6 @@ from .scenario import Scenario, ScenarioError
 RUNS_HEADER = "arm,seed,attackers,mobility,pdr,ae2ed_s,apc_mw,n_blacklist,rt_peak"
 SUMMARY_HEADER = ("arm,attackers,mobility,pdr_mean,pdr_ci95,"
                   "ae2ed_s_mean,ae2ed_s_ci95,apc_mw_mean,apc_mw_ci95")
-
-
-def seed_base() -> int:
-    raw = os.environ.get("LISEC_SEED_BASE", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ScenarioError(
-            f"LISEC_SEED_BASE: expected an integer, got {raw!r}") from None
 
 
 @dataclass
@@ -108,8 +97,9 @@ def summarize(rows: list) -> list:
 
 
 def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
-                   base: int | None = None) -> ExperimentReport:
-    """Run every (arm, seed) of `scenario`, then write the report.
+                   base: int = 0) -> ExperimentReport:
+    """Run every (arm, seed) of `scenario` at run seed `base + seed`, then
+    write the report.
 
     With tracing on, each run streams its trace into a hidden file in
     `out_dir`, which takes its final name only when the whole matrix has
@@ -124,9 +114,8 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     if trace and out_dir is None:
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
     scenario.validate()
-    base = seed_base() if base is None else base
     if base + min(scenario.seeds) < 0:
-        raise ScenarioError(f"LISEC_SEED_BASE: run seed {base + min(scenario.seeds)} is negative")
+        raise ScenarioError(f"base: run seed {base + min(scenario.seeds)} is negative")
     out = None if out_dir is None else Path(out_dir)
     arms = scenario.effective_arms()
     by_arm: dict[str, list] = {arm_name: [] for arm_name in arms}

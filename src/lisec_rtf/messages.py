@@ -2,7 +2,8 @@
 
 Every message travels as an in-memory value.  The DAO has a fixed binary
 layout so traces can dump exact frames; the ACK/NACK status layout fixes
-its size, STATUS_LEN, and so its airtime:
+its size, STATUS_LEN, and so its airtime, though a status value holds only
+its originator and status:
 
 DAO (36 bytes + options):
     octet 0       instance id, constant 0
@@ -69,7 +70,7 @@ def _check_address(addr: bytes, name: str) -> None:
 
 @dataclass(frozen=True)
 class DisMessage:
-    sender: bytes
+    """A solicitation: any joined neighbour answers with a DIO."""
 
 
 @dataclass(frozen=True)
@@ -109,13 +110,10 @@ class DaoStatus:
     """DAO-ACK (status 0) or DAO-NACK (status >= 128)."""
 
     originator: bytes
-    sequence: int
     status: int
 
     def __post_init__(self):
         _check_address(self.originator, "originator")
-        if not 0 <= self.sequence < 256:
-            raise ValueError("sequence must be one octet")
         if self.status != STATUS_ACK and not STATUS_NACK <= self.status < 256:
             raise ValueError("status must be 0 or in [128, 255]")
 

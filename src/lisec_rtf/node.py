@@ -26,8 +26,7 @@ from .messages import (
     forged_address,
     format_address,
 )
-from .puf import (NONCE_LEN, CRDatabase, LicenseDecodeError, decrypt_license,
-                  encrypt_license, license_blob_len)
+from .puf import NONCE_LEN, CRDatabase, encrypt_license, license_blob_len
 
 
 class NodeRole(enum.Enum):
@@ -83,18 +82,15 @@ class RoutingEntry:
 class NodeState:
     """One sensor node (or the border router)."""
 
-    def __init__(self, node_id: str, address: bytes, role: NodeRole,
-                 params: SimParams, rt_cap: int | None = None):
+    def __init__(self, node_id: str, address: bytes, role: NodeRole, params: SimParams):
         self.node_id = node_id
         self.address = address
         self.role = role
         self.params = params
-        if rt_cap is None:
-            if role is NodeRole.ROOT:
-                rt_cap = params.root_rt_cap if params.root_rt_cap > 0 else None
-            else:
-                rt_cap = params.rt_cap
-        self.rt_cap = rt_cap
+        if role is NodeRole.ROOT:
+            self.rt_cap = params.root_rt_cap if params.root_rt_cap > 0 else None
+        else:
+            self.rt_cap = params.rt_cap
 
         self.rank: int | None = params.min_rank if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
@@ -105,7 +101,7 @@ class NodeState:
 
         self.license = 0
         self.shared_key: bytes | None = None
-        self.encrypted = False
+        self.encrypted = False  # encrypted arm: forged DAOs carry blob-shaped options
         self.dao_seq = 0
         self.tracer = None
 
@@ -265,41 +261,23 @@ class NodeState:
         return [(self.parent, dao)]
 
     def root_handle_dao(self, dao: DaoModified, sender: bytes, now: float,
-                        db: CRDatabase, addr_to_id: dict[bytes, str],
-                        defense: bool) -> list:
-        """Border-router check: recover the response and ACK or NACK.
+                        db: CRDatabase | None = None) -> list:
+        """Border-router check: ACK or NACK the DAO by the license table
+        `db`, or take every DAO when there is none (no defense).
 
         A registration is only acknowledged once its downward route is
         actually stored; a full table means the node cannot be registered
         and is refused like any other bad DAO.
         """
         self._learn_neighbor(sender)
-        accepted = self._verify_dao(dao, db, addr_to_id) if defense else True
+        accepted = db is None or db.admits(dao.src, dao.reserved, dao.options)
         if accepted:
             accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
-        status = DaoStatus(originator=dao.src, sequence=dao.sequence,
+        status = DaoStatus(originator=dao.src,
                            status=STATUS_ACK if accepted else STATUS_NACK)
         if self.tracer is not None:
             self._trace(now, "ACK" if accepted else "NACK", format_address(dao.src))
         return [(sender, status)]
-
-    def _verify_dao(self, dao: DaoModified, db: CRDatabase,
-                    addr_to_id: dict[bytes, str]) -> bool:
-        node_id = addr_to_id.get(dao.src)
-        if node_id is None:
-            return False
-        if self.encrypted:
-            key = db.keys.get(node_id)
-            if key is None:
-                return False
-            try:
-                license_bits = decrypt_license(key, dao.options,
-                                               self.params.license_width)
-            except LicenseDecodeError:
-                return False
-        else:
-            license_bits = dao.reserved
-        return db.verify(node_id, license_bits)
 
     def handle_status(self, st: DaoStatus, now: float) -> list:
         """Consume our own ACK/NACK or relay it one hop further down."""

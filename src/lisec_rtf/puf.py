@@ -73,32 +73,48 @@ class KeyedPuf:
 class CRDatabase:
     """Challenge/response store kept at the border router.
 
-    One (challenge, response) pair per node, populated only during the
-    registration phase.  Shared keys for the encrypted variant live beside
-    the pairs and never travel on a simulated link.
+    One (challenge, response) pair per node address, populated only during
+    the registration phase.  Shared keys for the encrypted variant live
+    beside the pairs and never travel on a simulated link.
     """
 
     def __init__(self, width: int = DEFAULT_WIDTH):
         self.width = width
-        self.entries: dict[str, tuple[int, int]] = {}
-        self.keys: dict[str, bytes] = {}
+        self.entries: dict[bytes, tuple[int, int]] = {}
+        self.keys: dict[bytes, bytes] = {}
 
-    def register(self, node_id: str, device, rng: random.Random) -> tuple[int, int]:
+    def register(self, address: bytes, device, rng: random.Random) -> tuple[int, int]:
         """Draw a challenge, store the pair, return (challenge, license)."""
-        if node_id in self.entries:
-            raise AlreadyRegisteredError(f"{node_id} already registered")
+        if address in self.entries:
+            raise AlreadyRegisteredError(f"{address.hex()} already registered")
         challenge = rng.randrange(1 << self.width)
         response = device.derive_response(challenge)
-        self.entries[node_id] = (challenge, response)
+        self.entries[address] = (challenge, response)
         return challenge, generate_license(challenge, response, self.width)
 
-    def verify(self, node_id: str, license_bits: int) -> bool:
-        """Accept iff the node is registered and the license fits and checks out."""
-        entry = self.entries.get(node_id)
+    def verify(self, address: bytes, license_bits: int) -> bool:
+        """Accept iff the address is registered and the license fits and checks out."""
+        entry = self.entries.get(address)
         if entry is None or not 0 <= license_bits < 1 << self.width:
             return False
         challenge, response = entry
         return recover_response(challenge, license_bits, self.width) == response
+
+    def admits(self, src: bytes, reserved: int, options: bytes) -> bool:
+        """The root's check of a DAO from `src`.  An unknown address is
+        refused unread; the license is the options decrypted with the
+        address's key when a key is held, else the reserved octet."""
+        if src not in self.entries:
+            return False
+        key = self.keys.get(src)
+        if key is None:
+            license_bits = reserved
+        else:
+            try:
+                license_bits = decrypt_license(key, options, self.width)
+            except LicenseDecodeError:
+                return False
+        return self.verify(src, license_bits)
 
 
 def _keystream(key: bytes, nonce: bytes, length: int) -> bytes:

@@ -69,6 +69,8 @@ class Scenario:
         return ["defense_encrypted" if a == "defense" else a for a in self.arms]
 
     def validate(self) -> None:
+        if not self.arms:
+            raise ScenarioError("arms: need at least one arm")
         for arm in self.effective_arms():
             if arm not in ARMS:
                 raise ScenarioError(f"arms: unknown arm {arm!r}")
@@ -208,6 +210,6 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
     return parse_scenario(text)

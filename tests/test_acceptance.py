@@ -211,8 +211,7 @@ def test_criterion_9_encrypted_variant():
               f"within 3 sigma of {n * p:.1f}")
 
 
-def test_criterion_10_determinism(tmp_path, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_criterion_10_determinism(tmp_path):
     scenario = tmp_path / "det.scenario"
     scenario.write_text(
         "grid_m = 120\nn_clients = 8\nn_attackers = 1\nduration_s = 420\n"

@@ -128,7 +128,7 @@ def test_heap_and_inflight_merge_in_time_seq_order(d_hop_s, plan):
         assert w.clock == ev.time
         log.append((ev.time, ev.seq, None))
         sender, dest, offsets = ev.payload
-        message = DisMessage(sender=nodes[sender].address)
+        message = DisMessage()
         seq_of[id(message)] = seq = w._seq
         if dest is None:
             receivers = [n.node_id for n in nodes if n is not nodes[sender]]
@@ -190,14 +190,14 @@ def radio_world(distance, loss=0.0):
 
 def test_unicast_within_range_delivers():
     w, a, b = radio_world(40.0)
-    w.transmit(a, b.address, DisMessage(sender=a.address))
+    w.transmit(a, b.address, DisMessage())
     assert _receivers(w) == ["b"]
     assert w._inflight[0][0] == pytest.approx(w.params.d_hop_s)
 
 
 def test_unicast_beyond_range_lost():
     w, a, b = radio_world(60.0)
-    w.transmit(a, b.address, DisMessage(sender=a.address))
+    w.transmit(a, b.address, DisMessage())
     assert not w._inflight and w._queue == []
     assert w.counters.link_losses == 1
 
@@ -216,7 +216,7 @@ def test_loss_rate_monte_carlo():
     w, a, b = radio_world(40.0, loss=0.3)
     n = 10_000
     for _ in range(n):
-        w.transmit(a, b.address, DisMessage(sender=a.address))
+        w.transmit(a, b.address, DisMessage())
     delivered = len(_receivers(w))
     assert delivered / n == pytest.approx(0.7, abs=0.02)
 
@@ -226,7 +226,7 @@ def test_broadcast_reaches_only_in_range_nodes():
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     w.add_node("near", NodeRole.CLIENT, (30.0, 0.0))
     w.add_node("far", NodeRole.CLIENT, (90.0, 0.0))
-    w.transmit(a, None, DisMessage(sender=a.address))
+    w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["near"]
 
 
@@ -255,7 +255,7 @@ def test_broadcast_matches_all_pairs_scan():
                     continue
                 if oracle_rng.random() >= params.loss_prob:
                     expected.append(other.node_id)
-            w.transmit(sender, None, DisMessage(sender=sender.address))
+            w.transmit(sender, None, DisMessage())
         assert _receivers(w) == expected
         assert w.rng.getstate() == oracle_rng.getstate()
 
@@ -265,14 +265,14 @@ def test_broadcast_follows_mobility_tick():
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     w.add_node("leaving", NodeRole.CLIENT, (45.0, 0.0))
     w.add_node("arriving", NodeRole.CLIENT, (0.0, 56.0))
-    w.transmit(a, None, DisMessage(sender=a.address))
+    w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["leaving"]
     w._inflight.clear()
     walk(w, {"leaving": RwpState(waypoint=(200.0, 0.0), speed=10.0),
              "arriving": RwpState(waypoint=(0.0, 0.0), speed=10.0)})
     w.schedule(1.0, "mobility")
     w.run_until(1.0)
-    w.transmit(a, None, DisMessage(sender=a.address))
+    w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["arriving"]
 
 
@@ -280,10 +280,10 @@ def test_broadcast_after_add_node_includes_it():
     w = World(SimParams(), ARMS["baseline"], seed=2)
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
-    w.transmit(a, None, DisMessage(sender=a.address))
+    w.transmit(a, None, DisMessage())
     w._inflight.clear()
     w.add_node("late", NodeRole.CLIENT, (0.0, 30.0))
-    w.transmit(a, None, DisMessage(sender=a.address))
+    w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["b", "late"]
 
 
@@ -323,7 +323,7 @@ def test_unicast_matches_distance_test():
                         losses += 1
                     else:
                         expected.append(other.node_id)
-                w.transmit(sender, None, DisMessage(sender=sender.address))
+                w.transmit(sender, None, DisMessage())
             pairs = [(rng.choice(nodes), rng.choice(nodes)) for _ in range(60)]
             pairs += [(n, n) for n in rng.sample(nodes, 5)]
             for sender, receiver in pairs:
@@ -335,8 +335,7 @@ def test_unicast_matches_distance_test():
                     losses += 1
                 else:
                     expected.append(receiver.node_id)
-                w.transmit(sender, receiver.address,
-                           DisMessage(sender=sender.address))
+                w.transmit(sender, receiver.address, DisMessage())
 
         exchange()
         w.clock = 6.0
@@ -354,12 +353,12 @@ def _message_of_each_type(params):
     """(message, its size on the air in bytes) per message type."""
     a = node_address(1)
     return {
-        "dis": (DisMessage(sender=a), params.dis_bytes),
+        "dis": (DisMessage(), params.dis_bytes),
         "dio": (DioMessage(sender=a, rank=512), params.dio_bytes),
         "dao": (DaoModified(src=a, target=a, sequence=3, reserved=7), DAO_BASE_LEN),
         "dao_options": (DaoModified(src=a, target=a, sequence=3, reserved=0,
                                     options=bytes(range(9))), DAO_BASE_LEN + 1 + 9),
-        "status": (DaoStatus(originator=a, sequence=3, status=0), STATUS_LEN),
+        "status": (DaoStatus(originator=a, status=0), STATUS_LEN),
         "data": (DataPacket("a", a, 0.0, True), params.data_bytes),
     }
 
@@ -649,7 +648,7 @@ def test_transmission_strictly_increases_energy():
     w, a, b = radio_world(40.0)
     p = w.params
     before = w.ledgers["a"].energy_mj(100.0, p)
-    w.transmit(a, b.address, DisMessage(sender=a.address))
+    w.transmit(a, b.address, DisMessage())
     assert w.ledgers["a"].energy_mj(100.0, p) > before
 
 
@@ -854,13 +853,14 @@ def test_pair_in_range_by_rounding_is_reached_across_cells():
     assert (ok, depth) == (False, {"root": 0, "a": 1})
 
 
-def test_disconnected_topology_raises():
+def test_disconnected_topology_raises(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_TRIES", 5)
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
     with pytest.raises(SetupError, match=r"^seed 1: no connected topology after "
                        r"5 tries \(disconnected 5, attacker too shallow 0, "
                        r"subtree overload 0\)$"):
         build_random_world(p, ARMS["baseline"], seed=1, n_clients=10,
-                           n_attackers=0, max_tries=5)
+                           n_attackers=0)
 
 
 @pytest.mark.parametrize("params, n_attackers, reason", [
@@ -871,10 +871,12 @@ def test_disconnected_topology_raises():
     (SimParams(grid_m=140.0, rt_cap=4), 0,
      r"attacker too shallow 0, subtree overload [1-5]\)"),
 ])
-def test_setup_error_names_the_failed_constraint(params, n_attackers, reason):
+def test_setup_error_names_the_failed_constraint(monkeypatch, params, n_attackers,
+                                                 reason):
+    monkeypatch.setattr(engine, "MAX_TRIES", 5)
     with pytest.raises(SetupError, match=reason):
         build_random_world(params, ARMS["baseline"], seed=1, n_clients=10,
-                           n_attackers=n_attackers, max_tries=5)
+                           n_attackers=n_attackers)
 
 
 # -- placement memo ---------------------------------------------------------
@@ -927,18 +929,17 @@ def test_warm_placement_memo_builds_the_fresh_world(monkeypatch, mobility):
 
 @pytest.mark.parametrize("change", [
     {"seed": 2}, {"grid_m": 141.0}, {"tx_range_m": 51.0}, {"rt_cap": 17},
-    {"n_clients": 11}, {"n_attackers": 2}, {"max_tries": 199},
+    {"n_clients": 11}, {"n_attackers": 2},
 ])
 def test_placement_memo_key_covers_every_search_input(monkeypatch, change):
     tries = _count_searches(monkeypatch)
     memo = {}
 
     def build(seed=1, grid_m=140.0, tx_range_m=50.0, rt_cap=16, n_clients=10,
-              n_attackers=1, max_tries=200, placements=memo):
+              n_attackers=1, placements=memo):
         p = SimParams(grid_m=grid_m, tx_range_m=tx_range_m, rt_cap=rt_cap)
         return build_random_world(p, ARMS["baseline"], seed, n_clients=n_clients,
-                                  n_attackers=n_attackers, max_tries=max_tries,
-                                  placements=placements)
+                                  n_attackers=n_attackers, placements=placements)
 
     build()
     searched = len(tries)
@@ -969,14 +970,15 @@ def test_placement_memo_key_covers_every_params_field(name):
     assert _built(changed) == _built(build(p))
 
 
-def test_failed_search_raises_the_same_error_and_stores_nothing():
+def test_failed_search_raises_the_same_error_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(engine, "MAX_TRIES", 5)
     p = SimParams(grid_m=2000.0)  # far too sparse to connect
     memo = {}
     messages = []
     for placements in (None, memo):
         with pytest.raises(SetupError) as info:
             build_random_world(p, ARMS["baseline"], seed=1, n_clients=10,
-                               n_attackers=0, max_tries=5, placements=placements)
+                               n_attackers=0, placements=placements)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert memo == {}
@@ -1200,7 +1202,8 @@ def test_provision_registers_more_than_1024_nodes():
     for i in range(1100):
         w.add_node(f"c{i:04d}", NodeRole.CLIENT, (0.0, 0.0))
     w.provision()
-    assert len(w.db.entries) == len(w.db.keys) == len(w.addr_to_id) == 1100
+    assert len(w.db.entries) == len(w.db.keys) == 1100
+    assert set(w.db.keys) == {node.address for node in w.nodes.values()}
 
 
 def _overflow_story(arm):
@@ -1381,7 +1384,7 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     w._schedule_initial()
     w.run_until(t_nack)
     assert b.parent == a.address
-    nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
+    nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)  # nothing else is due at t_nack
     assert w._wake["b"] == t_nack  # the trickle wake-up became a DIS
     w.run_until(t_nack + 50.0)
@@ -1422,7 +1425,7 @@ def test_nack_for_parent_after_horizon_sends_nothing():
     w.run_until(t_nack)
     assert b.parent == a.address
     sent = w.counters.control_transmissions
-    nack = DaoStatus(originator=a.address, sequence=1, status=STATUS_NACK)
+    nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)
     w.run_until(params.duration_s + DRAIN_S)
     assert b.parent is None and "b" not in w._wake
@@ -1468,7 +1471,7 @@ class WorldMachine(RuleBasedStateMachine):
     def nack_for_parent(self, receiver):
         node = self.w.nodes[receiver]
         if node.parent is not None:
-            nack = DaoStatus(originator=node.parent, sequence=1, status=STATUS_NACK)
+            nack = DaoStatus(originator=node.parent, status=STATUS_NACK)
             self.w._receive(node, node.parent, nack, 0.0)
 
     def _queued(self, kind, node_id):

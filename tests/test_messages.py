@@ -1,6 +1,7 @@
 """Wire-codec round trips, layout pins and decoder totality."""
 
 import random
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -100,7 +101,13 @@ def test_dao_decoder_totality_fuzz():
 
 def test_status_rejects_reserved_range():
     with pytest.raises(ValueError):
-        DaoStatus(originator=node_address(1), sequence=0, status=5)
+        DaoStatus(originator=node_address(1), status=5)
+
+
+def test_dis_and_status_hold_only_what_a_handler_reads():
+    # the status layout's sequence octet still counts in STATUS_LEN
+    assert fields(msg.DisMessage) == ()
+    assert [f.name for f in fields(DaoStatus)] == ["originator", "status"]
 
 
 def test_forged_addresses_never_collide_with_node_block():

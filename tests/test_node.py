@@ -26,8 +26,8 @@ P = SimParams()
 ROOT_ADDR = node_address(0)
 
 
-def make_node(idx=1, role=NodeRole.CLIENT, params=P, rt_cap=None):
-    return NodeState(f"n{idx:02d}", node_address(idx), role, params, rt_cap=rt_cap)
+def make_node(idx=1, role=NodeRole.CLIENT, params=P):
+    return NodeState(f"n{idx:02d}", node_address(idx), role, params)
 
 
 def make_root(params=P):
@@ -104,7 +104,7 @@ def test_trickle_reset_returns_to_imin():
 
 def test_root_answers_dis_with_min_rank():
     root = make_root()
-    out = root.handle_dis(DisMessage(sender=node_address(9)), 1.0)
+    out = root.handle_dis(DisMessage(), 1.0)
     assert len(out) == 1
     dest, dio = out[0]
     assert dest is None and dio.rank == P.min_rank
@@ -112,14 +112,14 @@ def test_root_answers_dis_with_min_rank():
 
 def test_unjoined_node_ignores_dis():
     node = make_node()
-    assert node.handle_dis(DisMessage(sender=node_address(9)), 1.0) == []
+    assert node.handle_dis(DisMessage(), 1.0) == []
 
 
 def test_joined_node_advertises_its_rank():
     node = make_node()
     join(node, parent_rank=P.min_rank)
     assert node.rank == 512
-    out = node.handle_dis(DisMessage(sender=node_address(9)), 5.0)
+    out = node.handle_dis(DisMessage(), 5.0)
     assert out[0][1].rank == 512
 
 
@@ -193,9 +193,9 @@ def test_dao_sequence_increments():
 # -- storing-mode relay -------------------------------------------------
 
 
-def relay_setup(rt_cap=None):
+def relay_setup():
     """Parent b with a route toward the root, child d below it."""
-    b = make_node(2, rt_cap=rt_cap)
+    b = make_node(2)
     join(b)
     d_addr = node_address(3)
     return b, d_addr
@@ -211,7 +211,8 @@ def test_relay_installs_route_and_forwards():
 
 
 def test_relay_full_table_blocks_install_but_forwards():
-    b, d_addr = relay_setup(rt_cap=16)
+    b, d_addr = relay_setup()
+    b.rt_cap = 16
     for i in range(16):
         fake = bytes([0xFE, i]) + b"\x00" * 14
         b.handle_dao(DaoModified(src=fake, target=fake, sequence=i, reserved=0), d_addr, 3.0)
@@ -228,7 +229,7 @@ def test_nack_blacklists_and_purges():
     dao = DaoModified(src=d_addr, target=d_addr, sequence=1, reserved=0x55)
     b.handle_dao(dao, d_addr, 3.0)
     assert d_addr in b.routing
-    nack = DaoStatus(originator=d_addr, sequence=1, status=STATUS_NACK)
+    nack = DaoStatus(originator=d_addr, status=STATUS_NACK)
     out = b.handle_status(nack, 3.1)
     assert out == [(d_addr, nack)]               # forwarded down first
     assert d_addr not in b.routing
@@ -241,7 +242,7 @@ def test_blacklist_exclusion_no_route_after_nack():
     b, d_addr = relay_setup()
     dao = DaoModified(src=d_addr, target=d_addr, sequence=1, reserved=0x55)
     b.handle_dao(dao, d_addr, 3.0)
-    b.handle_status(DaoStatus(originator=d_addr, sequence=1, status=STATUS_NACK), 3.1)
+    b.handle_status(DaoStatus(originator=d_addr, status=STATUS_NACK), 3.1)
     out = b.handle_dao(dao, d_addr, 4.0)
     assert d_addr not in b.routing
     assert out == []                             # dropped, not relayed
@@ -251,13 +252,13 @@ def test_ack_relay_follows_routing_entry():
     b, d_addr = relay_setup()
     dao = DaoModified(src=d_addr, target=d_addr, sequence=1, reserved=0x55)
     b.handle_dao(dao, d_addr, 3.0)
-    ack = DaoStatus(originator=d_addr, sequence=1, status=STATUS_ACK)
+    ack = DaoStatus(originator=d_addr, status=STATUS_ACK)
     assert b.handle_status(ack, 3.1) == [(d_addr, ack)]
 
 
 def test_status_for_unknown_target_dropped():
     b, _ = relay_setup()
-    ack = DaoStatus(originator=node_address(40), sequence=1, status=STATUS_ACK)
+    ack = DaoStatus(originator=node_address(40), status=STATUS_ACK)
     assert b.handle_status(ack, 3.1) == []
 
 
@@ -267,35 +268,34 @@ def test_status_for_unknown_target_dropped():
 def root_with_db():
     root = make_root()
     db = CRDatabase()
-    db.entries["n01"] = (0b01110101, 0b10110101)
-    addr_to_id = {node_address(1): "n01"}
-    return root, db, addr_to_id
+    db.entries[node_address(1)] = (0b01110101, 0b10110101)
+    return root, db
 
 
 def test_root_acks_genuine_license():
-    root, db, amap = root_with_db()
+    root, db = root_with_db()
     dao = DaoModified(src=node_address(1), target=node_address(1),
                       sequence=1, reserved=0b11000000)
-    out = root.root_handle_dao(dao, node_address(1), 1.0, db, amap, defense=True)
+    out = root.root_handle_dao(dao, node_address(1), 1.0, db)
     (dest, status), = out
     assert dest == node_address(1) and status.status == STATUS_ACK
     assert node_address(1) in root.routing
 
 
 def test_root_nacks_unknown_source():
-    root, db, amap = root_with_db()
+    root, db = root_with_db()
     fake = bytes([0xFE]) + b"\x00" * 15
     dao = DaoModified(src=fake, target=fake, sequence=1, reserved=0x12)
-    (dest, status), = root.root_handle_dao(dao, node_address(1), 1.0, db, amap, defense=True)
+    (dest, status), = root.root_handle_dao(dao, node_address(1), 1.0, db)
     assert status.status == STATUS_NACK
     assert fake not in root.routing
 
 
 def test_root_nacks_wrong_license():
-    root, db, amap = root_with_db()
+    root, db = root_with_db()
     dao = DaoModified(src=node_address(1), target=node_address(1),
                       sequence=1, reserved=0b11000001)
-    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db, amap, defense=True)
+    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db)
     assert status.status == STATUS_NACK
 
 
@@ -304,11 +304,10 @@ def test_root_nacks_license_wider_than_width():
     params = SimParams(license_width=4)
     root = make_root(params)
     db = CRDatabase(width=4)
-    db.entries["n01"] = (0x3, 0x5)
+    db.entries[node_address(1)] = (0x3, 0x5)
     dao = DaoModified(src=node_address(1), target=node_address(1),
                       sequence=1, reserved=200)
-    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db,
-                                        {node_address(1): "n01"}, defense=True)
+    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db)
     assert status.status == STATUS_NACK
     assert node_address(1) not in root.routing
 
@@ -321,9 +320,7 @@ def test_unprovisioned_node_sends_a_dao_the_encrypted_root_refuses():
     (dest, dao), = join(node)
     assert dest == ROOT_ADDR and dao.reserved == 0 and dao.options == b""
     root = make_root()
-    root.encrypted = True
-    (_, status), = root.root_handle_dao(dao, node.address, 1.0, CRDatabase(),
-                                        {node.address: node.node_id}, defense=True)
+    (_, status), = root.root_handle_dao(dao, node.address, 1.0, CRDatabase())
     assert not status.is_ack
 
 
@@ -331,28 +328,28 @@ def test_root_nacks_encrypted_license_wider_than_width():
     # a 10-byte blob that decrypts to 51513, past 12 bits
     params = SimParams(license_width=12)
     root = make_root(params)
-    root.encrypted = True
     db = CRDatabase(width=12)
-    db.entries["n01"] = (0x123, 0x456)
+    db.entries[node_address(1)] = (0x123, 0x456)
     key = bytes(range(16))
-    db.keys["n01"] = key
+    db.keys[node_address(1)] = key
     blob = encrypt_license(key, 51513, b"\x07" * 8, width=16)
     assert len(blob) == 10
     dao = DaoModified(src=node_address(1), target=node_address(1),
                       sequence=1, reserved=0, options=blob)
-    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db,
-                                        {node_address(1): "n01"}, defense=True)
+    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db)
     assert status.status == STATUS_NACK
     assert node_address(1) not in root.routing
 
 
 def test_root_defense_off_acks_everything():
-    root, db, amap = root_with_db()
+    # db=None is the arm without the defense: no DAO is checked
+    root = make_root()
     fake = bytes([0xFE]) + b"\x00" * 15
-    dao = DaoModified(src=fake, target=fake, sequence=1, reserved=0x12)
-    (_, status), = root.root_handle_dao(dao, node_address(1), 1.0, db, amap, defense=False)
-    assert status.status == STATUS_ACK
-    assert fake in root.routing                  # fake route persists
+    for src, reserved in ((fake, 0x12), (node_address(1), 0b11000001)):
+        dao = DaoModified(src=src, target=src, sequence=1, reserved=reserved)
+        (_, status), = root.root_handle_dao(dao, node_address(1), 1.0)
+        assert status.status == STATUS_ACK
+        assert src in root.routing               # the route persists
 
 
 # -- attacker -----------------------------------------------------------
@@ -403,7 +400,8 @@ class ClientMachine(RuleBasedStateMachine):
 
     def __init__(self):
         super().__init__()
-        self.node = NodeState("n01", SELF_ADDR, NodeRole.CLIENT, FUZZ_PARAMS, rt_cap=3)
+        self.node = NodeState("n01", SELF_ADDR, NodeRole.CLIENT, FUZZ_PARAMS)
+        self.node.rt_cap = 3
         self.rng = random.Random(0)
         self.now = 0.0
         self.heard = {}
@@ -427,13 +425,13 @@ class ClientMachine(RuleBasedStateMachine):
 
     @rule(originator=st.sampled_from(POOL + [SELF_ADDR]), ack=st.booleans())
     def status(self, originator, ack):
-        st_msg = DaoStatus(originator=originator, sequence=1,
+        st_msg = DaoStatus(originator=originator,
                            status=STATUS_ACK if ack else STATUS_NACK)
         self.node.handle_status(st_msg, self.now)
 
-    @rule(sender=st.sampled_from(POOL))
-    def dis(self, sender):
-        self.node.handle_dis(DisMessage(sender=sender), self.now)
+    @rule()
+    def dis(self):
+        self.node.handle_dis(DisMessage(), self.now)
 
     @rule()
     def trickle(self):

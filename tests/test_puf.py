@@ -6,6 +6,7 @@ import random
 import pytest
 
 from lisec_rtf import puf
+from lisec_rtf.messages import node_address
 from lisec_rtf.puf import (
     CRDatabase,
     KeyedPuf,
@@ -19,6 +20,7 @@ from lisec_rtf.puf import (
 CH = 0b01110101
 RESP = 0b10110101
 LIC = 0b11000000
+ADDR = node_address(1)
 
 
 def xor_oracle(a: int, b: int, width: int = 8) -> int:
@@ -93,54 +95,54 @@ def test_distinct_secrets_give_distinct_mappings():
 def test_register_stores_pair_and_returns_license():
     db = CRDatabase()
     dev = KeyedPuf("S1", b"secret-a")
-    ch, lic = db.register("S1", dev, random.Random(1))
+    ch, lic = db.register(ADDR, dev, random.Random(1))
     assert ch == random.Random(1).randrange(256)  # the store draws the challenge
     resp = dev.derive_response(ch)
-    assert db.entries["S1"] == (ch, resp)
+    assert db.entries[ADDR] == (ch, resp)
     assert lic == xor_oracle(ch, resp)
-    assert db.verify("S1", lic)
+    assert db.verify(ADDR, lic)
 
 
 def test_register_twice_fails():
     db = CRDatabase()
     rng = random.Random(1)
-    db.register("S1", KeyedPuf("S1", b"k"), rng)
+    db.register(ADDR, KeyedPuf("S1", b"k"), rng)
     with pytest.raises(puf.AlreadyRegisteredError):
-        db.register("S1", KeyedPuf("S1", b"k"), rng)
+        db.register(ADDR, KeyedPuf("S1", b"k"), rng)
 
 
 def test_verify_accepts_genuine_license():
     db = CRDatabase()
-    db.entries["S1"] = (CH, RESP)
-    assert db.verify("S1", LIC)
+    db.entries[ADDR] = (CH, RESP)
+    assert db.verify(ADDR, LIC)
 
 
 def test_verify_rejects_flipped_bit():
     db = CRDatabase()
-    db.entries["S1"] = (CH, RESP)
-    assert not db.verify("S1", LIC ^ 0x01)
+    db.entries[ADDR] = (CH, RESP)
+    assert not db.verify(ADDR, LIC ^ 0x01)
 
 
 def test_verify_rejects_unknown_node():
     db = CRDatabase()
-    assert not db.verify("ghost", LIC)
+    assert not db.verify(node_address(2), LIC)
 
 
 def test_verify_rejects_license_wider_than_width():
     db = CRDatabase(width=4)
-    db.entries["S1"] = (0x3, 0x5)
-    assert db.verify("S1", 0x3 ^ 0x5)
+    db.entries[ADDR] = (0x3, 0x5)
+    assert db.verify(ADDR, 0x3 ^ 0x5)
     for lic in (200, 16, -1):
-        assert not db.verify("S1", lic)
+        assert not db.verify(ADDR, lic)
     wide = CRDatabase(width=12)
-    wide.entries["S1"] = (0x123, 0x456)
-    assert not wide.verify("S1", 51513)
+    wide.entries[ADDR] = (0x123, 0x456)
+    assert not wide.verify(ADDR, 51513)
 
 
 def test_false_accept_rate_is_exactly_one_in_256():
     db = CRDatabase()
-    db.entries["S1"] = (CH, RESP)
-    accepted = [lic for lic in range(256) if db.verify("S1", lic)]
+    db.entries[ADDR] = (CH, RESP)
+    accepted = [lic for lic in range(256) if db.verify(ADDR, lic)]
     assert accepted == [LIC]
 
 
@@ -180,7 +182,7 @@ def test_wrong_key_acceptance_matches_binomial():
     # decrypting with a wrong key yields a near-uniform license; acceptance
     # against one registered node should sit at 1/256 within 3 sigma
     db = CRDatabase()
-    db.entries["S1"] = (CH, RESP)
+    db.entries[ADDR] = (CH, RESP)
     rng = random.Random(2024)
     right = b"right-key-000000"
     n = 10_000
@@ -189,7 +191,51 @@ def test_wrong_key_acceptance_matches_binomial():
         nonce = rng.randbytes(puf.NONCE_LEN)
         blob = encrypt_license(right, LIC, nonce)
         lic = decrypt_license(rng.randbytes(16), blob)
-        accepted += db.verify("S1", lic)
+        accepted += db.verify(ADDR, lic)
     p = 1 / 256
     sigma = math.sqrt(n * p * (1 - p))
     assert abs(accepted - n * p) <= 3 * sigma
+
+
+# -- the root's check: one table keyed by address ----------------------------
+
+KEY = bytes(range(16))
+NONCE = b"\x07" * puf.NONCE_LEN
+
+
+def _dao_fields(sealed: bool, case: str) -> tuple:
+    """(src, reserved, options) of a DAO for `case` under a 4-bit table whose
+    one entry, at ADDR, takes license 0x3 ^ 0x5 = 0x6."""
+    license_bits = {"right": 0x6, "wrong": 0x7, "unknown": 0x6, "wide": 200,
+                    "malformed": 0x6}[case]
+    src = node_address(2) if case == "unknown" else ADDR
+    if not sealed:
+        options = b"\xff\x00" if case == "malformed" else b""
+        return src, license_bits, options
+    blob = encrypt_license(KEY, license_bits, NONCE, width=8)
+    return src, 0, blob[:-1] if case == "malformed" else blob
+
+
+@pytest.mark.parametrize("case, plain_ok, sealed_ok", [
+    ("right", True, True),
+    ("wrong", False, False),
+    ("unknown", False, False),
+    ("wide", False, False),         # 200 does not fit 4 bits
+    ("malformed", True, False),     # the plain table never reads the options
+])
+@pytest.mark.parametrize("sealed", [False, True], ids=["plain", "sealed"])
+def test_admits(monkeypatch, sealed, case, plain_ok, sealed_ok):
+    db = CRDatabase(width=4)
+    db.entries[ADDR] = (0x3, 0x5)
+    if sealed:
+        db.keys[ADDR] = KEY
+        db.keys[node_address(2)] = KEY  # a key without a pair admits nothing
+    read = []
+    decrypt = puf.decrypt_license
+    monkeypatch.setattr(puf, "decrypt_license",
+                        lambda *args: read.append(args) or decrypt(*args))
+    src, reserved, options = _dao_fields(sealed, case)
+    assert db.admits(src, reserved, options) == (sealed_ok if sealed else plain_ok)
+    # an unknown address is refused before any license is read; only a
+    # table that holds the address's key decrypts
+    assert len(read) == (sealed and case != "unknown")

@@ -117,7 +117,7 @@ def test_negative_seed_rejected():
 
 def test_seed_base_that_makes_a_seed_negative_rejected():
     scenario = parse_scenario(SMALL + "seeds = 2,3\n")
-    with pytest.raises(ScenarioError, match="^LISEC_SEED_BASE: run seed -1 "):
+    with pytest.raises(ScenarioError, match="^base: run seed -1 "):
         run_experiment(scenario, base=-3)
 
 
@@ -426,6 +426,14 @@ def test_seed_base_offsets_runs(tmp_path):
     assert [r.seed for r in r7.rows] == [r.seed + 7 for r in r0.rows]
 
 
+def test_run_experiment_reads_no_seed_offset_from_the_environment(monkeypatch):
+    # LISEC_SEED_BASE once offset every seed; an explicit seed list replays
+    # any range instead
+    monkeypatch.setenv("LISEC_SEED_BASE", "100")
+    scenario = parse_scenario(SMALL + "arms = baseline\n")
+    assert [r.seed for r in run_experiment(scenario).rows] == [0, 1, 2]
+
+
 # -- CLI ---------------------------------------------------------------------
 
 
@@ -435,8 +443,7 @@ def write_scenario(tmp_path):
     return path
 
 
-def test_cli_writes_outputs(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_cli_writes_outputs(tmp_path, capsys):
     path = write_scenario(tmp_path)
     out = tmp_path / "res"
     code = main(["--scenario", str(path), "--seeds", "2", "--out", str(out)])
@@ -446,8 +453,7 @@ def test_cli_writes_outputs(tmp_path, capsys, monkeypatch):
     assert "baseline" in stdout and "runs.csv" in stdout
 
 
-def test_cli_flag_overrides(tmp_path, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_cli_flag_overrides(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "res"
     code = main(["--scenario", str(path), "--arms", "baseline", "--seeds", "2",
@@ -477,8 +483,7 @@ def test_cli_wide_license_with_plain_arm_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_cli_flags_parse_like_scenario_lines(tmp_path, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_cli_flags_parse_like_scenario_lines(tmp_path):
     path = write_scenario(tmp_path)
     out = tmp_path / "res"
     code = main(["--scenario", str(path), "--arms", " defense ,", "--seeds", "1",
@@ -490,17 +495,34 @@ def test_cli_flags_parse_like_scenario_lines(tmp_path, monkeypatch):
     assert main(["--scenario", str(path), "--attackers", "two"]) == 2
 
 
-def test_cli_refuses_zero_period_and_bad_seed_base(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_cli_refuses_zero_period(tmp_path, capsys):
     path = tmp_path / "zero.scenario"
     path.write_text("rt_sample_period_s = 0\n")
     out = tmp_path / "res"
     assert main(["--scenario", str(path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: rt_sample_period_s")
-    for base in ("x", "-1"):
-        monkeypatch.setenv("LISEC_SEED_BASE", base)
-        assert main(["--scenario", str(write_scenario(tmp_path)), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: LISEC_SEED_BASE")
+    assert not out.exists()
+
+
+def test_cli_refuses_an_empty_arm_list(tmp_path, capsys):
+    # both once exited 0 with header-only runs.csv and summary.csv
+    path = tmp_path / "none.scenario"
+    path.write_text("arms =\n")
+    out = tmp_path / "res"
+    for argv in (["--scenario", str(path)], ["--arms", ""]):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: arms: need at least one arm\n"
+    assert not out.exists()
+
+
+def test_cli_refuses_a_scenario_file_that_is_not_utf8(tmp_path, capsys):
+    # once a UnicodeDecodeError traceback
+    path = tmp_path / "latin1.scenario"
+    path.write_bytes(b"seeds = 2\n\xff\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read scenario file: ") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -544,18 +566,7 @@ def test_cli_refuses_repeated_seeds_and_arms(tmp_path, capsys):
         assert not out.exists()
 
 
-def test_cli_seed_base_env(tmp_path, monkeypatch):
-    path = write_scenario(tmp_path)
-    out = tmp_path / "res"
-    monkeypatch.setenv("LISEC_SEED_BASE", "100")
-    main(["--scenario", str(path), "--arms", "baseline", "--seeds", "1",
-          "--out", str(out)])
-    lines = (out / "runs.csv").read_text().splitlines()
-    assert lines[1].split(",")[1] == "100"
-
-
-def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_cli_reruns_are_byte_identical(tmp_path):
     path = write_scenario(tmp_path)
     blobs = []
     for name in ("one", "two"):
@@ -569,8 +580,7 @@ def test_cli_reruns_are_byte_identical(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1]
 
 
-def test_single_seed_reports_no_ci(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("LISEC_SEED_BASE", raising=False)
+def test_single_seed_reports_no_ci(tmp_path, capsys):
     path = write_scenario(tmp_path)
     out = tmp_path / "res"
     code = main(["--scenario", str(path), "--seeds", "0,", "--out", str(out)])
