@@ -65,7 +65,6 @@ class SimParams:
     startup_stagger_s: float = 900.0   # clients power on uniformly in [0, stagger]
     attacker_start_window_s: float = 30.0
     data_warmup_s: float = 1200.0      # PDR/AE2ED measured from here to duration
-    rt_sample_period_s: float = 30.0
 
     # licensing
     license_width: int = 8

@@ -348,13 +348,12 @@ class World:
         p = self.params
         for node_id, t0 in self.start_times.items():
             self.schedule(t0, "start", node_id)
-        loops = {"data": p.data_period_s, "rt_sample": p.rt_sample_period_s}
+        loops = {"data": p.data_period_s}
         if self.mobility:
             loops["mobility"] = p.mobility_tick_s
         for kind, period in loops.items():
             self._loop_end[kind] = _loop_end_time(period, p.duration_s)
         self._reschedule(p.data_period_s, "data")
-        self._reschedule(p.rt_sample_period_s, "rt_sample")
         if self.mobility:
             self._reschedule(p.mobility_tick_s, "mobility")
 
@@ -495,7 +494,7 @@ class World:
             self._joined.add(node.node_id)
             if node.role is NodeRole.MALICIOUS:
                 if self.arm.attack:
-                    self.schedule(self.clock, "volley", node.node_id)
+                    self._reschedule(self.clock, "volley", node.node_id)
                 self._reschedule(self.clock + self.params.attacker_self_dao_delay_s,
                                  "dao_refresh", node.node_id)
             else:
@@ -576,13 +575,6 @@ class World:
             return
         self.transmit(node, node.parent, packet)
 
-    def _on_rt_sample(self, event: Event) -> None:
-        self._reschedule(self.clock + self.params.rt_sample_period_s, "rt_sample")
-        occ = max((n.rt_occupancy(self.clock) for n in self.nodes.values()
-                   if n.role is not NodeRole.ROOT), default=0)
-        if occ > self.counters.rt_peak:
-            self.counters.rt_peak = occ
-
     def _on_mobility(self, event: Event) -> None:
         self._reschedule(self.clock + self.params.mobility_tick_s, "mobility")
         self._in_range.clear()
@@ -598,8 +590,9 @@ class World:
         c.ledgers = self.ledgers
         c.client_ids = [n.node_id for n in self.nodes.values()
                         if n.role is NodeRole.CLIENT]
-        c.n_blacklisted = sum(len(n.blacklist) for n in self.nodes.values()
-                              if n.role is not NodeRole.ROOT)
+        non_root = [n for n in self.nodes.values() if n.role is not NodeRole.ROOT]
+        c.n_blacklisted = sum(len(n.blacklist) for n in non_root)
+        c.rt_peak = max((n.rt_peak for n in non_root), default=0)
 
     # -- debugging ---------------------------------------------------------
 

@@ -46,7 +46,7 @@ class RunCounters:
     ledgers: dict = field(default_factory=dict)       # node_id -> EnergyLedger
     client_ids: list = field(default_factory=list)
     n_blacklisted: int = 0
-    rt_peak: int = 0          # largest client table seen at an rt_sample
+    rt_peak: int = 0          # largest table any non-root node held
     control_transmissions: int = 0
     dao_path_transmissions: int = 0
     data_transmissions: int = 0

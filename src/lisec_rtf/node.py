@@ -94,8 +94,8 @@ class NodeState:
 
         self.rank: int | None = params.min_rank if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
-        self.neighbors: set[bytes] = set()
         self.routing: dict[bytes, RoutingEntry] = {}
+        self.rt_peak = 0  # largest size `routing` has reached
         self.blacklist: set[bytes] = set()  # only grows
         self.trickle: TrickleState | None = None
 
@@ -111,10 +111,6 @@ class NodeState:
     def joined(self) -> bool:
         return self.rank is not None
 
-    def rt_occupancy(self, now: float) -> int:
-        self._purge_expired(now)
-        return len(self.routing)
-
     def _trace(self, now: float, event: str, detail: str) -> None:
         """Callers check `tracer` first, so no detail is built untraced."""
         self.tracer(now, self.node_id, event, detail)
@@ -128,9 +124,7 @@ class NodeState:
 
     def add_route(self, target: bytes, next_hop: bytes, now: float) -> str:
         """Install or refresh a downward route; returns what happened."""
-        if target in self.blacklist:
-            return "refused"
-        if next_hop not in self.neighbors:
+        if target in self.blacklist or next_hop in self.blacklist:
             return "refused"
         self._purge_expired(now)
         lifetime = self.params.route_lifetime_s
@@ -145,14 +139,11 @@ class NodeState:
                 self._trace(now, "ROUTE_FULL", format_address(target))
             return "full"
         self.routing[target] = RoutingEntry(next_hop, expires)
+        self.rt_peak = max(self.rt_peak, len(self.routing))
         if self.tracer is not None:
             self._trace(now, "ROUTE_ADD",
                         f"{format_address(target)} via {format_address(next_hop)}")
         return "added"
-
-    def _learn_neighbor(self, addr: bytes) -> None:
-        if addr not in self.blacklist and addr != self.address:
-            self.neighbors.add(addr)
 
     # -- control plane ----------------------------------------------------
 
@@ -169,7 +160,6 @@ class NodeState:
     def handle_dio(self, dio: DioMessage, now: float, rng: random.Random) -> list:
         if dio.sender in self.blacklist:
             return []
-        self._learn_neighbor(dio.sender)
         if self.role is NodeRole.ROOT:
             return []
 
@@ -248,10 +238,12 @@ class NodeState:
         return out
 
     def handle_dao(self, dao: DaoModified, sender: bytes, now: float) -> list:
-        """Storing-mode relay: install the advertised route, forward upward."""
-        if dao.src in self.blacklist:
+        """Storing-mode relay: install the advertised route, forward upward.
+
+        A DAO from this node's own parent can only come round a parent
+        cycle; it is dropped, so no DAO circulates."""
+        if dao.src in self.blacklist or sender == self.parent:
             return []
-        self._learn_neighbor(sender)
         self.add_route(dao.target, sender, now)
         if self.parent is None:
             return []
@@ -269,7 +261,6 @@ class NodeState:
         actually stored; a full table means the node cannot be registered
         and is refused like any other bad DAO.
         """
-        self._learn_neighbor(sender)
         accepted = db is None or db.admits(dao.src, dao.reserved, dao.options)
         if accepted:
             accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
@@ -291,14 +282,13 @@ class NodeState:
         entry = self.routing.get(st.originator)
         if not st.is_ack:
             # forward first, then blacklist the rejected source and scrub
-            # it from the routing and neighbor tables
+            # it from the routing table
             out = [(entry.next_hop, st)] if entry is not None else []
             self.routing.pop(st.originator, None)
             if st.originator not in self.blacklist:
                 self.blacklist.add(st.originator)
                 if self.tracer is not None:
                     self._trace(now, "BLACKLIST", format_address(st.originator))
-            self.neighbors.discard(st.originator)
             if self.parent == st.originator:
                 # detach: a node without a parent advertises no rank
                 self.parent = self.rank = self.trickle = None

@@ -21,10 +21,10 @@ from .puf import NONCE_LEN, license_blob_len
 # the shared key's length, the frame sizes that airtime charges and the
 # trickle redundancy constant (RFC 6206 asks k >= 1)
 _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
-                  "rt_sample_period_s", "mobility_tick_s", "trickle_imin_s",
-                  "duration_s", "bitrate_bps", "license_width", "tx_range_m",
-                  "grid_m", "shared_key_bytes", "data_bytes", "dio_bytes",
-                  "dis_bytes", "trickle_k")
+                  "mobility_tick_s", "trickle_imin_s", "duration_s",
+                  "bitrate_bps", "license_width", "tx_range_m", "grid_m",
+                  "shared_key_bytes", "data_bytes", "dio_bytes", "dis_bytes",
+                  "trickle_k")
 # an infinite horizon never ends a run; an infinite grid places nodes at
 # infinity; an infinite speed moves them to nan; an infinite trickle
 # interval never fires, so no node joins

@@ -234,7 +234,6 @@ def test_nack_blacklists_and_purges():
     assert out == [(d_addr, nack)]               # forwarded down first
     assert d_addr not in b.routing
     assert d_addr in b.blacklist
-    assert d_addr not in b.neighbors
     assert len(b.blacklist) == 1
 
 
@@ -246,6 +245,16 @@ def test_blacklist_exclusion_no_route_after_nack():
     out = b.handle_dao(dao, d_addr, 4.0)
     assert d_addr not in b.routing
     assert out == []                             # dropped, not relayed
+
+
+def test_dao_relayed_by_blacklisted_neighbour_installs_no_route():
+    b, d_addr = relay_setup()
+    b.handle_status(DaoStatus(originator=d_addr, status=STATUS_NACK), 3.1)
+    genuine = node_address(4)
+    dao = DaoModified(src=genuine, target=genuine, sequence=1, reserved=0x55)
+    out = b.handle_dao(dao, d_addr, 4.0)
+    assert genuine not in b.routing
+    assert out == [(ROOT_ADDR, dao)]             # the source is not refused
 
 
 def test_ack_relay_follows_routing_entry():
@@ -448,7 +457,7 @@ class ClientMachine(RuleBasedStateMachine):
     def tables_bounded_and_clean(self):
         n = self.node
         assert len(n.routing) <= n.rt_cap
-        assert not n.blacklist & (set(n.routing) | set(n.neighbors))
+        assert not n.blacklist & set(n.routing)
         assert n.parent not in n.blacklist
 
 

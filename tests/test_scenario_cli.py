@@ -135,7 +135,7 @@ def test_repeated_seed_or_arm_rejected(text, key):
 @pytest.mark.parametrize("value, key", [
     *[(value, key) for value in ("0", "-1", "nan")
       for key in ("data_period_s", "dis_period_s", "dao_period_s",
-                  "attack_period_s", "rt_sample_period_s", "mobility_tick_s",
+                  "attack_period_s", "mobility_tick_s",
                   "trickle_imin_s", "duration_s", "bitrate_bps", "tx_range_m",
                   "grid_m")],
     # "nan" is not an int
@@ -249,7 +249,7 @@ def test_cli_refuses_stagger_past_warmup(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["rt_sample_period_s", "mobility_tick_s"])
+@pytest.mark.parametrize("key", ["mobility_tick_s"])
 def test_cli_runs_a_loop_with_infinite_period(tmp_path, capsys, key):
     # a loop whose period is inf never fires; it once ended in a traceback
     path = tmp_path / "inf.scenario"
@@ -466,10 +466,14 @@ def test_cli_flag_overrides(tmp_path):
 
 
 def test_cli_rejects_bad_scenario(tmp_path, capsys):
-    path = tmp_path / "bad.scenario"
-    path.write_text("nonsense_key = 4")
-    assert main(["--scenario", str(path)]) == 2
-    assert "nonsense_key" in capsys.readouterr().err
+    # a removed key is refused like one that never existed
+    for key in ("nonsense_key", "rt_sample_period_s"):
+        path = tmp_path / "bad.scenario"
+        path.write_text(f"{key} = 30\n")
+        out = tmp_path / "res"
+        assert main(["--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: unknown key {key!r}\n"
+        assert not out.exists()
 
 
 def test_cli_wide_license_with_plain_arm_exits_2(tmp_path, capsys):
@@ -497,10 +501,10 @@ def test_cli_flags_parse_like_scenario_lines(tmp_path):
 
 def test_cli_refuses_zero_period(tmp_path, capsys):
     path = tmp_path / "zero.scenario"
-    path.write_text("rt_sample_period_s = 0\n")
+    path.write_text("dis_period_s = 0\n")
     out = tmp_path / "res"
     assert main(["--scenario", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: rt_sample_period_s")
+    assert capsys.readouterr().err.startswith("error: dis_period_s")
     assert not out.exists()
 
 
