@@ -55,6 +55,9 @@ def main(argv=None) -> int:
     except (ScenarioError, SetupError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot write to {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     for entry in report.summary:
         print(f"{entry['arm']:18s} pdr={entry['pdr_mean']:.3f}"
               f"±{entry['pdr_ci95']:.3f} "

@@ -2,7 +2,7 @@
 
 Values mirror the desk-scale experiment defaults: 200 m grid, 50 m unit-disk
 radio, hop-count ranks with MRHOF-style hysteresis, Z1-class power numbers.
-Nothing in the simulator reads a constant that is not on this object.
+RFC 6550's rank constants are in `node.py`, the shared key's length in `puf.py`.
 """
 
 from __future__ import annotations
@@ -13,11 +13,8 @@ from dataclasses import dataclass
 
 @dataclass
 class SimParams:
-    # rank / parent selection
-    min_rank: int = 256
-    rank_increase: int = 256
+    # parent selection: a switch needs a rank better by more than this
     hysteresis: int = 128
-    max_rank: int = 0xFFFF
 
     # storing-mode routing
     rt_cap: int = 16              # route entries per client router
@@ -68,7 +65,6 @@ class SimParams:
 
     # licensing
     license_width: int = 8
-    shared_key_bytes: int = 16
 
     def trickle_cap_s(self) -> float:
         """`trickle_imin_s * 2**trickle_doublings`; OverflowError past floats."""

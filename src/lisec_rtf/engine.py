@@ -57,7 +57,7 @@ from .messages import (
 )
 from .metrics import EnergyLedger, RunCounters
 from .node import NodeRole, NodeState, TrickleState
-from .puf import CRDatabase, KeyedPuf
+from .puf import KEY_LEN, CRDatabase, KeyedPuf
 
 
 class ScheduleInPastError(ValueError):
@@ -294,7 +294,7 @@ class World:
             _, license_bits = self.db.register(node.address, device, self.rng_topo)
             node.license = license_bits
             if self.arm.encrypted:
-                key = self.rng_keys.randbytes(self.params.shared_key_bytes)
+                key = self.rng_keys.randbytes(KEY_LEN)
                 self.db.keys[node.address] = key
                 node.shared_key = key
 

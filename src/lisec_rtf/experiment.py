@@ -117,6 +117,8 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     if base + min(scenario.seeds) < 0:
         raise ScenarioError(f"base: run seed {base + min(scenario.seeds)} is negative")
     out = None if out_dir is None else Path(out_dir)
+    if out is not None:  # an unwritable directory fails before any run
+        out.mkdir(parents=True, exist_ok=True)
     arms = scenario.effective_arms()
     by_arm: dict[str, list] = {arm_name: [] for arm_name in arms}
     staged = []  # (hidden path, final path) per trace written so far
@@ -128,7 +130,6 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
                 if trace:
                     final = _trace_path(out, arm_name, base + s)
                     hidden = final.with_name(f".{final.name}.part")
-                    out.mkdir(parents=True, exist_ok=True)
                     staged.append((hidden, final))
                     stream = hidden.open("w", encoding="utf-8")
                 with stream as sink:

@@ -35,9 +35,15 @@ class NodeRole(enum.Enum):
     MALICIOUS = "malicious"
 
 
-def compute_rank(advertised: int, params: SimParams) -> int:
-    """Hop-count rank: a parent's advertised rank plus a fixed increment, saturating."""
-    return min(advertised + params.rank_increase, params.max_rank)
+# RFC 6550: ROOT_RANK, the default MinHopRankIncrease and INFINITE_RANK
+ROOT_RANK = 256
+MIN_HOP_RANK_INCREASE = 256
+INFINITE_RANK = 0xFFFF
+
+
+def compute_rank(advertised: int) -> int:
+    """Hop-count rank: a parent's advertised rank plus one hop, saturating."""
+    return min(advertised + MIN_HOP_RANK_INCREASE, INFINITE_RANK)
 
 
 @dataclass
@@ -92,7 +98,7 @@ class NodeState:
         else:
             self.rt_cap = params.rt_cap
 
-        self.rank: int | None = params.min_rank if role is NodeRole.ROOT else None
+        self.rank: int | None = ROOT_RANK if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
         self.routing: dict[bytes, RoutingEntry] = {}
         self.rt_peak = 0  # largest size `routing` has reached
@@ -163,7 +169,7 @@ class NodeState:
         if self.role is NodeRole.ROOT:
             return []
 
-        candidate = compute_rank(dio.rank, self.params)
+        candidate = compute_rank(dio.rank)
         if dio.sender == self.parent:  # never true before joining
             if candidate != self.rank:
                 self.rank = candidate

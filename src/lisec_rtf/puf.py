@@ -15,6 +15,7 @@ import random
 
 DEFAULT_WIDTH = 8          # bits; fits the DAO reserved octet
 NONCE_LEN = 8              # octets prepended to every encrypted license
+KEY_LEN = 16               # octets of each node's shared key
 
 
 class PufError(Exception):

@@ -18,31 +18,28 @@ from .puf import NONCE_LEN, license_blob_len
 
 # loop periods, the horizon, airtime's divisor, the license's bit count,
 # the radio range and grid side that placement and its cell index rest on,
-# the shared key's length, the frame sizes that airtime charges and the
-# trickle redundancy constant (RFC 6206 asks k >= 1)
+# the frame sizes that airtime charges and the trickle redundancy constant
+# (RFC 6206 asks k >= 1)
 _POSITIVE_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
                   "mobility_tick_s", "trickle_imin_s", "duration_s",
                   "bitrate_bps", "license_width", "tx_range_m", "grid_m",
-                  "shared_key_bytes", "data_bytes", "dio_bytes", "dis_bytes",
-                  "trickle_k")
+                  "data_bytes", "dio_bytes", "dis_bytes", "trickle_k")
 # an infinite horizon never ends a run; an infinite grid places nodes at
 # infinity; an infinite speed moves them to nan; an infinite trickle
 # interval never fires, so no node joins
 _FINITE_KEYS = ("duration_s", "grid_m", "speed_min_mps", "speed_max_mps",
                 "trickle_imin_s")
-# delays, windows, a doubling count, the rank step, the waypoint speeds and
-# pause, the power and CPU figures, the forged rate, the table caps (0 is
-# unbounded at the root), the route lifetime (0 never expires) and the
-# parent-switch margin (below 0 a node leaves its parent for a neighbour no
-# better, and parents swap in a loop): zero is allowed, negatives and nan not
+# delays, windows, a doubling count, the waypoint speeds and pause, the
+# power and CPU figures, the forged rate, the table caps (0 is unbounded at
+# the root), the route lifetime (0 never expires) and the parent-switch
+# margin (below 0 a node leaves its parent for a neighbour no better, and
+# parents swap in a loop): zero is allowed, negatives and nan not
 _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
                       "attacker_self_dao_delay_s", "data_warmup_s",
-                      "trickle_doublings", "rank_increase", "speed_min_mps",
-                      "speed_max_mps", "pause_s", "p_tx_mw", "p_rx_mw", "p_cpu_mw",
+                      "trickle_doublings", "speed_min_mps", "speed_max_mps",
+                      "pause_s", "p_tx_mw", "p_rx_mw", "p_cpu_mw",
                       "p_lpm_mw", "cpu_per_packet_s", "forged_per_period",
                       "rt_cap", "root_rt_cap", "route_lifetime_s", "hysteresis")
-# ranks travel in the DIO's 16-bit rank field
-_RANK_KEYS = ("min_rank", "max_rank")
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -113,10 +110,6 @@ class Scenario:
             doublings = self.params.trickle_doublings
             raise ScenarioError(f"trickle_doublings: trickle_imin_s * 2**{doublings}"
                                 " must be finite") from None
-        for key in _RANK_KEYS:
-            value = getattr(self.params, key)
-            if not 0 <= value <= 0xFFFF:
-                raise ScenarioError(f"{key}: must be in [0, 65535], got {value}")
         if not 0 <= self.params.loss_prob <= 1:  # also refuses nan
             raise ScenarioError(
                 f"loss_prob: must be in [0, 1], got {self.params.loss_prob}")

@@ -1400,7 +1400,7 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     detached = kinds[:kinds.index("DAO_TX")] if "DAO_TX" in kinds else kinds
     assert "DIO_TX" not in detached
     if with_c:
-        assert b.parent == c.address and b.rank == compute_rank(c.rank, params)
+        assert b.parent == c.address and b.rank == compute_rank(c.rank)
         assert "DIO_TX" in kinds  # advertises again once rejoined
     else:
         assert b.parent is None and b.rank is None and b.trickle is None

@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -18,7 +19,14 @@ from lisec_rtf.messages import (
     is_forged_address,
     node_address,
 )
-from lisec_rtf.node import NodeRole, NodeState, TrickleState, compute_rank
+from lisec_rtf.node import (
+    MIN_HOP_RANK_INCREASE,
+    ROOT_RANK,
+    NodeRole,
+    NodeState,
+    TrickleState,
+    compute_rank,
+)
 from lisec_rtf.puf import CRDatabase, encrypt_license
 
 
@@ -34,7 +42,7 @@ def make_root(params=P):
     return NodeState("root", ROOT_ADDR, NodeRole.ROOT, params)
 
 
-def join(node, parent_addr=ROOT_ADDR, parent_rank=P.min_rank, now=0.0, seed=1):
+def join(node, parent_addr=ROOT_ADDR, parent_rank=ROOT_RANK, now=0.0, seed=1):
     dio = DioMessage(sender=parent_addr, rank=parent_rank)
     return node.handle_dio(dio, now, random.Random(seed))
 
@@ -43,18 +51,18 @@ def join(node, parent_addr=ROOT_ADDR, parent_rank=P.min_rank, now=0.0, seed=1):
 
 
 def test_compute_rank_root_child():
-    assert compute_rank(256, P) == 512
+    assert compute_rank(256) == 512
 
 
 def test_compute_rank_chain():
-    ranks = [P.min_rank]
+    ranks = [ROOT_RANK]
     for _ in range(3):
-        ranks.append(compute_rank(ranks[-1], P))
+        ranks.append(compute_rank(ranks[-1]))
     assert ranks == [256, 512, 768, 1024]
 
 
 def test_compute_rank_saturates():
-    assert compute_rank(0xFFFF, P) == 0xFFFF
+    assert compute_rank(0xFFFF) == 0xFFFF
 
 
 # -- trickle ------------------------------------------------------------
@@ -107,7 +115,7 @@ def test_root_answers_dis_with_min_rank():
     out = root.handle_dis(DisMessage(), 1.0)
     assert len(out) == 1
     dest, dio = out[0]
-    assert dest is None and dio.rank == P.min_rank
+    assert dest is None and dio.rank == ROOT_RANK
 
 
 def test_unjoined_node_ignores_dis():
@@ -117,7 +125,7 @@ def test_unjoined_node_ignores_dis():
 
 def test_joined_node_advertises_its_rank():
     node = make_node()
-    join(node, parent_rank=P.min_rank)
+    join(node, parent_rank=ROOT_RANK)
     assert node.rank == 512
     out = node.handle_dis(DisMessage(), 5.0)
     assert out[0][1].rank == 512
@@ -127,7 +135,7 @@ def test_first_dio_joins_and_emits_dao():
     node = make_node()
     out = join(node)
     assert node.parent == ROOT_ADDR
-    assert node.rank == P.min_rank + P.rank_increase
+    assert node.rank == ROOT_RANK + MIN_HOP_RANK_INCREASE
     assert len(out) == 1
     dest, dao = out[0]
     assert dest == ROOT_ADDR
@@ -145,14 +153,22 @@ def test_worse_dio_does_not_switch():
     assert (node.parent, node.rank) == before
 
 
-def test_better_dio_beyond_hysteresis_switches():
-    node = make_node()
-    join(node, parent_addr=node_address(5), parent_rank=512)  # path rank 768
+@pytest.mark.parametrize("hysteresis, hops, switches", [
+    (0, 1, True), (255, 1, True), (256, 2, True), (256, 1, False)])
+def test_better_dio_beyond_hysteresis_switches(hysteresis, hops, switches):
+    # ranks move in whole hops, so a margin acts as a number of hops
+    node = make_node(params=SimParams(hysteresis=hysteresis))
+    join(node, parent_addr=node_address(5), parent_rank=768)  # path rank 1024
+    closer = 1024 - (hops + 1) * MIN_HOP_RANK_INCREASE
     out = node.handle_dio(
-        DioMessage(sender=node_address(6), rank=256),
+        DioMessage(sender=node_address(6), rank=closer),
         2.0, random.Random(2))
+    if not switches:
+        assert out == []
+        assert (node.parent, node.rank) == (node_address(5), 1024)
+        return
     assert node.parent == node_address(6)
-    assert node.rank == 512
+    assert node.rank == closer + MIN_HOP_RANK_INCREASE
     assert len(out) == 1  # parent change refires the registration DAO
     assert node.trickle.interval == P.trickle_imin_s  # reset on inconsistency
 
@@ -451,7 +467,7 @@ class ClientMachine(RuleBasedStateMachine):
         n = self.node
         assert (n.parent is None) == (n.rank is None) == (n.trickle is None)
         if n.parent is not None:
-            assert n.rank == compute_rank(self.heard[n.parent], FUZZ_PARAMS)
+            assert n.rank == compute_rank(self.heard[n.parent])
 
     @invariant()
     def tables_bounded_and_clean(self):

@@ -140,8 +140,8 @@ def test_repeated_seed_or_arm_rejected(text, key):
                   "grid_m")],
     # "nan" is not an int
     *[(value, key) for value in ("0", "-1")
-      for key in ("license_width", "shared_key_bytes", "data_bytes",
-                  "dio_bytes", "dis_bytes", "trickle_k")],
+      for key in ("license_width", "data_bytes", "dio_bytes", "dis_bytes",
+                  "trickle_k")],
 ])
 def test_non_positive_period_rejected(value, key):
     s = parse_scenario(f"{key} = {value}")
@@ -467,13 +467,28 @@ def test_cli_flag_overrides(tmp_path):
 
 def test_cli_rejects_bad_scenario(tmp_path, capsys):
     # a removed key is refused like one that never existed
-    for key in ("nonsense_key", "rt_sample_period_s"):
+    for key in ("nonsense_key", "rt_sample_period_s", "min_rank",
+                "rank_increase", "max_rank", "shared_key_bytes"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"{key} = 30\n")
         out = tmp_path / "res"
         assert main(["--scenario", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"error: unknown key {key!r}\n"
         assert not out.exists()
+
+
+def test_cli_refuses_an_unwritable_out_before_any_run(tmp_path, capsys, monkeypatch):
+    # once a NotADirectoryError traceback, raised only after the whole matrix ran
+    builds = []
+    monkeypatch.setattr(experiment, "build_random_world",
+                        lambda *args, **kwargs: builds.append(args))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "res"
+    assert main(["--seeds", "2", "--arms", "baseline", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write to {out}: ") and err.count("\n") == 1
+    assert builds == []
 
 
 def test_cli_wide_license_with_plain_arm_exits_2(tmp_path, capsys):
@@ -538,10 +553,7 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "trickle_doublings = -1", "duration_s = -1",
                  "bitrate_bps = 0", "license_width = -1", "loss_prob = 1.5",
                  "loss_prob = -0.1", "tx_range_m = 0", "tx_range_m = nan",
-                 "grid_m = 0", "grid_m = -5", "min_rank = 70000",
-                 "min_rank = -1", "max_rank = 100000\nrank_increase = 40000",
-                 "rank_increase = -300", "shared_key_bytes = -1",
-                 "shared_key_bytes = 0", "data_bytes = -30", "dio_bytes = 0",
+                 "grid_m = 0", "grid_m = -5", "data_bytes = -30", "dio_bytes = 0",
                  "dis_bytes = -8", "speed_min_mps = nan", "speed_max_mps = -1",
                  "speed_max_mps = inf", "pause_s = nan",
                  "attacker_self_dao_delay_s = -1", "trickle_imin_s = inf",
