@@ -74,6 +74,34 @@ class SimParams:
         return n_bytes * 8.0 / self.bitrate_bps
 
 
+US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
+
+# the keys the clock reads, each a whole number of microseconds
+DURATION_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
+                 "mobility_tick_s", "trickle_imin_s", "duration_s", "d_hop_s",
+                 "startup_stagger_s", "attacker_start_window_s",
+                 "attacker_self_dao_delay_s", "data_warmup_s", "pause_s",
+                 "route_lifetime_s")
+
+
+class ScenarioError(ValueError):
+    """Bad scenario file or inconsistent settings; message names the key."""
+
+
+def durations_us(params: SimParams) -> dict[str, int]:
+    """Every duration key of `params` in whole microseconds.  A ScenarioError
+    naming the key refuses a negative value, inf, nan and any fraction of one."""
+    us = {}
+    for key in DURATION_KEYS:
+        seconds = getattr(params, key)
+        n = seconds * US
+        if not (math.isfinite(n) and n >= 0 and round(n) / US == seconds):
+            raise ScenarioError(f"{key}: must be a non-negative whole number of "
+                                f"microseconds, got {seconds}")
+        us[key] = round(n)
+    return us
+
+
 @dataclass(frozen=True)
 class ArmFlags:
     """What a comparison arm switches on."""

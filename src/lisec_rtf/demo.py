@@ -11,7 +11,7 @@ registers normally.
 
 from __future__ import annotations
 
-from .config import ARMS, SimParams
+from .config import ARMS, US, SimParams
 from .engine import World
 from .messages import is_forged_address
 from .node import NodeRole
@@ -28,7 +28,7 @@ _LAYOUT = {
     "g": (20.0, 140.0),
     "h": (180.0, 140.0),
 }
-_STARTS = {"e": 30.0, "h": 60.0}  # everyone else powers on at t=0
+_STARTS = {"e": 30 * US, "h": 60 * US}  # everyone else powers on at t=0
 _B_TABLE_CAP = 3
 
 
@@ -44,7 +44,7 @@ def run_overflow_demo(arm_name: str) -> dict:
             role = NodeRole.MALICIOUS
         else:
             role = NodeRole.CLIENT
-        world.add_node(node_id, role, pos, start_time=_STARTS.get(node_id, 0.0))
+        world.add_node(node_id, role, pos, start_time=_STARTS.get(node_id, 0))
     world.nodes["b"].rt_cap = _B_TABLE_CAP
     # d was reprogrammed after capture and holds no valid registration
     world.provision(skip={"d"})

@@ -2,13 +2,17 @@
 mobility, per-node energy accounting, and the event loops that drive the
 protocol handlers in `node`.
 
-One World is one logical timeline.  Everything random flows through seeded
-generators: `rng_topo` (topology and provisioning, identical across
-comparison arms for a given seed), the trajectory's `rng` (random-waypoint
-draws, likewise arm-independent), `rng_keys` (shared keys of the encrypted
-arm, kept apart so that drawing them leaves the other streams untouched)
-and `rng` (protocol-driven draws).  Replaying the same seed and
-configuration reproduces the event trace byte for byte.
+One World is one logical timeline in whole microseconds (`config.US` to the
+second), so a loop at period P fires at exactly k x P up to `duration_s`;
+times go back to seconds only where a delay or a trace line is written.
+
+Everything random flows through seeded generators: `rng_topo` (topology
+and provisioning, identical across comparison arms for a given seed), the
+trajectory's `rng` (random-waypoint draws, likewise arm-independent),
+`rng_keys` (shared keys of the encrypted arm, kept apart so that drawing
+them leaves the other streams untouched) and `rng` (protocol-driven draws).
+Replaying the same seed and configuration reproduces the event trace byte
+for byte.
 
 The walkers of a mobile world live in a `Trajectory`, which worlds built
 through one placement memo share: whichever world first reaches a tick
@@ -40,11 +44,10 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple, TextIO
 
-from .config import ArmFlags, SimParams
+from .config import US, ArmFlags, SimParams, durations_us
 from .messages import (
     DaoModified,
     DaoStatus,
@@ -70,43 +73,13 @@ class SetupError(RuntimeError):
 
 DATA_HOP_LIMIT = 64
 MAX_TRIES = 200  # placements drawn before a build gives up
-DRAIN_S = 1.0  # lets transmissions issued right at the horizon land
-
-
-def _last_multiple(period: float, horizon: float) -> int:
-    """The largest k with k * period <= horizon, reading both floats as the
-    decimals they print as: 3 for 1.1 and 3.3, where 3.3 / 1.1 < 3.
-
-    A period past the horizon, inf or nan gives 0 without reading it as a
-    decimal: shortest decimals keep the order of their floats, so no
-    multiple fits."""
-    if not period <= horizon:
-        return 0
-    return int(Fraction(repr(horizon)) // Fraction(repr(period)))
-
-
-def _loop_end_time(period: float, horizon: float) -> float:
-    """Latest time a loop at `period` fires: half a period past its last
-    multiple within the horizon.  The margin keeps the last event where the
-    period divides the horizon in decimal but the binary sum lands a hair
-    past it.  With no multiple it is the horizon, as half of inf would not do."""
-    k = _last_multiple(period, horizon)
-    return (k + 0.5) * period if k else horizon
-
-
-def last_loop_time(period: float, horizon: float) -> float:
-    """When a loop started at 0 fires last, its times added up as a World
-    adds them (one addition per event); 0.0 if it never fires."""
-    end, last = _loop_end_time(period, horizon), 0.0
-    while last + period <= end:
-        last += period
-    return last
+DRAIN_US = US  # lets transmissions issued right at the horizon land
 
 
 class Event(NamedTuple):
     """Heap entry; (time, seq) is unique, so later fields never compare."""
 
-    time: float
+    time: int
     seq: int
     kind: str
     node_id: str | None = None
@@ -116,7 +89,7 @@ class Event(NamedTuple):
 class DataPacket:
     __slots__ = ("src_id", "src_addr", "created", "counted", "hops")
 
-    def __init__(self, src_id: str, src_addr: bytes, created: float, counted: bool):
+    def __init__(self, src_id: str, src_addr: bytes, created: int, counted: bool):
         self.src_id = src_id
         self.src_addr = src_addr
         self.created = created
@@ -128,7 +101,7 @@ class DataPacket:
 class RwpState:
     waypoint: tuple[float, float]
     speed: float
-    pause_until: float = 0.0
+    pause_until: int = 0
 
 
 class Trajectory:
@@ -136,7 +109,7 @@ class Trajectory:
 
     `at(k, clock)` gives each walker's (x, y) after mobility tick k, counted
     from 0, in `ids` order; it computes the tick at `clock` when no world
-    has reached it yet.  Every world ticks at the same accumulated times,
+    has reached it yet.  Every world takes tick k at (k + 1) x the period,
     so a shared tick is computed at the clock each of them would use.
     `now` holds the latest tick, and `xy` every tick so far, so that worlds
     sharing the walk can replay it: flat `array("d")` blocks of
@@ -150,6 +123,7 @@ class Trajectory:
     def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
                  positions: dict[str, tuple[float, float]]):
         self.params = params
+        self.pause = durations_us(params)["pause_s"]
         # a stream of its own, so trajectories match across arms at equal seed
         self.rng = random.Random((seed << 16) ^ 0x30B1)
         self.walkers = walkers
@@ -158,7 +132,7 @@ class Trajectory:
         self.xy: list[array] = []
         self.ticks = 0
 
-    def at(self, k: int, clock: float):
+    def at(self, k: int, clock: int):
         if k == self.ticks:
             self._step(clock)
         if k == self.ticks - 1:
@@ -170,7 +144,7 @@ class Trajectory:
         xy = self.xy[block]
         return zip(xy[start:end:2], xy[start + 1:end:2])
 
-    def _step(self, clock: float) -> None:
+    def _step(self, clock: int) -> None:
         p = self.params
         tick = p.mobility_tick_s
         grid = p.grid_m
@@ -188,7 +162,7 @@ class Trajectory:
                 now[i] = state.waypoint
                 state.waypoint = (uniform(0, grid), uniform(0, grid))
                 state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
-                state.pause_until = clock + p.pause_s
+                state.pause_until = clock + self.pause
             else:
                 # clamp into the grid; branches cost less than min/max calls
                 nx = x + dx / dist * step
@@ -211,27 +185,35 @@ class Trajectory:
 def _line_sink(stream: TextIO):
     """A tracer that writes one tab-separated line per event to `stream`.
 
-    Callers build `detail` only when a tracer is attached.  The sink holds
-    the stream and not the World, so the nodes that keep it make no cycle
-    and a finished World is freed by reference counting.
+    Callers build `detail` only when a tracer is attached, and the time is
+    formatted in seconds once per distinct time.  The sink holds the stream
+    and not the World, so the nodes that keep it make no cycle and a
+    finished World is freed by reference counting.
     """
-    def trace(now: float, node_id: str, event: str, detail: str) -> None:
-        stream.write(f"{now:.6f}\t{node_id}\t{event}\t{detail}\n")
+    stamp_at, stamp = None, ""
+
+    def trace(now: int, node_id: str, event: str, detail: str) -> None:
+        nonlocal stamp_at, stamp
+        if now != stamp_at:
+            stamp_at, stamp = now, f"{now / US:.6f}"
+        stream.write(f"{stamp}\t{node_id}\t{event}\t{detail}\n")
     return trace
 
 
 class World:
+    """`clock`, every time it takes and `start_times` are whole microseconds;
+    `us` holds each duration key of `params` in them (`config.durations_us`)."""
+
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
                  trace: TextIO | None = None):
-        if not params.d_hop_s >= 0:  # also refuses nan
-            raise ValueError(f"d_hop_s: must be non-negative, got {params.d_hop_s}")
+        self.us = durations_us(params)
         self.params = params
         self.arm = arm
         self.seed = seed
         self.rng_topo = random.Random(seed)
         self.rng = random.Random((seed << 16) ^ 0x5EED)
         self.rng_keys = random.Random((seed << 16) ^ 0x4E75)
-        self.clock = 0.0
+        self.clock = 0
         self._queue: list[Event] = []
         self._inflight: deque[tuple] = deque()
         self._seq = 0
@@ -239,7 +221,7 @@ class World:
         self._in_range: dict[str, dict[str, NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
         self.positions: dict[str, tuple[float, float]] = {}
-        self.start_times: dict[str, float] = {}
+        self.start_times: dict[str, int] = {}
         self.trajectory: Trajectory | None = None
         self._ticks = 0  # mobility ticks this world has taken
         self.ledgers: dict[str, EnergyLedger] = {}
@@ -249,9 +231,7 @@ class World:
         self._joined: set[str] = set()
         # time of each node's one live wake-up: its trickle fire time while
         # joined, its next DIS while not; events at other times are stale
-        self._wake: dict[str, float] = {}
-        # end time of each loop that runs at period, 2 * period, ...
-        self._loop_end: dict[str, float] = {}
+        self._wake: dict[str, int] = {}
         self.ever_registered: set[str] = set()
         # airtime by message type; a DAO's size depends on its options
         self._airtime = {
@@ -264,9 +244,9 @@ class World:
     # -- construction ------------------------------------------------------
 
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
-                 start_time: float = 0.0) -> NodeState:
+                 start_time: int = 0) -> NodeState:
         address = node_address(len(self.nodes))
-        node = NodeState(node_id, address, role, self.params)
+        node = NodeState(node_id, address, role, self.params, self.us)
         node.encrypted = self.arm.encrypted
         node.tracer = self.tracer
         self.nodes[node_id] = node
@@ -300,14 +280,14 @@ class World:
 
     # -- event queue -------------------------------------------------------
 
-    def schedule(self, time: float, kind: str, node_id: str | None = None,
+    def schedule(self, time: int, kind: str, node_id: str | None = None,
                  payload=None) -> None:
         if time < self.clock:
             raise ScheduleInPastError(f"cannot schedule at {time} (clock {self.clock})")
         heapq.heappush(self._queue, Event(time, self._seq, kind, node_id, payload))
         self._seq += 1
 
-    def run_until(self, t_end: float) -> None:
+    def run_until(self, t_end: int) -> None:
         if t_end < self.clock:
             raise ValueError("t_end before current clock")
         queue, inflight = self._queue, self._inflight
@@ -330,32 +310,25 @@ class World:
 
     def run(self) -> RunCounters:
         self._schedule_initial()
-        self.run_until(self.params.duration_s + DRAIN_S)
+        self.run_until(self.us["duration_s"] + DRAIN_US)
         self._finalize()
         return self.counters
 
-    def _reschedule(self, time: float, kind: str,
+    def _reschedule(self, time: int, kind: str,
                     node_id: str | None = None) -> None:
         """Queue a periodic loop's next event unless it falls past the
-        loop's end: its `_loop_end`, or else the horizon.  After the horizon
-        `run` only drains radio deliveries."""
-        if time <= self._loop_end.get(kind, self.params.duration_s):
+        horizon; after it `run` only drains radio deliveries."""
+        if time <= self.us["duration_s"]:
             self.schedule(time, kind, node_id)
 
     def _schedule_initial(self) -> None:
         """Queue the start events, then the first event of each periodic
         loop; every loop's handler schedules its own next event."""
-        p = self.params
         for node_id, t0 in self.start_times.items():
             self.schedule(t0, "start", node_id)
-        loops = {"data": p.data_period_s}
+        self._reschedule(self.us["data_period_s"], "data")
         if self.mobility:
-            loops["mobility"] = p.mobility_tick_s
-        for kind, period in loops.items():
-            self._loop_end[kind] = _loop_end_time(period, p.duration_s)
-        self._reschedule(p.data_period_s, "data")
-        if self.mobility:
-            self._reschedule(p.mobility_tick_s, "mobility")
+            self._reschedule(self.us["mobility_tick_s"], "mobility")
 
     # -- radio -------------------------------------------------------------
 
@@ -398,8 +371,8 @@ class World:
                     continue
                 receivers.append(other)
             if receivers:
-                self._inflight.append((self.clock + p.d_hop_s, self._seq, receivers,
-                                       sender.address, message, airtime))
+                self._inflight.append((self.clock + self.us["d_hop_s"], self._seq,
+                                       receivers, sender.address, message, airtime))
                 self._seq += 1
             return
         receiver = self.by_addr.get(dest)
@@ -415,8 +388,8 @@ class World:
         if out_of_range or self.rng.random() < p.loss_prob:
             self.counters.link_losses += 1
             return
-        self._inflight.append((self.clock + p.d_hop_s, self._seq, (receiver,),
-                               sender.address, message, airtime))
+        self._inflight.append((self.clock + self.us["d_hop_s"], self._seq,
+                               (receiver,), sender.address, message, airtime))
         self._seq += 1
 
     def _send_all(self, node: NodeState, outgoing: list) -> None:
@@ -495,15 +468,15 @@ class World:
             if node.role is NodeRole.MALICIOUS:
                 if self.arm.attack:
                     self._reschedule(self.clock, "volley", node.node_id)
-                self._reschedule(self.clock + self.params.attacker_self_dao_delay_s,
+                self._reschedule(self.clock + self.us["attacker_self_dao_delay_s"],
                                  "dao_refresh", node.node_id)
             else:
-                self._reschedule(self.clock + self.params.dao_period_s,
+                self._reschedule(self.clock + self.us["dao_period_s"],
                                  "dao_refresh", node.node_id)
 
-    def _wake_at(self, node: NodeState, t: float) -> None:
+    def _wake_at(self, node: NodeState, t: int) -> None:
         """Move the node's one wake-up to `t`, or drop it past the horizon."""
-        if t > self.params.duration_s:
+        if t > self.us["duration_s"]:
             self._wake.pop(node.node_id, None)
         elif self._wake.get(node.node_id) != t:
             self._wake[node.node_id] = t
@@ -523,25 +496,25 @@ class World:
         if self.tracer is not None:
             self.tracer(self.clock, node.node_id, "DIS_TX", "soliciting")
         self.transmit(node, None, DisMessage())
-        self._wake_at(node, self.clock + self.params.dis_period_s)
+        self._wake_at(node, self.clock + self.us["dis_period_s"])
 
     def _on_dao_refresh(self, event: Event) -> None:
         node = self.nodes[event.node_id]
         self._send_all(node, node.build_own_dao(self.clock, self.rng))
-        self._reschedule(self.clock + self.params.dao_period_s, "dao_refresh",
+        self._reschedule(self.clock + self.us["dao_period_s"], "dao_refresh",
                          node.node_id)
 
     def _on_volley(self, event: Event) -> None:
         node = self.nodes[event.node_id]
         self._send_all(node, node.emit_forged(self.clock, self.rng))
-        self._reschedule(self.clock + self.params.attack_period_s, "volley",
+        self._reschedule(self.clock + self.us["attack_period_s"], "volley",
                          node.node_id)
 
     def _on_data(self, event: Event) -> None:
         """Send one data packet from every client, in `nodes` order."""
         now = self.clock
-        self._reschedule(now + self.params.data_period_s, "data")
-        counted = now > self.params.data_warmup_s
+        self._reschedule(now + self.us["data_period_s"], "data")
+        counted = now > self.us["data_warmup_s"]
         sent = self.counters.sent_per_node
         for node in self.nodes.values():
             if node.role is not NodeRole.CLIENT:
@@ -568,7 +541,7 @@ class World:
                             f"from {packet.src_id}")
             if packet.counted:
                 self.counters.received_at_root += 1
-                self.counters.delays.append(self.clock - packet.created)
+                self.counters.delays.append((self.clock - packet.created) / US)
             return
         packet.hops += 1
         if packet.hops > DATA_HOP_LIMIT or node.parent is None:
@@ -576,7 +549,7 @@ class World:
         self.transmit(node, node.parent, packet)
 
     def _on_mobility(self, event: Event) -> None:
-        self._reschedule(self.clock + self.params.mobility_tick_s, "mobility")
+        self._reschedule(self.clock + self.us["mobility_tick_s"], "mobility")
         self._in_range.clear()
         trajectory = self.trajectory
         self.positions.update(zip(trajectory.ids,
@@ -598,7 +571,7 @@ class World:
 
     def digest(self) -> str:
         h = hashlib.sha256()
-        h.update(f"{self.clock:.9f}".encode())
+        h.update(str(self.clock).encode())
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
             x, y = self.positions[node_id]
@@ -791,14 +764,14 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
         positions = entry.positions
         rng.setstate(entry.rng_state)
 
-    uniform = rng.uniform
-    world.add_node("root", NodeRole.ROOT, positions["root"], start_time=0.0)
+    uniform, us = rng.uniform, world.us
+    world.add_node("root", NodeRole.ROOT, positions["root"])
     for node_id in client_ids:
         world.add_node(node_id, NodeRole.CLIENT, positions[node_id],
-                       start_time=uniform(0.0, params.startup_stagger_s))
+                       start_time=round(uniform(0, us["startup_stagger_s"])))
     for node_id in attacker_ids:
         world.add_node(node_id, NodeRole.MALICIOUS, positions[node_id],
-                       start_time=uniform(0.0, params.attacker_start_window_s))
+                       start_time=round(uniform(0, us["attacker_start_window_s"])))
     world.provision()
 
     if mobility:

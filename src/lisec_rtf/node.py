@@ -1,10 +1,11 @@
 """Per-node RPL state machine: joining, ranks, trickle, storing-mode DAO
 handling, the forged-DAO attacker, and the license check at the root.
 
-Handlers mutate the node and return a list of (destination, message) pairs
-for the engine to transmit; destination None means broadcast.  Nothing here
-touches the event queue or the radio, which keeps every operation unit
-testable in isolation.
+Handlers take `now`, the simulated time in whole microseconds, mutate the
+node and return a list of (destination, message) pairs for the engine to
+transmit; destination None means broadcast.  Nothing here touches the
+event queue or the radio, which keeps every operation unit testable in
+isolation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .config import SimParams
+from .config import US, SimParams, durations_us
 from .messages import (
     DaoModified,
     DaoStatus,
@@ -48,24 +49,26 @@ def compute_rank(advertised: int) -> int:
 
 @dataclass
 class TrickleState:
+    """RFC 6206 timer: intervals in seconds, the fire time `t_fire` in µs."""
+
     i_min: float
     cap: float
     k: int
     interval: float
-    t_fire: float
+    t_fire: int
     counter: int = 0
 
     @classmethod
-    def start(cls, params: SimParams, rng: random.Random, now: float) -> "TrickleState":
+    def start(cls, params: SimParams, rng: random.Random, now: int) -> "TrickleState":
         t = cls(i_min=params.trickle_imin_s, cap=params.trickle_cap_s(),
-                k=params.trickle_k, interval=params.trickle_imin_s, t_fire=0.0)
+                k=params.trickle_k, interval=params.trickle_imin_s, t_fire=0)
         t.redraw(rng, now)
         return t
 
-    def redraw(self, rng: random.Random, now: float) -> None:
-        self.t_fire = now + rng.uniform(self.interval / 2, self.interval)
+    def redraw(self, rng: random.Random, now: int) -> None:
+        self.t_fire = now + round(rng.uniform(self.interval / 2, self.interval) * US)
 
-    def step(self, rng: random.Random, now: float) -> bool:
+    def step(self, rng: random.Random, now: int) -> bool:
         """Advance one round at the scheduled fire time; True means transmit."""
         fired = self.counter < self.k
         self.interval = min(2 * self.interval, self.cap)
@@ -73,7 +76,7 @@ class TrickleState:
         self.redraw(rng, now)
         return fired
 
-    def reset(self, rng: random.Random, now: float) -> None:
+    def reset(self, rng: random.Random, now: int) -> None:
         self.interval = self.i_min
         self.counter = 0
         self.redraw(rng, now)
@@ -82,13 +85,14 @@ class TrickleState:
 @dataclass
 class RoutingEntry:
     next_hop: bytes
-    expires_at: float = math.inf
+    expires_at: float = math.inf  # µs; inf never expires
 
 
 class NodeState:
-    """One sensor node (or the border router)."""
+    """One sensor node (or the border router); `now` is in whole µs."""
 
-    def __init__(self, node_id: str, address: bytes, role: NodeRole, params: SimParams):
+    def __init__(self, node_id: str, address: bytes, role: NodeRole, params: SimParams,
+                 us: dict[str, int] | None = None):
         self.node_id = node_id
         self.address = address
         self.role = role
@@ -97,6 +101,8 @@ class NodeState:
             self.rt_cap = params.root_rt_cap if params.root_rt_cap > 0 else None
         else:
             self.rt_cap = params.rt_cap
+        # `us`: `durations_us(params)`, from the World that holds it
+        self.route_lifetime = (us or durations_us(params))["route_lifetime_s"]
 
         self.rank: int | None = ROOT_RANK if role is NodeRole.ROOT else None
         self.parent: bytes | None = None
@@ -117,24 +123,23 @@ class NodeState:
     def joined(self) -> bool:
         return self.rank is not None
 
-    def _trace(self, now: float, event: str, detail: str) -> None:
+    def _trace(self, now: int, event: str, detail: str) -> None:
         """Callers check `tracer` first, so no detail is built untraced."""
         self.tracer(now, self.node_id, event, detail)
 
-    def _purge_expired(self, now: float) -> None:
-        if self.params.route_lifetime_s <= 0:
+    def _purge_expired(self, now: int) -> None:
+        if self.route_lifetime <= 0:
             return
         dead = [t for t, e in self.routing.items() if e.expires_at <= now]
         for t in dead:
             del self.routing[t]
 
-    def add_route(self, target: bytes, next_hop: bytes, now: float) -> str:
+    def add_route(self, target: bytes, next_hop: bytes, now: int) -> str:
         """Install or refresh a downward route; returns what happened."""
         if target in self.blacklist or next_hop in self.blacklist:
             return "refused"
         self._purge_expired(now)
-        lifetime = self.params.route_lifetime_s
-        expires = now + lifetime if lifetime > 0 else math.inf
+        expires = now + self.route_lifetime if self.route_lifetime > 0 else math.inf
         entry = self.routing.get(target)
         if entry is not None:
             entry.next_hop = next_hop
@@ -153,7 +158,7 @@ class NodeState:
 
     # -- control plane ----------------------------------------------------
 
-    def handle_dis(self, dis: DisMessage, now: float) -> list:
+    def handle_dis(self, dis: DisMessage, now: int) -> list:
         if not self.joined:
             return []
         if self.tracer is not None:
@@ -163,7 +168,7 @@ class NodeState:
     def _dio(self) -> DioMessage:
         return DioMessage(sender=self.address, rank=self.rank)
 
-    def handle_dio(self, dio: DioMessage, now: float, rng: random.Random) -> list:
+    def handle_dio(self, dio: DioMessage, now: int, rng: random.Random) -> list:
         if dio.sender in self.blacklist:
             return []
         if self.role is NodeRole.ROOT:
@@ -190,7 +195,7 @@ class NodeState:
             return []  # lies low; registers only after its first volley
         return self.build_own_dao(now, rng)
 
-    def trickle_fire(self, now: float, rng: random.Random) -> list:
+    def trickle_fire(self, now: int, rng: random.Random) -> list:
         if self.trickle is None:
             return []
         fired = self.trickle.step(rng, now)
@@ -202,7 +207,7 @@ class NodeState:
 
     # -- DAO path ---------------------------------------------------------
 
-    def build_own_dao(self, now: float, rng: random.Random) -> list:
+    def build_own_dao(self, now: int, rng: random.Random) -> list:
         """Register (or refresh) this node at the root through its parent."""
         if self.parent is None:
             return []
@@ -223,7 +228,7 @@ class NodeState:
                         f"seq={self.dao_seq} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
-    def emit_forged(self, now: float, rng: random.Random) -> list:
+    def emit_forged(self, now: int, rng: random.Random) -> list:
         """One attack volley: forged registrations for nonexistent children."""
         if self.role is not NodeRole.MALICIOUS or self.parent is None:
             return []
@@ -243,7 +248,7 @@ class NodeState:
             out.append((self.parent, dao))
         return out
 
-    def handle_dao(self, dao: DaoModified, sender: bytes, now: float) -> list:
+    def handle_dao(self, dao: DaoModified, sender: bytes, now: int) -> list:
         """Storing-mode relay: install the advertised route, forward upward.
 
         A DAO from this node's own parent can only come round a parent
@@ -258,7 +263,7 @@ class NodeState:
                         f"{format_address(dao.src)} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
-    def root_handle_dao(self, dao: DaoModified, sender: bytes, now: float,
+    def root_handle_dao(self, dao: DaoModified, sender: bytes, now: int,
                         db: CRDatabase | None = None) -> list:
         """Border-router check: ACK or NACK the DAO by the license table
         `db`, or take every DAO when there is none (no defense).
@@ -276,7 +281,7 @@ class NodeState:
             self._trace(now, "ACK" if accepted else "NACK", format_address(dao.src))
         return [(sender, status)]
 
-    def handle_status(self, st: DaoStatus, now: float) -> list:
+    def handle_status(self, st: DaoStatus, now: int) -> list:
         """Consume our own ACK/NACK or relay it one hop further down."""
         if st.originator == self.address:
             if self.tracer is not None:

@@ -8,11 +8,11 @@ default.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .config import ARMS, SimParams
-from .engine import last_loop_time
+from .config import ARMS, US, ScenarioError, SimParams, durations_us
 from .messages import OPTIONS_MAX
 from .puf import NONCE_LEN, license_blob_len
 
@@ -43,10 +43,6 @@ _NON_NEGATIVE_KEYS = ("d_hop_s", "startup_stagger_s", "attacker_start_window_s",
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
-
-
-class ScenarioError(ValueError):
-    """Bad scenario file or inconsistent settings; message names the key."""
 
 
 @dataclass
@@ -92,18 +88,13 @@ class Scenario:
                 if value in seen:
                     raise ScenarioError(f"{key}: {value!r} is listed twice")
                 seen.add(value)
-        for key in _POSITIVE_KEYS:
-            value = getattr(self.params, key)
-            if not value > 0:  # also refuses nan
-                raise ScenarioError(f"{key}: must be positive, got {value}")
-        for key in _FINITE_KEYS:
-            value = getattr(self.params, key)
-            if value == float("inf"):
-                raise ScenarioError(f"{key}: must be finite, got {value}")
-        for key in _NON_NEGATIVE_KEYS:
-            value = getattr(self.params, key)
-            if not value >= 0:  # also refuses nan
-                raise ScenarioError(f"{key}: must be non-negative, got {value}")
+        for keys, holds, rule in ((_POSITIVE_KEYS, lambda v: v > 0, "positive"),
+                                  (_FINITE_KEYS, lambda v: v != math.inf, "finite"),
+                                  (_NON_NEGATIVE_KEYS, lambda v: v >= 0, "non-negative")):
+            for key in keys:
+                value = getattr(self.params, key)
+                if not holds(value):  # nan fails every comparison but !=
+                    raise ScenarioError(f"{key}: must be {rule}, got {value}")
         try:
             self.params.trickle_cap_s()
         except OverflowError:
@@ -113,10 +104,11 @@ class Scenario:
         if not 0 <= self.params.loss_prob <= 1:  # also refuses nan
             raise ScenarioError(
                 f"loss_prob: must be in [0, 1], got {self.params.loss_prob}")
-        # a packet counts when sent after the warm-up; with none, PDR is undefined
-        last = last_loop_time(self.params.data_period_s, self.params.duration_s)
-        if not last > self.params.data_warmup_s:
-            when = f"the last goes at {last!r} s" if last else "none goes by duration_s"
+        us = durations_us(self.params)
+        # some packet must go after the warm-up, or PDR is undefined
+        last = us["duration_s"] // us["data_period_s"] * us["data_period_s"]
+        if not last > us["data_warmup_s"]:
+            when = f"the last goes at {last / US} s" if last else "none goes by duration_s"
             raise ScenarioError(f"data_warmup_s: no data packet is sent after "
                                 f"{self.params.data_warmup_s} s; {when}")
         # a client not yet powered on counts its packets as sent and lost

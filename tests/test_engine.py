@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from lisec_rtf import engine, experiment, node
-from lisec_rtf.config import ARMS, SimParams
+from lisec_rtf.config import ARMS, US, SimParams
 from lisec_rtf.demo import run_overflow_demo
 from lisec_rtf.experiment import run_experiment
 from lisec_rtf.engine import (
-    DRAIN_S,
+    DRAIN_US,
     DataPacket,
     Event,
     RwpState,
@@ -40,7 +40,7 @@ from lisec_rtf.messages import (
 )
 from lisec_rtf.metrics import EnergyLedger
 from lisec_rtf.node import NodeRole, TrickleState, compute_rank
-from lisec_rtf.scenario import Scenario
+from lisec_rtf.scenario import Scenario, ScenarioError
 
 
 def empty_world(params=None, arm="baseline", seed=1):
@@ -98,7 +98,7 @@ def test_run_until_rejects_backward_target():
         w.run_until(1.0)
 
 
-_GRID = (0.0, 0.25, 0.5)
+_GRID = (0, 250_000, 500_000)  # µs
 
 # one probe: grid slot, sender, unicast destination (None = broadcast), and
 # the offsets at which it schedules follow-up probes after transmitting
@@ -113,7 +113,7 @@ def test_heap_and_inflight_merge_in_time_seq_order(d_hop_s, plan):
     # oracle: every heap event and every transmission's arrival is handled
     # once, in strictly increasing (time, seq), with arrivals tying events
     # exactly on a 0.25 s grid; a transmission reaches each receiver once
-    w = World(SimParams(d_hop_s=d_hop_s), ARMS["baseline"], seed=3)
+    w = World(SimParams(d_hop_s=d_hop_s / US), ARMS["baseline"], seed=3)
     nodes = [w.add_node(f"n{i}", NodeRole.CLIENT, (10.0 * i, 0.0))
              for i in range(4)]  # all in range, never joined: no replies
     log, scheduled = [], set()
@@ -150,8 +150,8 @@ def test_heap_and_inflight_merge_in_time_seq_order(d_hop_s, plan):
     w._on_probe = on_probe
     w._receive = spy
     for slot, sender, dest, offsets in plan:
-        schedule(slot * 0.25, (sender, dest, offsets))
-    w.run_until(10.0)
+        schedule(slot * _GRID[1], (sender, dest, offsets))
+    w.run_until(10 * US)
 
     groups = [(key, [entry[2] for entry in group])
               for key, group in itertools.groupby(log, key=lambda e: e[:2])]
@@ -170,6 +170,21 @@ def test_negative_or_nan_hop_delay_refused():
     for bad in (-0.1, math.nan):
         with pytest.raises(ValueError, match="d_hop_s"):
             World(SimParams(d_hop_s=bad), ARMS["baseline"], seed=1)
+
+
+@pytest.mark.parametrize("key, value", [("d_hop_s", 1e-7),
+                                        ("data_period_s", 0.0000015)])
+def test_duration_off_the_microsecond_grid_refused(key, value):
+    # the clock counts whole microseconds: 1e-7 s would be 0.1 of one
+    p = SimParams(**{key: value})
+    refused = f"^{key}: must be a non-negative whole number of microseconds, got {value}$"
+    with pytest.raises(ScenarioError, match=refused):
+        Scenario(params=p).validate()
+    with pytest.raises(ScenarioError, match=refused):
+        World(p, ARMS["baseline"], seed=1)
+    # builds without a Scenario, as the scaled benchmark makes them
+    with pytest.raises(ScenarioError, match=refused):
+        build_random_world(p, ARMS["baseline"], seed=1, n_clients=3, n_attackers=0)
 
 
 # -- radio --------------------------------------------------------------
@@ -192,7 +207,7 @@ def test_unicast_within_range_delivers():
     w, a, b = radio_world(40.0)
     w.transmit(a, b.address, DisMessage())
     assert _receivers(w) == ["b"]
-    assert w._inflight[0][0] == pytest.approx(w.params.d_hop_s)
+    assert w._inflight[0][0] == w.us["d_hop_s"] == 5000
 
 
 def test_unicast_beyond_range_lost():
@@ -241,7 +256,7 @@ def test_broadcast_matches_all_pairs_scan():
         for i in range(40):
             w.add_node(f"n{i:02d}", NodeRole.CLIENT,
                        (rng.uniform(0, 200), rng.uniform(0, 200)),
-                       start_time=rng.choice([0.0, 0.0, 5.0]))
+                       start_time=rng.choice([0, 0, 5 * US]))
         oracle_rng = random.Random()
         oracle_rng.setstate(w.rng.getstate())
         expected = []
@@ -270,8 +285,8 @@ def test_broadcast_follows_mobility_tick():
     w._inflight.clear()
     walk(w, {"leaving": RwpState(waypoint=(200.0, 0.0), speed=10.0),
              "arriving": RwpState(waypoint=(0.0, 0.0), speed=10.0)})
-    w.schedule(1.0, "mobility")
-    w.run_until(1.0)
+    w.schedule(US, "mobility")
+    w.run_until(US)
     w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["arriving"]
 
@@ -300,7 +315,7 @@ def test_unicast_matches_distance_test():
         for i in range(30):
             w.add_node(f"n{i:02d}", NodeRole.CLIENT,
                        (rng.uniform(0, 150), rng.uniform(0, 150)),
-                       start_time=rng.choice([0.0, 0.0, 5.0]))
+                       start_time=rng.choice([0, 0, 5 * US]))
             walkers[f"n{i:02d}"] = RwpState(
                 waypoint=(rng.uniform(0, 150), rng.uniform(0, 150)),
                 speed=rng.uniform(5.0, 20.0))
@@ -338,11 +353,11 @@ def test_unicast_matches_distance_test():
                 w.transmit(sender, receiver.address, DisMessage())
 
         exchange()
-        w.clock = 6.0
-        w._on_mobility(Event(6.0, 0, "mobility"))
+        w.clock = 6 * US
+        w._on_mobility(Event(6 * US, 0, "mobility"))
         assert not w._in_range
         exchange()
-        w.add_node("late", NodeRole.CLIENT, (75.0, 75.0), start_time=6.0)
+        w.add_node("late", NodeRole.CLIENT, (75.0, 75.0), start_time=6 * US)
         exchange()
         assert _receivers(w) == expected
         assert w.counters.link_losses == losses
@@ -359,7 +374,7 @@ def _message_of_each_type(params):
         "dao_options": (DaoModified(src=a, target=a, sequence=3, reserved=0,
                                     options=bytes(range(9))), DAO_BASE_LEN + 1 + 9),
         "status": (DaoStatus(originator=a, status=0), STATUS_LEN),
-        "data": (DataPacket("a", a, 0.0, True), params.data_bytes),
+        "data": (DataPacket("a", a, 0, True), params.data_bytes),
     }
 
 
@@ -406,6 +421,19 @@ def _dio_driven_node(params):
     return w, a, trace, deliver_dio
 
 
+def test_trace_time_is_the_exact_decimal_of_the_clock():
+    # one stamp per distinct time, reused by the lines that share it
+    rng = random.Random(9)
+    times = [0, 1, 999_999, 10**10 - 1] + [rng.randrange(10**10) for _ in range(20_000)]
+    stream = io.StringIO()
+    trace = engine._line_sink(stream)
+    for t in times:
+        trace(t, "a", "DIS_TX", "x")
+        trace(t, "b", "DIS_TX", "y")
+    stamps = [line.split("\t")[0] for line in stream.getvalue().splitlines()]
+    assert stamps == [f"{t // US}.{t % US:06d}" for t in times for _ in "ab"]
+
+
 def _dio_tx_times(trace):
     return [line.split("\t")[0] for line in trace.getvalue().splitlines()
             if line.split("\t")[2] == "DIO_TX"]
@@ -428,20 +456,20 @@ def test_trickle_wake_follows_resets(monkeypatch):
         return [e.time for e in w._queue if e.kind == "wake"
                 and e.time == w._wake.get("a")]
 
-    deliver_dio(1.0, 256)  # joins: first fire time drawn
-    w.run_until(200.0)  # the interval has doubled to 64 s or more
+    deliver_dio(US, 256)  # joins: first fire time drawn
+    w.run_until(200 * US)  # the interval has doubled to 64 s or more
     superseded = []
-    for lead, rank, moved in ((5.0, 512, "earlier"), (1.0, 256, "later")):
+    for lead, rank, moved in ((5 * US, 512, "earlier"), (US, 256, "later")):
         pending = a.trickle.t_fire
         deliver_dio(pending - lead, rank)  # the parent's rank changed: reset
         assert (a.trickle.t_fire < pending) == (moved == "earlier")
         assert w._wake == {"a": a.trickle.t_fire}
         assert live_wakeups() == [a.trickle.t_fire]
-        superseded.append(f"{pending:.6f}")
-    w.run_until(w.params.duration_s)
+        superseded.append(f"{pending / US:.6f}")
+    w.run_until(w.us["duration_s"])
 
-    fired = [f"{t:.6f}" for i, (_, t) in enumerate(redraws)
-             if t <= w.params.duration_s
+    fired = [f"{t / US:.6f}" for i, (_, t) in enumerate(redraws)
+             if t <= w.us["duration_s"]
              and (i + 1 == len(redraws) or redraws[i + 1][0] == t)]
     sent = _dio_tx_times(trace)
     assert sent == fired and len(set(sent)) == len(sent) and len(sent) > 4
@@ -450,13 +478,13 @@ def test_trickle_wake_follows_resets(monkeypatch):
 
 def test_trickle_wake_dropped_past_horizon():
     w, a, trace, deliver_dio = _dio_driven_node(SimParams(duration_s=100.0))
-    deliver_dio(1.0, 256)
+    deliver_dio(US, 256)
     pending = a.trickle.t_fire
     a.trickle.i_min = 1000.0  # the next reset draws a time past the horizon
-    deliver_dio(pending - 0.5, 512)
-    assert a.trickle.t_fire > w.params.duration_s
+    deliver_dio(pending - US // 2, 512)
+    assert a.trickle.t_fire > w.us["duration_s"]
     assert w._wake == {}
-    w.run_until(w.params.duration_s + DRAIN_S)
+    w.run_until(w.us["duration_s"] + DRAIN_US)
     assert _dio_tx_times(trace) == []
 
 
@@ -492,7 +520,7 @@ def _reference_mobility_tick(positions, walkers, rng, p, clock):
             positions[node_id] = (wx, wy)
             state.waypoint = (rng.uniform(0, p.grid_m), rng.uniform(0, p.grid_m))
             state.speed = rng.uniform(p.speed_min_mps, p.speed_max_mps)
-            state.pause_until = clock + p.pause_s
+            state.pause_until = clock + round(p.pause_s * US)
         else:
             nx = min(max(x + dx / dist * step, 0.0), p.grid_m)
             ny = min(max(y + dy / dist * step, 0.0), p.grid_m)
@@ -506,7 +534,7 @@ def _rwp_worlds(draw):
     tick = draw(st.sampled_from([1.0, 0.5, 2.0]))  # speed * tick is exact
     params = SimParams(grid_m=grid, mobility_tick_s=tick,
                        pause_s=draw(st.sampled_from([0.0, 3.0])))
-    clock = draw(st.floats(0.0, 1000.0))
+    clock = draw(st.integers(0, 1000 * US))
     coord = st.one_of(st.floats(0.0, grid), st.sampled_from([0.0, -0.0, grid]))
     # waypoints past the edge make the clamp bite
     far = st.one_of(coord, st.floats(-30.0, grid + 30.0))
@@ -515,7 +543,7 @@ def _rwp_worlds(draw):
         pos = (draw(coord), draw(coord))
         state = RwpState(waypoint=(draw(far), draw(far)),
                          speed=draw(st.floats(0.1, 5.0)),
-                         pause_until=draw(st.floats(0.0, clock)))
+                         pause_until=draw(st.integers(0, clock)))
         dist = math.hypot(state.waypoint[0] - pos[0], state.waypoint[1] - pos[1])
         case = draw(st.sampled_from(["move", "at_waypoint", "step_equals_dist",
                                      "arrive", "paused"]))
@@ -526,7 +554,7 @@ def _rwp_worlds(draw):
         elif case == "arrive":
             state.speed = (dist + draw(st.floats(0.0, 5.0))) / tick
         elif case == "paused":
-            state.pause_until = clock + draw(st.floats(0.001, 10.0))
+            state.pause_until = clock + draw(st.integers(1000, 10 * US))
         nodes.append((pos, state))
     return params, draw(st.integers(0, 2**32)), clock, nodes
 
@@ -553,15 +581,15 @@ def test_mobility_tick_matches_reference(case, n_ticks):
         assert trajectory.walkers == ref_walkers
         assert trajectory.rng.getstate() == ref_rng.getstate()
         assert w._in_range == {}
-        clock += params.mobility_tick_s
+        clock += w.us["mobility_tick_s"]
 
 
 def test_rwp_step_unit_vector():
     w = World(SimParams(), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     walk(w, {"a": RwpState(waypoint=(3.0, 4.0), speed=1.0)})
-    w.schedule(1.0, "mobility")
-    w.run_until(1.0)
+    w.schedule(US, "mobility")
+    w.run_until(US)
     x, y = w.positions["a"]
     assert (x, y) == pytest.approx((0.6, 0.8))
 
@@ -586,14 +614,14 @@ def test_rwp_time_average_concentrates_toward_center():
         walk(w, {"a": RwpState(
             waypoint=(w.rng_topo.uniform(0, 200), w.rng_topo.uniform(0, 200)),
             speed=w.rng_topo.uniform(1, 2))})
-        w.schedule(1.0, "mobility")  # each tick queues the next
+        w.schedule(US, "mobility")  # each tick queues the next
         positions = []
         orig = w._on_mobility
         def spy(ev, _o=orig, _w=w, _p=positions):
             _o(ev)
             _p.append(_w.positions["a"])
         w._on_mobility = spy
-        w.run_until(p.duration_s)
+        w.run_until(w.us["duration_s"])
         xs = [q[0] for q in positions]
         ys = [q[1] for q in positions]
         samples.append((sum(xs) / len(xs), sum(ys) / len(ys)))
@@ -637,7 +665,7 @@ def test_energy_time_budget_conserved():
     p = SimParams(duration_s=400.0, grid_m=120.0)
     w = build_random_world(p, ARMS["baseline"], seed=3, n_clients=10, n_attackers=0)
     w.run()
-    elapsed = p.duration_s + DRAIN_S
+    elapsed = p.duration_s + DRAIN_US / US
     for ledger in w.ledgers.values():
         active = ledger.tx_s + ledger.rx_s + ledger.cpu_s
         assert active < elapsed
@@ -1034,7 +1062,7 @@ def _walk_params(draw):
     low = draw(st.floats(0.1, 4.0))
     return SimParams(duration_s=draw(st.sampled_from([30.0, 75.0])),
                      grid_m=draw(st.floats(20.0, 70.0)),
-                     pause_s=draw(st.floats(0.5, 15.0)),
+                     pause_s=draw(st.integers(US // 2, 15 * US)) / US,
                      speed_min_mps=low,
                      speed_max_mps=low + draw(st.floats(0.0, 8.0)),
                      mobility_tick_s=draw(st.sampled_from([0.5, 1.0, 2.5, 3.3])),
@@ -1228,16 +1256,15 @@ def test_overflow_demo_runs_in_every_arm(arm):
 def test_orphan_data_counted_sent_but_lost():
     w = World(SimParams(data_warmup_s=0.0), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))  # never joins: no DIO heard
-    w.schedule(30.0, "data")
-    w.run_until(31.0)
+    w.schedule(30 * US, "data")
+    w.run_until(31 * US)
     assert w.counters.sent_per_node == {"a": 1}
     assert w.counters.received_at_root == 0
     assert w.counters.data_transmissions == 0
 
 
 def test_warmup_boundary_sends_one_packet_per_instant():
-    # 3.3 // 1.1 == 2.0 in floating point, so a data grid split at the warmup
-    # would queue the packet due at 3 * 1.1 on both sides of the split
+    # the packet due at 3 x 1.1 s is queued once, on the warm-up itself
     p = SimParams(duration_s=30.0, data_period_s=1.1, data_warmup_s=3.3)
     w = World(p, ARMS["baseline"], seed=2)
     for node_id in ("a", "b"):
@@ -1249,19 +1276,19 @@ def test_warmup_boundary_sends_one_packet_per_instant():
         on_data(event)
     w._on_data = spy
     w.run()
-    assert len(instants) == len(set(instants)) == 27  # 27 * 1.1 <= 30
-    # each client sends once per instant; 1.1 + 1.1 + 1.1 lands past 3.3, so
-    # the third packet counts
-    counted = sum(t > p.data_warmup_s for t in instants)
-    assert counted == 25
+    assert instants == [k * 1_100_000 for k in range(1, 28)]  # 27 x 1.1 <= 30
+    # each client sends once per instant; the third goes at exactly 3.3 s,
+    # which is not after the warm-up, so it does not count
+    counted = sum(t > w.us["data_warmup_s"] for t in instants)
+    assert counted == 24
     assert w.counters.sent_per_node == {"a": counted, "b": counted}
 
 
 @pytest.mark.parametrize("period, horizon", [(1.1, 3.3), (0.1, 0.3), (2.2, 6.6)])
 @pytest.mark.parametrize("kind", ["data", "mobility"])
 def test_period_dividing_horizon_in_decimal_keeps_last_event(kind, period, horizon):
-    # adding the period up three times lands a hair past the horizon:
-    # 1.1 + 1.1 + 1.1 == 3.3000000000000003
+    # in whole microseconds 3 x 1.1 s is 3.3 s exactly, where the float
+    # sum 1.1 + 1.1 + 1.1 == 3.3000000000000003 lands a hair past it
     key = "mobility_tick_s" if kind == "mobility" else f"{kind}_period_s"
     p = SimParams(duration_s=horizon, data_warmup_s=0.0, **{key: period})
     w = World(p, ARMS["baseline"], seed=2)
@@ -1274,15 +1301,14 @@ def test_period_dividing_horizon_in_decimal_keeps_last_event(kind, period, horiz
         handler(event)
     setattr(w, f"_on_{kind}", spy)
     w.run()
-    assert len(fired) == 3, fired
+    assert fired == [k * w.us[key] for k in (1, 2, 3)]
     if kind == "data":
         assert w.counters.sent_per_node == {"a": 3}
 
 
-@pytest.mark.parametrize("period", [math.inf, math.nan, 4.0])
+@pytest.mark.parametrize("period", [4.0])
 @pytest.mark.parametrize("kind", ["data", "mobility"])
 def test_loop_with_period_past_horizon_never_fires(kind, period):
-    # an infinite period once crashed the run: inf does not read as a decimal
     key = "mobility_tick_s" if kind == "mobility" else f"{kind}_period_s"
     p = SimParams(duration_s=3.0, data_warmup_s=0.0, **{key: period})
     w = World(p, ARMS["baseline"], seed=2)
@@ -1296,14 +1322,27 @@ def test_loop_with_period_past_horizon_never_fires(kind, period):
     setattr(w, f"_on_{kind}", spy)
     w.run()
     assert fired == []
-    assert all(event.kind != kind for event in w._queue)  # none queued at inf
+    assert all(event.kind != kind for event in w._queue)
+
+
+@pytest.mark.parametrize("period", [math.inf, math.nan])
+@pytest.mark.parametrize("kind", ["data", "mobility"])
+def test_non_finite_loop_period_refused(kind, period):
+    # an infinite period once crashed the run; it is no whole number of µs
+    key = "mobility_tick_s" if kind == "mobility" else f"{kind}_period_s"
+    p = SimParams(duration_s=3.0, data_warmup_s=0.0, **{key: period})
+    with pytest.raises(ScenarioError, match=f"^{key}: must be a non-negative whole "
+                                            f"number of microseconds, got {period}$"):
+        World(p, ARMS["baseline"], seed=2)
+    with pytest.raises(ScenarioError, match=f"^{key}: "):  # nan: not positive
+        Scenario(params=p).validate()
 
 
 def test_one_data_event_pending_while_the_data_loop_runs():
     p = SimParams(duration_s=300.0, startup_stagger_s=60.0, data_warmup_s=120.0,
                   grid_m=90.0)
     w = build_random_world(p, ARMS["attack"], seed=3, n_clients=6, n_attackers=1)
-    last = engine.last_loop_time(p.data_period_s, p.duration_s)
+    last = w.us["duration_s"] // w.us["data_period_s"] * w.us["data_period_s"]
     fired = []
     dispatch = w._dispatch
     def checked(event):
@@ -1315,7 +1354,7 @@ def test_one_data_event_pending_while_the_data_loop_runs():
         assert pending == (0 if fired and fired[-1] == last else 1), f"t={w.clock}"
     w._dispatch = checked
     c = w.run()
-    assert fired[-1] == last == 300.0 and not w._queue
+    assert fired[-1] == last == 300 * US and not w._queue
     # counted: the packets sent at 150, 180, ..., 300
     assert c.sent_per_node == {f"c{i:02d}": 6 for i in range(1, 7)}
 
@@ -1382,15 +1421,15 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     w._dispatch = lambda event: bounded(dispatch, event)
     w._receive = lambda *args: bounded(receive, *args)
     w._schedule_initial()
-    w.run_until(t_nack)
+    w.run_until(round(t_nack * US))
     assert b.parent == a.address
     nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)  # nothing else is due at t_nack
-    assert w._wake["b"] == t_nack  # the trickle wake-up became a DIS
-    w.run_until(t_nack + 50.0)
+    assert w._wake["b"] == w.clock  # the trickle wake-up became a DIS
+    w.run_until(w.clock + 50 * US)
     refresh = [e for e in w._queue if e.kind == "dao_refresh" and e.node_id == "b"]
     assert len(refresh) == 1
-    w.run_until(params.duration_s + DRAIN_S)
+    w.run_until(w.us["duration_s"] + DRAIN_US)
 
     after = [line.split("\t") for line in trace.getvalue().splitlines()
              if line.split("\t")[1] == "b" and float(line.split("\t")[0]) >= t_nack]
@@ -1421,13 +1460,12 @@ def test_nack_for_parent_after_horizon_sends_nothing():
     a = w.add_node("a", NodeRole.CLIENT, (45.0, 0.0))
     b = w.add_node("b", NodeRole.CLIENT, (90.0, 0.0))
     w._schedule_initial()
-    t_nack = params.duration_s + 0.5
-    w.run_until(t_nack)
+    w.run_until(w.us["duration_s"] + US // 2)
     assert b.parent == a.address
     sent = w.counters.control_transmissions
     nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)
-    w.run_until(params.duration_s + DRAIN_S)
+    w.run_until(w.us["duration_s"] + DRAIN_US)
     assert b.parent is None and "b" not in w._wake
     assert w.counters.control_transmissions == sent
     late = [line.split("\t") for line in trace.getvalue().splitlines()
@@ -1446,11 +1484,11 @@ def test_dao_is_dropped_round_a_parent_cycle():
     a = w.add_node("a", NodeRole.CLIENT, (45.0, 0.0))
     b = w.add_node("b", NodeRole.CLIENT, (90.0, 0.0))
     w._schedule_initial()
-    w.run_until(100.0)
+    w.run_until(100 * US)
     assert w.counters.dao_path_transmissions == 12
     nack = DaoStatus(originator=root.address, status=STATUS_NACK)
     w._receive(a, root.address, nack, 0.0)
-    w.run_until(200.0)
+    w.run_until(200 * US)
     assert a.parent == b.address and b.parent == a.address  # the cycle stays
     # every DAO stops at the first node whose parent sent it
     assert w.counters.dao_path_transmissions == 17
@@ -1463,7 +1501,7 @@ def test_first_volley_after_the_horizon_is_not_sent():
     w = World(params, ARMS["attack"], seed=2)
     w.add_node("root", NodeRole.ROOT, (0.0, 0.0))
     m = w.add_node("m", NodeRole.MALICIOUS, (10.0, 0.0),
-                   start_time=params.duration_s - 0.001)
+                   start_time=w.us["duration_s"] - 1000)
     c = w.run()
     assert m.joined  # the root's DIO lands after the horizon
     assert c.forged_acked == c.forged_nacked == 0
@@ -1482,9 +1520,9 @@ def test_rt_peak_counts_routes_purged_between_instants():
     w._schedule_initial()
     sizes = []
     for k in range(1, 11):
-        w.run_until(30.0 * k)
+        w.run_until(30 * US * k)
         sizes.append(len(a.routing))
-    w.run_until(p.duration_s + DRAIN_S)
+    w.run_until(w.us["duration_s"] + DRAIN_US)
     w._finalize()
     assert sizes == [1] * 10  # m, registered through a
     assert w.counters.forged_nacked == 40
@@ -1507,9 +1545,9 @@ class WorldMachine(RuleBasedStateMachine):
             self.w.add_node(node_id, NodeRole.ROOT if node_id == "root"
                             else NodeRole.CLIENT, (x, 0.0))
         self.w._schedule_initial()
-        self.w.run_until(0.0)  # every node has started
+        self.w.run_until(0)  # every node has started
 
-    @rule(dt=st.floats(0.0, 40.0))
+    @rule(dt=st.integers(0, 40 * US))
     def advance(self, dt):
         self.w.run_until(self.w.clock + dt)
 

@@ -7,7 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from lisec_rtf.config import SimParams
+from lisec_rtf.config import US, SimParams
 from lisec_rtf.messages import (
     DaoModified,
     DaoStatus,
@@ -100,11 +100,11 @@ def test_trickle_reset_returns_to_imin():
     t = TrickleState.start(P, rng, 0.0)
     for _ in range(5):
         t.step(rng, t.t_fire)
-    t.reset(rng, 100.0)
+    t.reset(rng, 100 * US)
     assert t.interval == P.trickle_imin_s
-    t.reset(rng, 100.0)
+    t.reset(rng, 100 * US)
     assert t.interval == P.trickle_imin_s  # idempotent on the interval
-    assert 100.0 + 2 <= t.t_fire < 100.0 + 4
+    assert 102 * US <= t.t_fire <= 104 * US
 
 
 # -- DIS / DIO ----------------------------------------------------------
@@ -428,10 +428,10 @@ class ClientMachine(RuleBasedStateMachine):
         self.node = NodeState("n01", SELF_ADDR, NodeRole.CLIENT, FUZZ_PARAMS)
         self.node.rt_cap = 3
         self.rng = random.Random(0)
-        self.now = 0.0
+        self.now = 0
         self.heard = {}
 
-    @rule(dt=st.floats(0.0, 10.0))
+    @rule(dt=st.integers(0, 10 * US))
     def tick(self, dt):
         self.now += dt
 

@@ -200,17 +200,13 @@ def test_scenario_without_counted_data_rejected(text):
 
 
 def test_warmup_rule_follows_accumulated_data_times():
-    # the engine adds the period up: 1.1 + 1.1 + 1.1 == 3.3000000000000003,
-    # which lies past a 3.3 s warm-up, so the third packet counts
-    from lisec_rtf.config import ARMS
-    from lisec_rtf.engine import World
-    from lisec_rtf.node import NodeRole
+    # data goes at exactly 3 x 1.1 = 3.3 s, which is not after a 3.3 s
+    # warm-up, although the float sum 1.1 + 1.1 + 1.1 lands past it
     scenario = parse_scenario("data_period_s = 1.1\ndata_warmup_s = 3.3\n"
                               "duration_s = 3.3\nstartup_stagger_s = 0\n")
-    scenario.validate()
-    w = World(scenario.params, ARMS["baseline"], seed=2)
-    w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
-    assert w.run().sent_per_node == {"a": 1}
+    with pytest.raises(ScenarioError, match=r"^data_warmup_s: no data packet is "
+                                            r"sent after 3.3 s; the last goes at 3.3 s$"):
+        scenario.validate()
 
 
 def test_cli_refuses_a_run_without_counted_data(tmp_path, capsys):
@@ -250,15 +246,19 @@ def test_cli_refuses_stagger_past_warmup(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key", ["mobility_tick_s"])
-def test_cli_runs_a_loop_with_infinite_period(tmp_path, capsys, key):
-    # a loop whose period is inf never fires; it once ended in a traceback
+def test_cli_refuses_a_loop_with_infinite_period(tmp_path, capsys, key):
+    # an infinite period once ended in a traceback; it is no whole number
+    # of microseconds
     path = tmp_path / "inf.scenario"
     path.write_text(f"{key} = inf\nmobility = on\nseeds = 1\n"
                     "arms = baseline\nduration_s = 60\nn_clients = 3\n"
                     "startup_stagger_s = 0\ndata_warmup_s = 0\n")
-    parse_scenario(path.read_text()).validate()
-    assert main(["--scenario", str(path), "--out", str(tmp_path / "res")]) == 0
-    assert "Traceback" not in capsys.readouterr().err
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {key}: must be a non-negative whole number of "
+                   "microseconds, got inf\n")
+    assert not out.exists()
 
 
 # -- experiment outputs -----------------------------------------------------
