@@ -3,6 +3,10 @@
 Values mirror the desk-scale experiment defaults: 200 m grid, 50 m unit-disk
 radio, hop-count ranks with MRHOF-style hysteresis, Z1-class power numbers.
 RFC 6550's rank constants are in `node.py`, the shared key's length in `puf.py`.
+
+A `SimParams` is frozen and checked when it is made, for a scenario file and
+library use alike: a value that breaks a rule in `RULES` raises `ScenarioError`
+naming the key.  Vary one with `dataclasses.replace`, which checks it again.
 """
 
 from __future__ import annotations
@@ -10,8 +14,52 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .messages import OPTIONS_MAX
+from .puf import NONCE_LEN, license_blob_len
 
-@dataclass
+US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
+
+
+class ScenarioError(ValueError):
+    """Bad scenario file or inconsistent settings; message names the key."""
+
+
+# Every field once, with its rules in the order they are checked: the ranges
+# (nan fails all but "finite"), the trickle cap and the license size, then
+# "µs": whole microseconds, as `SimParams.us` holds each duration the clock reads.
+RULES = {
+    # below 0 a node leaves its parent for a neighbour no better, and parents
+    # swap in a loop; a root cap of 0 is unbounded, a lifetime of 0 endless
+    "hysteresis": ("non-negative",), "rt_cap": ("non-negative",),
+    "root_rt_cap": ("non-negative",), "route_lifetime_s": ("non-negative", "µs"),
+    "dao_period_s": ("positive", "µs"), "trickle_doublings": ("non-negative",),
+    # an infinite interval never fires, so no node joins; RFC 6206 asks k >= 1
+    "trickle_imin_s": ("positive", "finite", "µs"), "trickle_k": ("positive",),
+    "dis_period_s": ("positive", "µs"), "data_period_s": ("positive", "µs"),
+    "data_bytes": ("positive",), "dio_bytes": ("positive",), "dis_bytes": ("positive",),
+    "attack_period_s": ("positive", "µs"), "forged_per_period": ("non-negative",),
+    "attacker_self_dao_delay_s": ("non-negative", "µs"), "tx_range_m": ("positive",),
+    "loss_prob": ("in [0, 1]",), "d_hop_s": ("non-negative", "µs"),
+    "bitrate_bps": ("positive",),
+    # an infinite power or CPU figure makes APC inf and its CI nan
+    "p_tx_mw": ("finite", "non-negative"), "p_rx_mw": ("finite", "non-negative"),
+    "p_cpu_mw": ("finite", "non-negative"), "p_lpm_mw": ("finite", "non-negative"),
+    "cpu_per_packet_s": ("finite", "non-negative"),
+    # inf places nodes at infinity, moves walkers to nan or never ends a run
+    "grid_m": ("positive", "finite"), "mobility_tick_s": ("positive", "µs"),
+    "speed_min_mps": ("finite", "non-negative"),
+    "speed_max_mps": ("finite", "non-negative"), "pause_s": ("non-negative", "µs"),
+    "duration_s": ("positive", "finite", "µs"),
+    "startup_stagger_s": ("non-negative", "µs"),
+    "attacker_start_window_s": ("non-negative", "µs"),
+    "data_warmup_s": ("non-negative", "µs"), "license_width": ("positive",),
+}
+
+_HOLDS = {"positive": lambda v: v > 0, "finite": lambda v: v != math.inf,
+          "non-negative": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1}
+
+
+@dataclass(frozen=True)
 class SimParams:
     # parent selection: a switch needs a rank better by more than this
     hysteresis: int = 128
@@ -66,40 +114,40 @@ class SimParams:
     # licensing
     license_width: int = 8
 
+    def __post_init__(self) -> None:
+        """Apply `RULES`; set `us`, each "µs" key in whole microseconds."""
+        for key, rules in RULES.items():
+            value = getattr(self, key)
+            for rule in rules:
+                if rule in _HOLDS and not _HOLDS[rule](value):
+                    raise ScenarioError(f"{key}: must be {rule}, got {value}")
+        try:
+            self.trickle_cap_s()
+        except OverflowError:
+            raise ScenarioError(f"trickle_doublings: trickle_imin_s * "
+                                f"2**{self.trickle_doublings} must be finite") from None
+        # the encrypted license and its nonce ride in the DAO options
+        if license_blob_len(self.license_width) > OPTIONS_MAX:
+            raise ScenarioError(
+                f"license_width: at most {(OPTIONS_MAX - NONCE_LEN) * 8} bits fit "
+                f"the DAO options, got {self.license_width}")
+        us = {}
+        for key, rules in RULES.items():
+            if "µs" in rules:
+                seconds = getattr(self, key)
+                n = seconds * US
+                if not (math.isfinite(n) and round(n) / US == seconds):
+                    raise ScenarioError(f"{key}: must be a non-negative whole number "
+                                        f"of microseconds, got {seconds}")
+                us[key] = round(n)
+        object.__setattr__(self, "us", us)  # no field: repr, eq and hash skip it
+
     def trickle_cap_s(self) -> float:
         """`trickle_imin_s * 2**trickle_doublings`; OverflowError past floats."""
         return math.ldexp(self.trickle_imin_s, self.trickle_doublings)
 
     def airtime_s(self, n_bytes: int) -> float:
         return n_bytes * 8.0 / self.bitrate_bps
-
-
-US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
-
-# the keys the clock reads, each a whole number of microseconds
-DURATION_KEYS = ("data_period_s", "dis_period_s", "dao_period_s", "attack_period_s",
-                 "mobility_tick_s", "trickle_imin_s", "duration_s", "d_hop_s",
-                 "startup_stagger_s", "attacker_start_window_s",
-                 "attacker_self_dao_delay_s", "data_warmup_s", "pause_s",
-                 "route_lifetime_s")
-
-
-class ScenarioError(ValueError):
-    """Bad scenario file or inconsistent settings; message names the key."""
-
-
-def durations_us(params: SimParams) -> dict[str, int]:
-    """Every duration key of `params` in whole microseconds.  A ScenarioError
-    naming the key refuses a negative value, inf, nan and any fraction of one."""
-    us = {}
-    for key in DURATION_KEYS:
-        seconds = getattr(params, key)
-        n = seconds * US
-        if not (math.isfinite(n) and n >= 0 and round(n) / US == seconds):
-            raise ScenarioError(f"{key}: must be a non-negative whole number of "
-                                f"microseconds, got {seconds}")
-        us[key] = round(n)
-    return us
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple, TextIO
 
-from .config import US, ArmFlags, SimParams, durations_us
+from .config import US, ArmFlags, SimParams
 from .messages import (
     DaoModified,
     DaoStatus,
@@ -123,7 +123,6 @@ class Trajectory:
     def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
                  positions: dict[str, tuple[float, float]]):
         self.params = params
-        self.pause = durations_us(params)["pause_s"]
         # a stream of its own, so trajectories match across arms at equal seed
         self.rng = random.Random((seed << 16) ^ 0x30B1)
         self.walkers = walkers
@@ -162,7 +161,7 @@ class Trajectory:
                 now[i] = state.waypoint
                 state.waypoint = (uniform(0, grid), uniform(0, grid))
                 state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
-                state.pause_until = clock + self.pause
+                state.pause_until = clock + p.us["pause_s"]
             else:
                 # clamp into the grid; branches cost less than min/max calls
                 nx = x + dx / dist * step
@@ -201,12 +200,11 @@ def _line_sink(stream: TextIO):
 
 
 class World:
-    """`clock`, every time it takes and `start_times` are whole microseconds;
-    `us` holds each duration key of `params` in them (`config.durations_us`)."""
+    """`clock`, every time it takes, `start_times` and `us` are whole µs."""
 
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
                  trace: TextIO | None = None):
-        self.us = durations_us(params)
+        self.us = params.us
         self.params = params
         self.arm = arm
         self.seed = seed
@@ -246,7 +244,7 @@ class World:
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
                  start_time: int = 0) -> NodeState:
         address = node_address(len(self.nodes))
-        node = NodeState(node_id, address, role, self.params, self.us)
+        node = NodeState(node_id, address, role, self.params)
         node.encrypted = self.arm.encrypted
         node.tracer = self.tracer
         self.nodes[node_id] = node
@@ -741,10 +739,11 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     generator, so every arm sees the same network for a given seed.
 
     `placements` is a memo the caller owns, keyed by the seed, the counts
-    and every `SimParams` field; without one the build uses a memo of its
-    own.  A hit skips the search: it reuses the accepted positions and
-    restores `rng_topo` to its state right after the accepted try, so
-    every later draw is the one a fresh search would have led to.
+    and `params`, a frozen `SimParams` that compares by every field;
+    without one the build uses a memo of its own.  A hit skips the search:
+    it reuses the accepted positions and restores `rng_topo` to its state
+    right after the accepted try, so every later draw is the one a fresh
+    search would have led to.
     A miss searches and stores both; a failed search stores nothing.  Mobile
     worlds built on one entry share its trajectory, which keeps every tick
     for as long as the entry lives.
@@ -753,7 +752,7 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
     attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
-    key = (seed, n_clients, n_attackers, *vars(params).values())
+    key = (seed, n_clients, n_attackers, params)
     if placements is None:
         placements = {}
     entry = placements.get(key)

@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .config import US, SimParams, durations_us
+from .config import US, SimParams
 from .messages import (
     DaoModified,
     DaoStatus,
@@ -91,8 +91,7 @@ class RoutingEntry:
 class NodeState:
     """One sensor node (or the border router); `now` is in whole µs."""
 
-    def __init__(self, node_id: str, address: bytes, role: NodeRole, params: SimParams,
-                 us: dict[str, int] | None = None):
+    def __init__(self, node_id: str, address: bytes, role: NodeRole, params: SimParams):
         self.node_id = node_id
         self.address = address
         self.role = role
@@ -101,8 +100,7 @@ class NodeState:
             self.rt_cap = params.root_rt_cap if params.root_rt_cap > 0 else None
         else:
             self.rt_cap = params.rt_cap
-        # `us`: `durations_us(params)`, from the World that holds it
-        self.route_lifetime = (us or durations_us(params))["route_lifetime_s"]
+        self.route_lifetime = params.us["route_lifetime_s"]
 
         self.rank: int | None = ROOT_RANK if role is NodeRole.ROOT else None
         self.parent: bytes | None = None

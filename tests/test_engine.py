@@ -176,15 +176,15 @@ def test_negative_or_nan_hop_delay_refused():
                                         ("data_period_s", 0.0000015)])
 def test_duration_off_the_microsecond_grid_refused(key, value):
     # the clock counts whole microseconds: 1e-7 s would be 0.1 of one
-    p = SimParams(**{key: value})
     refused = f"^{key}: must be a non-negative whole number of microseconds, got {value}$"
     with pytest.raises(ScenarioError, match=refused):
-        Scenario(params=p).validate()
+        Scenario(params=SimParams(**{key: value})).validate()
     with pytest.raises(ScenarioError, match=refused):
-        World(p, ARMS["baseline"], seed=1)
+        World(SimParams(**{key: value}), ARMS["baseline"], seed=1)
     # builds without a Scenario, as the scaled benchmark makes them
     with pytest.raises(ScenarioError, match=refused):
-        build_random_world(p, ARMS["baseline"], seed=1, n_clients=3, n_attackers=0)
+        build_random_world(SimParams(**{key: value}), ARMS["baseline"], seed=1,
+                           n_clients=3, n_attackers=0)
 
 
 # -- radio --------------------------------------------------------------
@@ -1330,12 +1330,13 @@ def test_loop_with_period_past_horizon_never_fires(kind, period):
 def test_non_finite_loop_period_refused(kind, period):
     # an infinite period once crashed the run; it is no whole number of µs
     key = "mobility_tick_s" if kind == "mobility" else f"{kind}_period_s"
-    p = SimParams(duration_s=3.0, data_warmup_s=0.0, **{key: period})
-    with pytest.raises(ScenarioError, match=f"^{key}: must be a non-negative whole "
-                                            f"number of microseconds, got {period}$"):
-        World(p, ARMS["baseline"], seed=2)
+    values = dict(duration_s=3.0, data_warmup_s=0.0, **{key: period})
+    if period == math.inf:  # nan is refused first as not positive
+        with pytest.raises(ScenarioError, match=f"^{key}: must be a non-negative whole "
+                                                f"number of microseconds, got {period}$"):
+            World(SimParams(**values), ARMS["baseline"], seed=2)
     with pytest.raises(ScenarioError, match=f"^{key}: "):  # nan: not positive
-        Scenario(params=p).validate()
+        Scenario(params=SimParams(**values)).validate()
 
 
 def test_one_data_event_pending_while_the_data_loop_runs():

@@ -1,13 +1,16 @@
 """Scenario parsing, experiment outputs and CLI behavior."""
 
 import io
+import math
 import warnings
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 
 from lisec_rtf import experiment
 from lisec_rtf.cli import main
-from lisec_rtf.engine import SetupError
+from lisec_rtf.config import ARMS, RULES, SimParams
+from lisec_rtf.engine import SetupError, build_random_world
 from lisec_rtf.experiment import RUNS_HEADER, SUMMARY_HEADER, run_experiment, run_single
 from lisec_rtf.scenario import (
     ScenarioError,
@@ -104,9 +107,8 @@ def test_encrypted_license_must_fit_the_dao_options():
                                "arms = defense\nseeds = 1\n")
     s.validate()
     assert run_single(s, "defense_encrypted", 0).pdr > 0
-    s.params.license_width = 1977
     with pytest.raises(ScenarioError, match="^license_width: at most 1976 bits"):
-        s.validate()
+        replace(s.params, license_width=1977)
 
 
 def test_negative_seed_rejected():
@@ -144,9 +146,8 @@ def test_repeated_seed_or_arm_rejected(text, key):
                   "trickle_k")],
 ])
 def test_non_positive_period_rejected(value, key):
-    s = parse_scenario(f"{key} = {value}")
     with pytest.raises(ScenarioError, match=f"^{key}: must be positive"):
-        s.validate()
+        parse_scenario(f"{key} = {value}")
 
 
 @pytest.mark.parametrize("key, value", [
@@ -163,18 +164,20 @@ def test_non_positive_period_rejected(value, key):
                               "rt_cap", "root_rt_cap", "hysteresis")],
 ])
 def test_negative_delay_or_window_rejected(key, value):
-    s = parse_scenario(f"{key} = {value}")
     with pytest.raises(ScenarioError, match=f"^{key}: must be non-negative"):
-        s.validate()
+        parse_scenario(f"{key} = {value}")
     # the bound itself is allowed; a warm-up of 0 also needs a stagger of 0
     parse_scenario(f"startup_stagger_s = 0\n{key} = 0").validate()
 
 
 @pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
-                                 "speed_max_mps", "trickle_imin_s"])
+                                 "speed_max_mps", "trickle_imin_s",
+                                 # an infinite power once gave APC inf, CI nan
+                                 "p_tx_mw", "p_rx_mw", "p_cpu_mw", "p_lpm_mw",
+                                 "cpu_per_packet_s"])
 def test_infinite_horizon_or_grid_rejected(key):
     with pytest.raises(ScenarioError, match=f"^{key}: must be finite"):
-        parse_scenario(f"{key} = inf").validate()
+        parse_scenario(f"{key} = inf")
 
 
 @pytest.mark.parametrize("text", [
@@ -186,7 +189,7 @@ def test_infinite_horizon_or_grid_rejected(key):
 def test_trickle_cap_past_float_range_rejected(text):
     pattern = r"^trickle_doublings: trickle_imin_s \* 2\*\*\d+ must be finite"
     with pytest.raises(ScenarioError, match=pattern):
-        parse_scenario(text).validate()
+        parse_scenario(text)
     parse_scenario("trickle_doublings = 1021").validate()  # 4 * 2**1021 fits
 
 
@@ -259,6 +262,48 @@ def test_cli_refuses_a_loop_with_infinite_period(tmp_path, capsys, key):
     assert err == (f"error: {key}: must be a non-negative whole number of "
                    "microseconds, got inf\n")
     assert not out.exists()
+
+
+# -- the parameter gate -----------------------------------------------------
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("bitrate_bps", 0), ("loss_prob", 2.0), ("hysteresis", -1), ("trickle_k", 0),
+    ("p_tx_mw", math.inf),
+])
+def test_bad_parameter_refused_where_it_is_made(key, bad):
+    # a world built straight from SimParams once ran these: PDR 0 at
+    # loss_prob 2, nine times the control traffic at hysteresis -300, and a
+    # ZeroDivisionError at bitrate 0
+    with pytest.raises(ScenarioError, match=f"^{key}: "):
+        SimParams(**{key: bad})
+    with pytest.raises(ScenarioError, match=f"^{key}: "):
+        build_random_world(SimParams(**{key: bad}), ARMS["baseline"], seed=3,
+                           n_clients=3, n_attackers=0)
+
+
+def test_rule_table_lists_every_field():
+    assert set(RULES) == {f.name for f in fields(SimParams)}
+
+
+def test_parameters_are_frozen_and_replace_checks_again():
+    params = SimParams()
+    with pytest.raises(FrozenInstanceError):
+        params.loss_prob = 2.0
+    assert replace(params, loss_prob=0.5).us == params.us
+    with pytest.raises(ScenarioError, match=r"^loss_prob: must be in \[0, 1\], got 2.0$"):
+        replace(params, loss_prob=2.0)
+
+
+@pytest.mark.parametrize("text", [
+    "trickle_doublings = 1030\ntrickle_imin_s = 0.000001\n",
+    "trickle_imin_s = 0.000001\ntrickle_doublings = 1030\n",
+])
+def test_line_order_never_decides_acceptance(text):
+    # 1030 doublings overflow the default 4 s interval but not 1 µs
+    scenario = parse_scenario(text)
+    scenario.validate()
+    assert (scenario.params.trickle_doublings, scenario.params.trickle_imin_s) == (1030, 1e-6)
 
 
 # -- experiment outputs -----------------------------------------------------
@@ -559,6 +604,7 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "attacker_self_dao_delay_s = -1", "trickle_imin_s = inf",
                  "trickle_doublings = 4000", "p_tx_mw = -1", "p_rx_mw = -1",
                  "p_cpu_mw = -1", "p_lpm_mw = -1", "cpu_per_packet_s = -1",
+                 "p_tx_mw = inf", "cpu_per_packet_s = inf",
                  "forged_per_period = -1", "root_rt_cap = -1",
                  "route_lifetime_s = -1", "trickle_k = -1", "rt_cap = -1",
                  "license_width = 1977", "seeds = -1,1"):
