@@ -18,6 +18,8 @@ from .messages import OPTIONS_MAX
 from .puf import NONCE_LEN, license_blob_len
 
 US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
+MAX_FRAME = 127  # octets in an IEEE 802.15.4 PHY frame (aMaxPHYPacketSize)
+_FRAME = f"at most {MAX_FRAME} octets"
 
 
 class ScenarioError(ValueError):
@@ -36,7 +38,9 @@ RULES = {
     # an infinite interval never fires, so no node joins; RFC 6206 asks k >= 1
     "trickle_imin_s": ("positive", "finite", "µs"), "trickle_k": ("positive",),
     "dis_period_s": ("positive", "µs"), "data_period_s": ("positive", "µs"),
-    "data_bytes": ("positive",), "dio_bytes": ("positive",), "dis_bytes": ("positive",),
+    # a longer frame would still land d_hop_s after it is sent
+    "data_bytes": ("positive", _FRAME), "dio_bytes": ("positive", _FRAME),
+    "dis_bytes": ("positive", _FRAME),
     "attack_period_s": ("positive", "µs"), "forged_per_period": ("non-negative",),
     "attacker_self_dao_delay_s": ("non-negative", "µs"), "tx_range_m": ("positive",),
     "loss_prob": ("in [0, 1]",), "d_hop_s": ("non-negative", "µs"),
@@ -56,7 +60,8 @@ RULES = {
 }
 
 _HOLDS = {"positive": lambda v: v > 0, "finite": lambda v: v != math.inf,
-          "non-negative": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1}
+          "non-negative": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
+          _FRAME: lambda v: v <= MAX_FRAME}
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ for byte.
 
 The walkers of a mobile world live in a `Trajectory`, which worlds built
 through one placement memo share: whichever world first reaches a tick
-computes it, and the others copy its positions.
+computes it, and the ids in range of a sender at a tick are computed once
+for all of them.
 
 Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
@@ -24,8 +25,10 @@ Every client sends with the same period and phase, so data leaves from one
 
 Each sender's broadcast neighbours are cached: the nodes within
 `tx_range_m`, in `nodes` insertion order, built lazily by the first
-broadcast and cleared by `add_node` and at every mobility tick.
-Unicast range tests read the sender's cache when it is filled.
+broadcast and cleared by `add_node` and at every mobility tick; a mobile
+world takes them from its walk, which covers every node, and copies the
+walk into `positions` only when something reads it.  Unicast range tests
+read the sender's cache when it is filled.
 
 Radio deliveries wait in `_inflight`, a FIFO beside the event heap with
 one entry per transmission: (arrival, seq, receivers, sender address,
@@ -105,17 +108,19 @@ class RwpState:
 
 
 class Trajectory:
-    """The random-waypoint walk of `walkers` from their `positions`.
+    """The random-waypoint walk of `walkers` among the nodes of `positions`
+    (`order`), and which of those are in radio range of each other.
 
-    `at(k, clock)` gives each walker's (x, y) after mobility tick k, counted
-    from 0, in `ids` order; it computes the tick at `clock` when no world
-    has reached it yet.  Every world takes tick k at (k + 1) x the period,
-    so a shared tick is computed at the clock each of them would use.
-    `now` holds the latest tick, and `xy` every tick so far, so that worlds
-    sharing the walk can replay it: flat `array("d")` blocks of
-    `TICKS_PER_BLOCK` ticks, x and y per walker, 16 B per walker per tick.
-    Blocks of about 30 kB fit into memory the heap already holds, where one
-    growing array would raise the peak by its whole size.
+    `_step(clock)` computes the next tick; every world takes tick k at k x
+    the period, so a shared tick is computed at the clock each of them would
+    use.  `now` holds every node's (x, y) at the latest tick, and `xy` every
+    tick from 0: flat `array("d")` blocks of `TICKS_PER_BLOCK` ticks, x and y
+    per node, 16 B per node per tick.  Blocks of about 30 kB fit into memory
+    the heap already holds, where one growing array would raise the peak by
+    its whole size.  `near(k, sender)`, the ids in range after k ticks in
+    `order`, is computed when a world first asks and kept in `relations` for
+    all of them.  They are lists because freed tuples of many lengths pile
+    up in CPython's per-length free lists: 0.25 MB more peak over 10 seeds.
     """
 
     TICKS_PER_BLOCK = 64
@@ -127,21 +132,44 @@ class Trajectory:
         self.rng = random.Random((seed << 16) ^ 0x30B1)
         self.walkers = walkers
         self.ids = tuple(walkers)
-        self.now = [positions[node_id] for node_id in self.ids]
+        self.order = tuple(positions)
+        self.index = {node_id: i for i, node_id in enumerate(self.order)}
+        self.slots = [self.index[node_id] for node_id in self.ids]
+        self.now = list(positions.values())
         self.xy: list[array] = []
         self.ticks = 0
+        self.relations: dict[tuple[int, str], list[str]] = {}
+        self._record()
 
-    def at(self, k: int, clock: int):
-        if k == self.ticks:
-            self._step(clock)
-        if k == self.ticks - 1:
-            return self.now
+    def coords(self, k: int) -> tuple[array, array]:
+        """Every node's x and y after k ticks, in `order`."""
         block, row = divmod(k, self.TICKS_PER_BLOCK)
-        width = 2 * len(self.ids)
+        width = 2 * len(self.order)
         start = row * width
-        end = start + width
         xy = self.xy[block]
-        return zip(xy[start:end:2], xy[start + 1:end:2])
+        return xy[start:start + width:2], xy[start + 1:start + width:2]
+
+    def near(self, k: int, sender: str) -> list[str]:
+        key = (k, sender)
+        ids = self.relations.get(key)
+        if ids is None:
+            xs, ys = self.coords(k)
+            i = self.index[sender]
+            x, y, reach, hypot = xs[i], ys[i], self.params.tx_range_m, math.hypot
+            ids = self.relations[key] = [
+                other for other, ox, oy in zip(self.order, xs, ys)
+                if other != sender and hypot(x - ox, y - oy) <= reach]
+        return ids
+
+    def reaches(self, k: int, sender: str, receiver: str) -> bool:
+        """Whether `receiver` is in range of `sender` after k ticks: the
+        sender's ids if some world asked for them, else one distance."""
+        ids = self.relations.get((k, sender))
+        if ids is not None and receiver != sender:
+            return receiver in ids
+        xs, ys = self.coords(k)
+        a, b = self.index[sender], self.index[receiver]
+        return math.hypot(xs[a] - xs[b], ys[a] - ys[b]) <= self.params.tx_range_m
 
     def _step(self, clock: int) -> None:
         p = self.params
@@ -149,7 +177,7 @@ class Trajectory:
         grid = p.grid_m
         uniform = self.rng.uniform
         now = self.now
-        for i, state in enumerate(self.walkers.values()):
+        for i, state in zip(self.slots, self.walkers.values()):
             if clock < state.pause_until:
                 continue
             x, y = now[i]
@@ -175,10 +203,13 @@ class Trajectory:
                 elif ny > grid:
                     ny = grid
                 now[i] = (nx, ny)
+        self.ticks += 1
+        self._record()
+
+    def _record(self) -> None:
         if not self.ticks % self.TICKS_PER_BLOCK:
             self.xy.append(array("d"))
-        self.xy[-1].fromlist(list(chain.from_iterable(now)))
-        self.ticks += 1
+        self.xy[-1].fromlist(list(chain.from_iterable(self.now)))
 
 
 def _line_sink(stream: TextIO):
@@ -218,9 +249,9 @@ class World:
         self.nodes: dict[str, NodeState] = {}
         self._in_range: dict[str, dict[str, NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
-        self.positions: dict[str, tuple[float, float]] = {}
+        self._positions: dict[str, tuple[float, float]] = {}
         self.start_times: dict[str, int] = {}
-        self.trajectory: Trajectory | None = None
+        self.trajectory: Trajectory | None = None  # covers every node
         self._ticks = 0  # mobility ticks this world has taken
         self.ledgers: dict[str, EnergyLedger] = {}
         self.db = CRDatabase(width=params.license_width)
@@ -243,6 +274,8 @@ class World:
 
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
                  start_time: int = 0) -> NodeState:
+        if self.trajectory is not None:
+            raise ValueError(f"{node_id}: add every node before attaching a trajectory")
         address = node_address(len(self.nodes))
         node = NodeState(node_id, address, role, self.params)
         node.encrypted = self.arm.encrypted
@@ -250,7 +283,7 @@ class World:
         self.nodes[node_id] = node
         self._in_range.clear()
         self.by_addr[address] = node
-        self.positions[node_id] = pos
+        self._positions[node_id] = pos
         self.start_times[node_id] = start_time
         self.ledgers[node_id] = EnergyLedger()
         return node
@@ -259,6 +292,15 @@ class World:
     def mobility(self) -> tuple[str, ...]:
         """Ids of the nodes that walk, in trajectory order; empty if static."""
         return () if self.trajectory is None else self.trajectory.ids
+
+    @property
+    def positions(self) -> dict[str, tuple[float, float]]:
+        """Every node's (x, y) now, copied from the walk in a mobile world."""
+        walk = self.trajectory
+        if walk is not None:
+            xs, ys = walk.coords(self._ticks)
+            self._positions.update(zip(walk.order, zip(xs, ys)))
+        return self._positions
 
     def provision(self, skip: set[str] | None = None) -> None:
         """Registration phase: store one pair per node, hand out licenses."""
@@ -331,17 +373,22 @@ class World:
     # -- radio -------------------------------------------------------------
 
     def _distance(self, a: str, b: str) -> float:
-        (xa, ya), (xb, yb) = self.positions[a], self.positions[b]
+        (xa, ya), (xb, yb) = self._positions[a], self._positions[b]
         return math.hypot(xa - xb, ya - yb)
 
     def _neighbours(self, sender: NodeState) -> dict[str, NodeState]:
         """Nodes within radio range of `sender` by id, in `nodes` order."""
         near = self._in_range.get(sender.node_id)
         if near is None:
-            near = {other_id: other for other_id, other in self.nodes.items()
-                    if other is not sender
-                    and self._distance(sender.node_id, other_id)
-                    <= self.params.tx_range_m}
+            nodes, walk = self.nodes, self.trajectory
+            if walk is None:
+                near = {other_id: other for other_id, other in nodes.items()
+                        if other is not sender
+                        and self._distance(sender.node_id, other_id)
+                        <= self.params.tx_range_m}
+            else:
+                near = {other_id: nodes[other_id] for other_id
+                        in walk.near(self._ticks, sender.node_id)}
             self._in_range[sender.node_id] = near
         return near
 
@@ -378,11 +425,14 @@ class World:
             self.counters.link_losses += 1
             return
         near = self._in_range.get(sender.node_id)
-        if near is None or receiver is sender:  # the cache excludes the sender
+        if near is not None and receiver is not sender:  # cache excludes sender
+            out_of_range = receiver.node_id not in near
+        elif self.trajectory is None:
             out_of_range = (self._distance(sender.node_id, receiver.node_id)
                             > p.tx_range_m)
         else:
-            out_of_range = receiver.node_id not in near
+            out_of_range = not self.trajectory.reaches(self._ticks, sender.node_id,
+                                                       receiver.node_id)
         if out_of_range or self.rng.random() < p.loss_prob:
             self.counters.link_losses += 1
             return
@@ -549,9 +599,9 @@ class World:
     def _on_mobility(self, event: Event) -> None:
         self._reschedule(self.clock + self.us["mobility_tick_s"], "mobility")
         self._in_range.clear()
-        trajectory = self.trajectory
-        self.positions.update(zip(trajectory.ids,
-                                  trajectory.at(self._ticks, self.clock)))
+        walk = self.trajectory
+        if self._ticks == walk.ticks:  # the first world here computes it
+            walk._step(self.clock)
         self._ticks += 1
 
     # -- teardown ----------------------------------------------------------
@@ -570,9 +620,10 @@ class World:
     def digest(self) -> str:
         h = hashlib.sha256()
         h.update(str(self.clock).encode())
+        positions = self.positions
         for node_id in sorted(self.nodes):
             node = self.nodes[node_id]
-            x, y = self.positions[node_id]
+            x, y = positions[node_id]
             h.update(node_id.encode())
             h.update(f"|{node.rank}|{node.parent.hex() if node.parent else '-'}"
                      f"|{len(node.blacklist)}|{node.dao_seq}|{x:.6f},{y:.6f}".encode())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
+from types import SimpleNamespace
 
 from .config import ARMS, US, ScenarioError, SimParams
 
@@ -107,7 +108,7 @@ def parse_seeds(raw: str) -> list[int]:
 def parse_scenario(text: str) -> Scenario:
     """Read every line, then make one `SimParams` from all the parameter
     keys, so the order of the lines never decides whether a file is valid."""
-    scenario = Scenario()
+    settings = SimpleNamespace()  # the scenario-level keys, as `apply` sets them
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -117,15 +118,14 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {lineno}: expected key=value, got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _PARAM_TYPES:
-            apply(scenario, key, raw)
+            apply(settings, key, raw)
             continue
         try:
             values[key] = _PARAM_TYPES[key](raw)
         except ValueError:
             raise ScenarioError(f"{key}: expected {_PARAM_TYPES[key].__name__}, "
                                 f"got {raw!r}") from None
-    scenario.params = SimParams(**values)
-    return scenario
+    return Scenario(params=SimParams(**values), **vars(settings))
 
 
 def apply(scenario: Scenario, key: str, raw: str) -> None:

@@ -289,6 +289,8 @@ def test_broadcast_follows_mobility_tick():
     w.run_until(US)
     w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["arriving"]
+    with pytest.raises(ValueError, match="^late: add every node before"):
+        w.add_node("late", NodeRole.CLIENT, (0.0, 30.0))  # the walk covers no such node
 
 
 def test_broadcast_after_add_node_includes_it():
@@ -305,8 +307,8 @@ def test_broadcast_after_add_node_includes_it():
 def test_unicast_matches_distance_test():
     # oracle: whether a unicast's range test is answered from the sender's
     # neighbour cache or not, deliveries, link losses and the loss generator
-    # must match a plain distance test -- with caches filled, after a
-    # mobility tick cleared them, after add_node, and for self-unicasts
+    # must match a plain distance test -- with caches filled, after add_node,
+    # after a mobility tick cleared them, and for self-unicasts
     rng = random.Random(5)
     for trial in range(10):
         params = SimParams(loss_prob=0.3)
@@ -319,7 +321,6 @@ def test_unicast_matches_distance_test():
             walkers[f"n{i:02d}"] = RwpState(
                 waypoint=(rng.uniform(0, 150), rng.uniform(0, 150)),
                 speed=rng.uniform(5.0, 20.0))
-        walk(w, walkers)
         oracle_rng = random.Random()
         oracle_rng.setstate(w.rng.getstate())
         expected, losses = [], 0
@@ -354,10 +355,11 @@ def test_unicast_matches_distance_test():
 
         exchange()
         w.clock = 6 * US
+        w.add_node("late", NodeRole.CLIENT, (75.0, 75.0), start_time=6 * US)
+        exchange()
+        walk(w, walkers)  # "late" stays where it is
         w._on_mobility(Event(6 * US, 0, "mobility"))
         assert not w._in_range
-        exchange()
-        w.add_node("late", NodeRole.CLIENT, (75.0, 75.0), start_time=6 * US)
         exchange()
         assert _receivers(w) == expected
         assert w.counters.link_losses == losses
@@ -1081,8 +1083,10 @@ def test_shared_trajectory_matches_a_fresh_walk_at_every_tick(params, seed):
         warm = build_random_world(params, ARMS[arm], seed, n_clients=5,
                                   n_attackers=0, mobility=True, placements=memo)
         expected = _ticks_of(fresh)
-        assert expected  # a memo-less world keeps its history, x and y per walker
-        assert sum(map(len, fresh.trajectory.xy)) == 2 * 5 * len(expected)
+        # a memo-less world keeps its history from tick 0, x and y per node:
+        # the five walkers and the root
+        assert expected
+        assert sum(map(len, fresh.trajectory.xy)) == 2 * 6 * (len(expected) + 1)
         assert _ticks_of(warm) == expected, arm
         shared.add(id(warm.trajectory))
     assert len(shared) == 1 and len(memo) == 1
@@ -1111,6 +1115,58 @@ def test_walks_of_other_parameters_never_share_a_trajectory(change):
     fresh = build_random_world(p, ARMS["baseline"], 5, n_clients=12,
                                n_attackers=1, mobility=True)
     assert _ticks_of(other) == _ticks_of(fresh)
+
+
+_SHARED = SimParams(duration_s=300.0, grid_m=140.0, startup_stagger_s=60.0,
+                    data_warmup_s=120.0, rt_cap=6, root_rt_cap=24)
+
+
+def _traced_run(arm, seed, memo):
+    """Run one mobile world on `memo`; what it leaves, the positions it
+    reports after each tick (the first at tick 0) and its trajectory."""
+    trace = io.StringIO()
+    w = build_random_world(_SHARED, ARMS[arm], seed, n_clients=12, n_attackers=1,
+                           mobility=True, trace=trace, placements=memo)
+    seen = [dict(w.positions)]
+    tick = w._on_mobility
+
+    def spy(event):
+        tick(event)
+        seen.append(dict(w.positions))
+
+    w._on_mobility = spy
+    counters = w.run()
+    return (w.digest(), counters, w.ledgers, trace.getvalue()), seen, w.trajectory
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sharing_a_walk_changes_no_arm(seed):
+    arms = ["baseline", "attack", "defense"]
+    alone = {arm: _traced_run(arm, seed, {}) for arm in arms}
+    for order in (arms, arms[::-1]):
+        memo = {}
+        for arm in order:
+            outcome, seen, walk = _traced_run(arm, seed, memo)
+            assert outcome == alone[arm][0], (order, arm)
+            assert seen == alone[arm][1]
+    # the arms asked for ranges the walk had already measured
+    assert 0 < len(walk.relations) < sum(len(a[2].relations) for a in alone.values())
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_shared_ranges_match_all_pairs_distances(seed):
+    # oracle: every (tick, sender) range the walk holds lists, in `nodes`
+    # order, the nodes within range in the positions the world reported
+    memo = {}
+    for arm in ("baseline", "attack", "defense"):
+        _, seen, walk = _traced_run(arm, seed, memo)
+    reach = _SHARED.tx_range_m
+    assert any(k > 0 for k, _ in walk.relations)
+    for (k, sender), ids in walk.relations.items():
+        at = seen[k]
+        sx, sy = at[sender]
+        assert ids == [other for other, (ox, oy) in at.items() if other != sender
+                       and math.hypot(sx - ox, sy - oy) <= reach], (k, sender)
 
 
 def _mobile_scenario(arms: list) -> Scenario:

@@ -306,6 +306,31 @@ def test_line_order_never_decides_acceptance(text):
     assert (scenario.params.trickle_doublings, scenario.params.trickle_imin_s) == (1030, 1e-6)
 
 
+@pytest.mark.parametrize("text", ["", SMALL, "mobility = on\ngrid_m = 150\nseeds = 4"])
+def test_parse_checks_one_set_of_parameters(monkeypatch, text):
+    checked = []
+    post_init = SimParams.__post_init__
+
+    def counted(self):
+        post_init(self)
+        checked.append(self)
+
+    monkeypatch.setattr(SimParams, "__post_init__", counted)
+    scenario = parse_scenario(text)
+    assert checked == [scenario.params]
+
+
+@pytest.mark.parametrize("key", ["data_bytes", "dio_bytes", "dis_bytes"])
+def test_frame_longer_than_802154_refused(key):
+    # a 100000-octet data frame once ran with PDR 1.000 while one client's
+    # radio was busy 3,252.7 s of an 1,800 s run
+    for value in (128, 100000):
+        with pytest.raises(ScenarioError,
+                           match=f"^{key}: must be at most 127 octets, got {value}$"):
+            parse_scenario(f"{key} = {value}")
+    assert getattr(parse_scenario(f"{key} = 127").params, key) == 127
+
+
 # -- experiment outputs -----------------------------------------------------
 
 
@@ -599,7 +624,8 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "bitrate_bps = 0", "license_width = -1", "loss_prob = 1.5",
                  "loss_prob = -0.1", "tx_range_m = 0", "tx_range_m = nan",
                  "grid_m = 0", "grid_m = -5", "data_bytes = -30", "dio_bytes = 0",
-                 "dis_bytes = -8", "speed_min_mps = nan", "speed_max_mps = -1",
+                 "dis_bytes = -8", "data_bytes = 100000", "dio_bytes = 128",
+                 "speed_min_mps = nan", "speed_max_mps = -1",
                  "speed_max_mps = inf", "pause_s = nan",
                  "attacker_self_dao_delay_s = -1", "trickle_imin_s = inf",
                  "trickle_doublings = 4000", "p_tx_mw = -1", "p_rx_mw = -1",
