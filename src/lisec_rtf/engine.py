@@ -14,21 +14,20 @@ them leaves the other streams untouched) and `rng` (protocol-driven draws).
 Replaying the same seed and configuration reproduces the event trace byte
 for byte.
 
-The walkers of a mobile world live in a `Trajectory`, which worlds built
-through one placement memo share: whichever world first reaches a tick
-computes it, and the ids in range of a sender at a tick are computed once
-for all of them.
+Every world's radio reads a `Trajectory` that covers every node: a mobile
+world's walkers move in it, a static world's never steps, and a world
+built by hand gets a still one the first time its radio is used.  Worlds
+built through one placement memo with one mobility setting share it:
+whichever world first reaches a tick computes it, and the ids in range of
+a sender at a tick are computed once for all of them.  Each world caches
+each sender's neighbours, in `nodes` order, until `add_node` or the next
+mobility tick; a unicast reads the sender's cache when it is filled and
+asks the walk otherwise.  A mobile world copies the walk into `positions`
+only when something reads it.
 
 Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
 `nodes` order.
-
-Each sender's broadcast neighbours are cached: the nodes within
-`tx_range_m`, in `nodes` insertion order, built lazily by the first
-broadcast and cleared by `add_node` and at every mobility tick; a mobile
-world takes them from its walk, which covers every node, and copies the
-walk into `positions` only when something reads it.  Unicast range tests
-read the sender's cache when it is filled.
 
 Radio deliveries wait in `_inflight`, a FIFO beside the event heap with
 one entry per transmission: (arrival, seq, receivers, sender address,
@@ -46,7 +45,7 @@ import math
 import random
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple, TextIO
 
@@ -108,8 +107,8 @@ class RwpState:
 
 
 class Trajectory:
-    """The random-waypoint walk of `walkers` among the nodes of `positions`
-    (`order`), and which of those are in radio range of each other.
+    """The random-waypoint walk of `walkers` (none in a static world) among
+    the nodes of `positions` (`order`), and which are in range of each other.
 
     `_step(clock)` computes the next tick; every world takes tick k at k x
     the period, so a shared tick is computed at the clock each of them would
@@ -274,8 +273,9 @@ class World:
 
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
                  start_time: int = 0) -> NodeState:
-        if self.trajectory is not None:
+        if self.mobility:
             raise ValueError(f"{node_id}: add every node before attaching a trajectory")
+        self.trajectory = None  # a still walk is made again with the node
         address = node_address(len(self.nodes))
         node = NodeState(node_id, address, role, self.params)
         node.encrypted = self.arm.encrypted
@@ -295,9 +295,9 @@ class World:
 
     @property
     def positions(self) -> dict[str, tuple[float, float]]:
-        """Every node's (x, y) now, copied from the walk in a mobile world."""
-        walk = self.trajectory
-        if walk is not None:
+        """Every node's (x, y) now, copied from the walk once it has stepped."""
+        if self._ticks:
+            walk = self.trajectory
             xs, ys = walk.coords(self._ticks)
             self._positions.update(zip(walk.order, zip(xs, ys)))
         return self._positions
@@ -372,24 +372,25 @@ class World:
 
     # -- radio -------------------------------------------------------------
 
+    # unused by the simulator; the benchmark's probe (bench/probe.py) patches it by name
     def _distance(self, a: str, b: str) -> float:
-        (xa, ya), (xb, yb) = self._positions[a], self._positions[b]
+        (xa, ya), (xb, yb) = self.positions[a], self.positions[b]
         return math.hypot(xa - xb, ya - yb)
+
+    def _walk(self) -> Trajectory:
+        """The world's geometry; a world built by hand stands still in one."""
+        if self.trajectory is None:
+            self.trajectory = Trajectory(self.params, self.seed, {}, self._positions)
+        return self.trajectory
 
     def _neighbours(self, sender: NodeState) -> dict[str, NodeState]:
         """Nodes within radio range of `sender` by id, in `nodes` order."""
         near = self._in_range.get(sender.node_id)
         if near is None:
-            nodes, walk = self.nodes, self.trajectory
-            if walk is None:
-                near = {other_id: other for other_id, other in nodes.items()
-                        if other is not sender
-                        and self._distance(sender.node_id, other_id)
-                        <= self.params.tx_range_m}
-            else:
-                near = {other_id: nodes[other_id] for other_id
-                        in walk.near(self._ticks, sender.node_id)}
-            self._in_range[sender.node_id] = near
+            nodes = self.nodes
+            near = self._in_range[sender.node_id] = {
+                other_id: nodes[other_id]
+                for other_id in self._walk().near(self._ticks, sender.node_id)}
         return near
 
     def transmit(self, sender: NodeState, dest: bytes | None, message) -> None:
@@ -427,12 +428,9 @@ class World:
         near = self._in_range.get(sender.node_id)
         if near is not None and receiver is not sender:  # cache excludes sender
             out_of_range = receiver.node_id not in near
-        elif self.trajectory is None:
-            out_of_range = (self._distance(sender.node_id, receiver.node_id)
-                            > p.tx_range_m)
         else:
-            out_of_range = not self.trajectory.reaches(self._ticks, sender.node_id,
-                                                       receiver.node_id)
+            out_of_range = not self._walk().reaches(self._ticks, sender.node_id,
+                                                    receiver.node_id)
         if out_of_range or self.rng.random() < p.loss_prob:
             self.counters.link_losses += 1
             return
@@ -629,8 +627,9 @@ class World:
                      f"|{len(node.blacklist)}|{node.dao_seq}|{x:.6f},{y:.6f}".encode())
             for target in sorted(node.routing):
                 entry = node.routing[target]
-                h.update(target.hex().encode())
-                h.update(entry.next_hop.hex().encode())
+                if entry.expires_at > self.clock:  # skip what the next purge drops
+                    h.update(target.hex().encode())
+                    h.update(entry.next_hop.hex().encode())
             for addr in sorted(node.blacklist):
                 h.update(addr.hex().encode())
         c = self.counters
@@ -773,11 +772,11 @@ def _search(rng: random.Random, params: SimParams, seed: int, client_ids: list[s
 @dataclass
 class _Placement:
     """A memo entry: an accepted placement, where `rng_topo` stood right
-    after it, and the walk that mobile worlds built on it share."""
+    after it, and per mobility setting the walk its worlds share."""
 
     positions: dict
     rng_state: tuple
-    trajectory: Trajectory | None = None
+    walks: dict[bool, Trajectory] = field(default_factory=dict)
 
 
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
@@ -795,9 +794,9 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     it reuses the accepted positions and restores `rng_topo` to its state
     right after the accepted try, so every later draw is the one a fresh
     search would have led to.
-    A miss searches and stores both; a failed search stores nothing.  Mobile
-    worlds built on one entry share its trajectory, which keeps every tick
-    for as long as the entry lives.
+    A miss searches and stores both; a failed search stores nothing.  Worlds
+    built on one entry with one mobility setting share its trajectory: a
+    static one never steps, and a mobile one keeps every tick while it lives.
     """
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
@@ -824,16 +823,17 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                        start_time=round(uniform(0, us["attacker_start_window_s"])))
     world.provision()
 
+    walkers = {}
     if mobility:
         # every world draws the first waypoints, so rng_topo ends where it would
-        walkers = {}
         for node in world.nodes.values():
             if node.role is NodeRole.ROOT:
                 continue  # the sink stays where it is deployed
             walkers[node.node_id] = RwpState(
                 waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),
                 speed=rng.uniform(params.speed_min_mps, params.speed_max_mps))
-        if entry.trajectory is None:
-            entry.trajectory = Trajectory(params, seed, walkers, positions)
-        world.trajectory = entry.trajectory
+    walk = entry.walks.get(mobility)
+    if walk is None:
+        walk = entry.walks[mobility] = Trajectory(params, seed, walkers, positions)
+    world.trajectory = walk
     return world

@@ -107,9 +107,9 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     leaves no trace file behind.
 
     Seeds go in the outer loop.  A seed's arms share one placement memo, so
-    its placement is searched and its trajectory walked by its first arm
-    and reused by the others; the memo goes before the next seed, so one
-    trajectory is alive at a time.  Rows are reported arm by arm.
+    the first arm's placement search, trajectory and radio ranges serve the
+    others (a static trajectory never steps); the memo goes before the next
+    seed, so one trajectory is alive at a time.  Rows are reported arm by arm.
     """
     if trace and out_dir is None:
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")

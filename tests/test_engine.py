@@ -218,13 +218,19 @@ def test_unicast_beyond_range_lost():
 
 
 def test_in_range_is_symmetric():
-    rng = random.Random(4)
-    params = SimParams()
-    for _ in range(100):
-        ax, ay, bx, by = (rng.uniform(0, 200) for _ in range(4))
-        d1 = math.hypot(ax - bx, ay - by)
-        d2 = math.hypot(bx - ax, by - ay)
-        assert (d1 <= params.tx_range_m) == (d2 <= params.tx_range_m)
+    # every node that a built world's walk lists in range of a sender at a
+    # tick lists that sender back at the same tick, static or mobile
+    p = SimParams(duration_s=300.0, grid_m=140.0, startup_stagger_s=60.0,
+                  data_warmup_s=120.0)
+    for mobility in (False, True):
+        w = build_random_world(p, ARMS["attack"], seed=4, n_clients=12,
+                               n_attackers=1, mobility=mobility)
+        w.run()
+        walk = w.trajectory
+        assert walk.relations and any(k > 0 for k, _ in walk.relations) == mobility
+        for (k, a), ids in list(walk.relations.items()):
+            for b in ids:
+                assert a in walk.near(k, b), (mobility, k, a, b)
 
 
 def test_loss_rate_monte_carlo():
@@ -603,6 +609,24 @@ def test_static_world_positions_never_change():
     before = dict(w.positions)
     w.run()
     assert w.positions == before
+    assert w.trajectory.ticks == 0 and not w.mobility
+
+
+def test_digest_hashes_only_live_routes():
+    # no timer purges expired routes, so a table holds them until its next
+    # reader; the digest must not tell such a table from a purged one
+    p = SimParams(route_lifetime_s=180.0)
+    expired = 0
+    for seed in (0, 1, 2):
+        w = build_random_world(p, ARMS["attack"], seed, n_clients=26, n_attackers=3)
+        w.run()
+        digest = w.digest()
+        for node in w.nodes.values():
+            held = len(node.routing)
+            node._purge_expired(w.clock)
+            expired += held - len(node.routing)
+        assert w.digest() == digest, seed
+    assert expired > 0
 
 
 def test_rwp_time_average_concentrates_toward_center():
@@ -940,8 +964,9 @@ def test_warm_placement_memo_builds_the_fresh_world(monkeypatch, mobility):
     for seed in range(5):
         memo = {}
         # the other mobility setting fills the memo: the search ignores it
-        build_random_world(p, ARMS["attack"], seed, n_clients=12, n_attackers=1,
-                           mobility=not mobility, placements=memo)
+        other = build_random_world(p, ARMS["attack"], seed, n_clients=12,
+                                   n_attackers=1, mobility=not mobility,
+                                   placements=memo)
         for arm in ARMS:
             fresh = build_random_world(p, ARMS[arm], seed, n_clients=12,
                                        n_attackers=1, mobility=mobility)
@@ -954,6 +979,12 @@ def test_warm_placement_memo_builds_the_fresh_world(monkeypatch, mobility):
             assert warm.run() == fresh.run()
             assert warm.digest() == fresh.digest(), (seed, arm)
         assert len(memo) == 1
+        # one search, but a walk per mobility setting; the static one stands
+        other.run()
+        assert other.trajectory is not warm.trajectory
+        still = warm if not mobility else other
+        assert still.trajectory.ticks == 0 and not still.mobility
+        assert len(still.trajectory.xy[0]) == 2 * len(still.nodes)
 
 
 @pytest.mark.parametrize("change", [
@@ -1121,12 +1152,12 @@ _SHARED = SimParams(duration_s=300.0, grid_m=140.0, startup_stagger_s=60.0,
                     data_warmup_s=120.0, rt_cap=6, root_rt_cap=24)
 
 
-def _traced_run(arm, seed, memo):
-    """Run one mobile world on `memo`; what it leaves, the positions it
-    reports after each tick (the first at tick 0) and its trajectory."""
+def _traced_run(arm, seed, memo, mobility=True):
+    """Run one world on `memo`; what it leaves, the positions it reports
+    after each mobility tick (the first at tick 0) and its trajectory."""
     trace = io.StringIO()
     w = build_random_world(_SHARED, ARMS[arm], seed, n_clients=12, n_attackers=1,
-                           mobility=True, trace=trace, placements=memo)
+                           mobility=mobility, trace=trace, placements=memo)
     seen = [dict(w.positions)]
     tick = w._on_mobility
 
@@ -1139,34 +1170,39 @@ def _traced_run(arm, seed, memo):
     return (w.digest(), counters, w.ledgers, trace.getvalue()), seen, w.trajectory
 
 
+# each seed runs static and mobile worlds, so the test ids stay one per seed
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_sharing_a_walk_changes_no_arm(seed):
     arms = ["baseline", "attack", "defense"]
-    alone = {arm: _traced_run(arm, seed, {}) for arm in arms}
-    for order in (arms, arms[::-1]):
-        memo = {}
-        for arm in order:
-            outcome, seen, walk = _traced_run(arm, seed, memo)
-            assert outcome == alone[arm][0], (order, arm)
-            assert seen == alone[arm][1]
-    # the arms asked for ranges the walk had already measured
-    assert 0 < len(walk.relations) < sum(len(a[2].relations) for a in alone.values())
+    for mobility in (False, True):
+        alone = {arm: _traced_run(arm, seed, {}, mobility) for arm in arms}
+        for order in (arms, arms[::-1]):
+            memo = {}
+            for arm in order:
+                outcome, seen, walk = _traced_run(arm, seed, memo, mobility)
+                assert outcome == alone[arm][0], (mobility, order, arm)
+                assert seen == alone[arm][1]
+        # the arms asked for ranges the walk had already measured
+        assert 0 < len(walk.relations) < sum(len(a[2].relations)
+                                             for a in alone.values())
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shared_ranges_match_all_pairs_distances(seed):
     # oracle: every (tick, sender) range the walk holds lists, in `nodes`
     # order, the nodes within range in the positions the world reported
-    memo = {}
-    for arm in ("baseline", "attack", "defense"):
-        _, seen, walk = _traced_run(arm, seed, memo)
     reach = _SHARED.tx_range_m
-    assert any(k > 0 for k, _ in walk.relations)
-    for (k, sender), ids in walk.relations.items():
-        at = seen[k]
-        sx, sy = at[sender]
-        assert ids == [other for other, (ox, oy) in at.items() if other != sender
-                       and math.hypot(sx - ox, sy - oy) <= reach], (k, sender)
+    for mobility in (False, True):
+        memo = {}
+        for arm in ("baseline", "attack", "defense"):
+            _, seen, walk = _traced_run(arm, seed, memo, mobility)
+        assert walk.relations
+        assert any(k > 0 for k, _ in walk.relations) == mobility
+        for (k, sender), ids in walk.relations.items():
+            at = seen[k]
+            sx, sy = at[sender]
+            assert ids == [other for other, (ox, oy) in at.items() if other != sender
+                           and math.hypot(sx - ox, sy - oy) <= reach], (k, sender)
 
 
 def _mobile_scenario(arms: list) -> Scenario:
