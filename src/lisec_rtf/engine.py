@@ -8,7 +8,7 @@ times go back to seconds only where a delay or a trace line is written.
 
 Everything random flows through seeded generators: `rng_topo` (topology
 and provisioning, identical across comparison arms for a given seed), the
-trajectory's `rng` (random-waypoint draws, likewise arm-independent),
+walking trajectory's `rng` (waypoint draws, likewise arm-independent),
 `rng_keys` (shared keys of the encrypted arm, kept apart so that drawing
 them leaves the other streams untouched) and `rng` (protocol-driven draws).
 Replaying the same seed and configuration reproduces the event trace byte
@@ -16,14 +16,15 @@ for byte.
 
 Every world's radio reads a `Trajectory` that covers every node: a mobile
 world's walkers move in it, a static world's never steps, and a world
-built by hand gets a still one the first time its radio is used.  Worlds
-built through one placement memo with one mobility setting share it:
-whichever world first reaches a tick computes it, and the ids in range of
-a sender at a tick are computed once for all of them.  Each world caches
-each sender's neighbours, in `nodes` order, until `add_node` or the next
-mobility tick; a unicast reads the sender's cache when it is filled and
-asks the walk otherwise.  A mobile world copies the walk into `positions`
-only when something reads it.
+built by hand gets a still one the first time its radio is used.  It keeps
+every tick in one flat array, x and y per node.  Worlds built through one
+placement memo with one mobility setting share it: whichever world first
+reaches a tick computes it, and the ids in range of a sender at a tick are
+computed once for all of them.  Each world caches each sender's
+neighbours, in `nodes` order, until `add_node` or the next mobility tick;
+a unicast reads the sender's cache when it is filled and otherwise the two
+nodes' points at the tick.  A mobile world copies the tick into
+`positions` only when something reads it.
 
 Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
@@ -46,7 +47,6 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple, TextIO
 
 from .config import US, ArmFlags, SimParams
@@ -107,85 +107,71 @@ class RwpState:
 
 
 class Trajectory:
-    """The random-waypoint walk of `walkers` (none in a static world) among
-    the nodes of `positions` (`order`), and which are in range of each other.
+    """The random-waypoint walk of `walkers` (none in a static world, which
+    then has no `rng`) among the nodes of `positions` (`order`), and which
+    are in range of each other.
 
     `_step(clock)` computes the next tick; every world takes tick k at k x
     the period, so a shared tick is computed at the clock each of them would
-    use.  `now` holds every node's (x, y) at the latest tick, and `xy` every
-    tick from 0: flat `array("d")` blocks of `TICKS_PER_BLOCK` ticks, x and y
-    per node, 16 B per node per tick.  Blocks of about 30 kB fit into memory
-    the heap already holds, where one growing array would raise the peak by
-    its whole size.  `near(k, sender)`, the ids in range after k ticks in
-    `order`, is computed when a world first asks and kept in `relations` for
-    all of them.  They are lists because freed tuples of many lengths pile
-    up in CPython's per-length free lists: 0.25 MB more peak over 10 seeds.
+    use.  `now` holds every node's x and y at the latest tick and `xy` every
+    tick from 0 in one flat `array("d")`, 16 B per node per tick: tick k's
+    row starts at k x `width`, and `index` is each node's offset in a row.
+    Past 128 kB glibc maps that array afresh where 64-tick blocks reused
+    freed heap, so the desk matrix peaks 0.8 MiB higher on the same live
+    bytes.  `near(k, sender)`, the ids in range after k ticks in `order`, is
+    computed when a world first asks and kept in `relations` for all of
+    them: lists, since freed tuples of many lengths pile up in CPython's
+    per-length free lists (0.25 MB more peak over 10 seeds).
     """
-
-    TICKS_PER_BLOCK = 64
 
     def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
                  positions: dict[str, tuple[float, float]]):
         self.params = params
         # a stream of its own, so trajectories match across arms at equal seed
-        self.rng = random.Random((seed << 16) ^ 0x30B1)
+        self.rng = random.Random((seed << 16) ^ 0x30B1) if walkers else None
         self.walkers = walkers
         self.ids = tuple(walkers)
         self.order = tuple(positions)
-        self.index = {node_id: i for i, node_id in enumerate(self.order)}
+        self.width = 2 * len(self.order)
+        self.index = {node_id: 2 * i for i, node_id in enumerate(self.order)}
         self.slots = [self.index[node_id] for node_id in self.ids]
-        self.now = list(positions.values())
-        self.xy: list[array] = []
+        self.xy = array("d", [c for xy in positions.values() for c in xy])
+        self.now = self.xy.tolist()
         self.ticks = 0
         self.relations: dict[tuple[int, str], list[str]] = {}
-        self._record()
-
-    def coords(self, k: int) -> tuple[array, array]:
-        """Every node's x and y after k ticks, in `order`."""
-        block, row = divmod(k, self.TICKS_PER_BLOCK)
-        width = 2 * len(self.order)
-        start = row * width
-        xy = self.xy[block]
-        return xy[start:start + width:2], xy[start + 1:start + width:2]
 
     def near(self, k: int, sender: str) -> list[str]:
         key = (k, sender)
         ids = self.relations.get(key)
         if ids is None:
-            xs, ys = self.coords(k)
-            i = self.index[sender]
-            x, y, reach, hypot = xs[i], ys[i], self.params.tx_range_m, math.hypot
+            xy, start = self.xy, k * self.width
+            at = start + self.index[sender]
+            x, y, reach, hypot = xy[at], xy[at + 1], self.params.tx_range_m, math.hypot
+            row = iter(xy[start:start + self.width])
             ids = self.relations[key] = [
-                other for other, ox, oy in zip(self.order, xs, ys)
+                other for other, ox, oy in zip(self.order, row, row)
                 if other != sender and hypot(x - ox, y - oy) <= reach]
         return ids
 
     def reaches(self, k: int, sender: str, receiver: str) -> bool:
-        """Whether `receiver` is in range of `sender` after k ticks: the
-        sender's ids if some world asked for them, else one distance."""
-        ids = self.relations.get((k, sender))
-        if ids is not None and receiver != sender:
-            return receiver in ids
-        xs, ys = self.coords(k)
-        a, b = self.index[sender], self.index[receiver]
-        return math.hypot(xs[a] - xs[b], ys[a] - ys[b]) <= self.params.tx_range_m
+        """Whether `receiver` is in range of `sender` after k ticks."""
+        xy, row, index = self.xy, k * self.width, self.index
+        a, b = row + index[sender], row + index[receiver]
+        return math.hypot(xy[a] - xy[b], xy[a + 1] - xy[b + 1]) <= self.params.tx_range_m
 
     def _step(self, clock: int) -> None:
-        p = self.params
-        tick = p.mobility_tick_s
-        grid = p.grid_m
-        uniform = self.rng.uniform
-        now = self.now
+        p, now = self.params, self.now
+        tick, grid, uniform = p.mobility_tick_s, p.grid_m, self.rng.uniform
         for i, state in zip(self.slots, self.walkers.values()):
             if clock < state.pause_until:
                 continue
-            x, y = now[i]
+            x, y = now[i], now[i + 1]
             wx, wy = state.waypoint
             dx, dy = wx - x, wy - y
             dist = math.hypot(dx, dy)
             step = state.speed * tick
             if dist <= step:
-                now[i] = state.waypoint
+                now[i], now[i + 1] = state.waypoint
                 state.waypoint = (uniform(0, grid), uniform(0, grid))
                 state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
                 state.pause_until = clock + p.us["pause_s"]
@@ -201,14 +187,9 @@ class Trajectory:
                     ny = 0.0
                 elif ny > grid:
                     ny = grid
-                now[i] = (nx, ny)
+                now[i], now[i + 1] = nx, ny
         self.ticks += 1
-        self._record()
-
-    def _record(self) -> None:
-        if not self.ticks % self.TICKS_PER_BLOCK:
-            self.xy.append(array("d"))
-        self.xy[-1].fromlist(list(chain.from_iterable(self.now)))
+        self.xy.fromlist(now)
 
 
 def _line_sink(stream: TextIO):
@@ -273,6 +254,8 @@ class World:
 
     def add_node(self, node_id: str, role: NodeRole, pos: tuple[float, float],
                  start_time: int = 0) -> NodeState:
+        if node_id in self.nodes:
+            raise ValueError(f"{node_id}: already in the world")
         if self.mobility:
             raise ValueError(f"{node_id}: add every node before attaching a trajectory")
         self.trajectory = None  # a still walk is made again with the node
@@ -298,8 +281,8 @@ class World:
         """Every node's (x, y) now, copied from the walk once it has stepped."""
         if self._ticks:
             walk = self.trajectory
-            xs, ys = walk.coords(self._ticks)
-            self._positions.update(zip(walk.order, zip(xs, ys)))
+            row = iter(walk.xy[self._ticks * walk.width:(self._ticks + 1) * walk.width])
+            self._positions.update(zip(walk.order, zip(row, row)))
         return self._positions
 
     def provision(self, skip: set[str] | None = None) -> None:

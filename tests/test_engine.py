@@ -310,6 +310,22 @@ def test_broadcast_after_add_node_includes_it():
     assert _receivers(w) == ["b", "late"]
 
 
+def test_add_node_refuses_a_repeated_id():
+    w = empty_world()
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    with pytest.raises(ValueError, match="^a: already in the world"):
+        w.add_node("a", NodeRole.CLIENT, (5.0, 0.0))
+    # the refused node left nothing behind: the next one gets an address of its own
+    b = w.add_node("b", NodeRole.CLIENT, (9.0, 0.0))
+    assert a.address != b.address and w.by_addr == {a.address: a, b.address: b}
+    assert w.positions == {"a": (0.0, 0.0), "b": (9.0, 0.0)}
+    w.provision()
+    # a repeated id is named before the walking trajectory's refusal
+    walk(w, {"b": RwpState(waypoint=(20.0, 0.0), speed=1.0)})
+    with pytest.raises(ValueError, match="^b: already in the world"):
+        w.add_node("b", NodeRole.CLIENT, (5.0, 0.0))
+
+
 def test_unicast_matches_distance_test():
     # oracle: whether a unicast's range test is answered from the sender's
     # neighbour cache or not, deliveries, link losses and the loss generator
@@ -984,7 +1000,8 @@ def test_warm_placement_memo_builds_the_fresh_world(monkeypatch, mobility):
         assert other.trajectory is not warm.trajectory
         still = warm if not mobility else other
         assert still.trajectory.ticks == 0 and not still.mobility
-        assert len(still.trajectory.xy[0]) == 2 * len(still.nodes)
+        assert len(still.trajectory.xy) == 2 * len(still.nodes)
+        assert still.trajectory.rng is None  # a still walk draws nothing
 
 
 @pytest.mark.parametrize("change", [
@@ -1117,7 +1134,7 @@ def test_shared_trajectory_matches_a_fresh_walk_at_every_tick(params, seed):
         # a memo-less world keeps its history from tick 0, x and y per node:
         # the five walkers and the root
         assert expected
-        assert sum(map(len, fresh.trajectory.xy)) == 2 * 6 * (len(expected) + 1)
+        assert len(fresh.trajectory.xy) == 2 * 6 * (len(expected) + 1)
         assert _ticks_of(warm) == expected, arm
         shared.add(id(warm.trajectory))
     assert len(shared) == 1 and len(memo) == 1
@@ -1190,7 +1207,8 @@ def test_sharing_a_walk_changes_no_arm(seed):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shared_ranges_match_all_pairs_distances(seed):
     # oracle: every (tick, sender) range the walk holds lists, in `nodes`
-    # order, the nodes within range in the positions the world reported
+    # order, the nodes within range in the positions the world reported,
+    # and `reaches` answers each ordered pair at each tick from them alike
     reach = _SHARED.tx_range_m
     for mobility in (False, True):
         memo = {}
@@ -1203,6 +1221,11 @@ def test_shared_ranges_match_all_pairs_distances(seed):
             sx, sy = at[sender]
             assert ids == [other for other, (ox, oy) in at.items() if other != sender
                            and math.hypot(sx - ox, sy - oy) <= reach], (k, sender)
+        for k, at in enumerate(seen):
+            for a, (ax, ay) in at.items():
+                for b, (bx, by) in at.items():
+                    assert walk.reaches(k, a, b) == (
+                        math.hypot(ax - bx, ay - by) <= reach), (k, a, b)
 
 
 def _mobile_scenario(arms: list) -> Scenario:
