@@ -56,8 +56,8 @@ def run_overflow_demo(arm_name: str) -> dict:
                           for t in n.routing)
     return {
         "arm": arm_name,
-        "h_registered": "h" in world.ever_registered,
-        "e_registered": "e" in world.ever_registered,
+        "h_registered": world.nodes["h"].registered,
+        "e_registered": world.nodes["e"].registered,
         "b_table_size": len(b.routing),
         "b_forged_entries": len(forged_targets),
         "forged_routes_anywhere": forged_anywhere,

@@ -36,6 +36,11 @@ message, airtime).  Every delivery lands `d_hop_s` after it was sent, the
 clock never goes back and `d_hop_s` is a constant >= 0, so arrivals come due
 in send order.  `seq` is drawn from the heap's counter, and `run_until`
 takes whichever head has the smaller (time, seq).
+
+A relayed frame costs one call per layer it crosses: `_receive` (kernel),
+the node's handler and `transmit` (radio).  `_receive` tests types by how
+often they arrive and forwards a relay's data hop itself; `transmit` takes
+the unicast branch first and keeps DAO airtimes by options length.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .messages import (
     DaoStatus,
     DioMessage,
     DisMessage,
+    STATUS_ACK,
     STATUS_LEN,
     dao_length,
     is_forged_address,
@@ -241,8 +247,9 @@ class World:
         # time of each node's one live wake-up: its trickle fire time while
         # joined, its next DIS while not; events at other times are stale
         self._wake: dict[str, int] = {}
-        self.ever_registered: set[str] = set()
-        # airtime by message type; a DAO's size depends on its options
+        self._hop_us = params.us["d_hop_s"]
+        # airtime by message type; a DAO's by the length of its options
+        self._dao_airtime: dict[int, float] = {}
         self._airtime = {
             DioMessage: params.airtime_s(params.dio_bytes),
             DisMessage: params.airtime_s(params.dis_bytes),
@@ -377,53 +384,51 @@ class World:
         return near
 
     def transmit(self, sender: NodeState, dest: bytes | None, message) -> None:
-        p = self.params
         kind = type(message)
-        airtime = self._airtime.get(kind)
-        if airtime is None:
-            airtime = p.airtime_s(dao_length(message))
+        if kind is DaoModified:
+            memo, n = self._dao_airtime, len(message.options)
+            airtime = memo.get(n)
+            if airtime is None:
+                airtime = memo[n] = self.params.airtime_s(dao_length(message))
+        else:
+            airtime = self._airtime[kind]
         self.ledgers[sender.node_id].tx_s += airtime
-        counters = self.counters
+        counters, now, loss = self.counters, self.clock, self.params.loss_prob
         if kind is DataPacket:
             counters.data_transmissions += 1
         else:
             counters.control_transmissions += 1
             if kind is DaoModified or kind is DaoStatus:
                 counters.dao_path_transmissions += 1
-        if dest is None:
-            receivers = []
+        if dest is not None:
+            receiver = self.by_addr.get(dest)
+            if receiver is None or now < self.start_times[receiver.node_id]:
+                counters.link_losses += 1
+                return
+            near = self._in_range.get(sender.node_id)
+            if near is not None and receiver is not sender:  # cache excludes sender
+                out_of_range = receiver.node_id not in near
+            else:
+                out_of_range = not self._walk().reaches(self._ticks, sender.node_id,
+                                                        receiver.node_id)
+            if out_of_range or self.rng.random() < loss:
+                counters.link_losses += 1
+                return
+            receivers = (receiver,)
+        else:
+            receivers, start_times, draw = [], self.start_times, self.rng.random
             for other in self._neighbours(sender).values():
-                if self.clock < self.start_times[other.node_id]:
+                if now < start_times[other.node_id]:
                     continue
-                if self.rng.random() < p.loss_prob:
-                    self.counters.link_losses += 1
+                if draw() < loss:
+                    counters.link_losses += 1
                     continue
                 receivers.append(other)
-            if receivers:
-                self._inflight.append((self.clock + self.us["d_hop_s"], self._seq,
-                                       receivers, sender.address, message, airtime))
-                self._seq += 1
-            return
-        receiver = self.by_addr.get(dest)
-        if receiver is None or self.clock < self.start_times[receiver.node_id]:
-            self.counters.link_losses += 1
-            return
-        near = self._in_range.get(sender.node_id)
-        if near is not None and receiver is not sender:  # cache excludes sender
-            out_of_range = receiver.node_id not in near
-        else:
-            out_of_range = not self._walk().reaches(self._ticks, sender.node_id,
-                                                    receiver.node_id)
-        if out_of_range or self.rng.random() < p.loss_prob:
-            self.counters.link_losses += 1
-            return
-        self._inflight.append((self.clock + self.us["d_hop_s"], self._seq,
-                               (receiver,), sender.address, message, airtime))
+            if not receivers:
+                return
+        self._inflight.append((now + self._hop_us, self._seq, receivers,
+                               sender.address, message, airtime))
         self._seq += 1
-
-    def _send_all(self, node: NodeState, outgoing: list) -> None:
-        for dest, message in outgoing:
-            self.transmit(node, dest, message)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -443,65 +448,60 @@ class World:
         ledger = self.ledgers[node.node_id]
         ledger.rx_s += airtime
         ledger.cpu_s += self.params.cpu_per_packet_s
-        now = self.clock
         kind = type(message)
-
         if kind is DataPacket:
-            self._handle_data(node, message)
-            return
-        if kind is DisMessage:
-            self._send_all(node, node.handle_dis(message, now))
-            return
-        if kind is DioMessage:
-            out = node.handle_dio(message, now, self.rng)
-            self._send_all(node, out)
-            self._after_protocol_step(node)
-            return
-        if kind is DaoModified:
             if node.role is NodeRole.ROOT:
-                out = node.root_handle_dao(message, sender_addr, now,
-                                           self.db if self.arm.defense else None)
-                self._record_root_decision(message, out)
-                self._send_all(node, out)
-            else:
-                self._send_all(node, node.handle_dao(message, sender_addr, now))
+                self._handle_data(node, message)
+                return
+            message.hops += 1
+            if message.hops <= DATA_HOP_LIMIT and node.parent is not None:
+                self.transmit(node, node.parent, message)
             return
+        now, transmit = self.clock, self.transmit
         if kind is DaoStatus:
-            joined = node.joined
-            out = node.handle_status(message, now)
-            if message.originator == node.address and message.is_ack:
-                self.ever_registered.add(node.node_id)
-            self._send_all(node, out)
-            if joined and not node.joined:
+            joined = node.rank is not None
+            for dest, out in node.handle_status(message, now):
+                transmit(node, dest, out)
+            if joined and node.rank is None:
                 # detached: solicit at once, like a node that never joined
                 self._wake_at(node, now)
+        elif kind is DaoModified:
+            if node.role is NodeRole.ROOT:
+                sent = node.root_handle_dao(message, sender_addr, now,
+                                            self.db if self.arm.defense else None)
+                self._record_root_decision(message, sent)
+            else:
+                sent = node.handle_dao(message, sender_addr, now)
+            for dest, out in sent:
+                transmit(node, dest, out)
+        elif kind is DioMessage:
+            for dest, out in node.handle_dio(message, now, self.rng):
+                transmit(node, dest, out)
+            if node.trickle is not None:
+                self._wake_at(node, node.trickle.t_fire)
+            if node.rank is not None and node.node_id not in self._joined:
+                self._joined.add(node.node_id)  # first join: start its DAO loops
+                if node.role is NodeRole.MALICIOUS:
+                    if self.arm.attack:
+                        self._reschedule(now, "volley", node.node_id)
+                    self._reschedule(now + self.us["attacker_self_dao_delay_s"],
+                                     "dao_refresh", node.node_id)
+                else:
+                    self._reschedule(now + self.us["dao_period_s"], "dao_refresh",
+                                     node.node_id)
+        elif kind is DisMessage:
+            for dest, out in node.handle_dis(message, now):
+                transmit(node, dest, out)
 
     def _record_root_decision(self, dao: DaoModified, out: list) -> None:
-        accepted = bool(out) and out[0][1].is_ack
+        accepted = out[0][1].status == STATUS_ACK
+        c = self.counters
         if is_forged_address(dao.src):
-            if accepted:
-                self.counters.forged_acked += 1
-            else:
-                self.counters.forged_nacked += 1
+            c.forged_acked += accepted
+            c.forged_nacked += not accepted
         else:
-            if accepted:
-                self.counters.genuine_acked += 1
-            else:
-                self.counters.genuine_nacked += 1
-
-    def _after_protocol_step(self, node: NodeState) -> None:
-        if node.trickle is not None:
-            self._wake_at(node, node.trickle.t_fire)
-        if node.joined and node.node_id not in self._joined:
-            self._joined.add(node.node_id)
-            if node.role is NodeRole.MALICIOUS:
-                if self.arm.attack:
-                    self._reschedule(self.clock, "volley", node.node_id)
-                self._reschedule(self.clock + self.us["attacker_self_dao_delay_s"],
-                                 "dao_refresh", node.node_id)
-            else:
-                self._reschedule(self.clock + self.us["dao_period_s"],
-                                 "dao_refresh", node.node_id)
+            c.genuine_acked += accepted
+            c.genuine_nacked += not accepted
 
     def _wake_at(self, node: NodeState, t: int) -> None:
         """Move the node's one wake-up to `t`, or drop it past the horizon."""
@@ -518,8 +518,9 @@ class World:
             return  # stale: the wake-up has moved since
         del self._wake[event.node_id]
         node = self.nodes[event.node_id]
-        if node.joined:
-            self._send_all(node, node.trickle_fire(self.clock, self.rng))
+        if node.rank is not None:
+            for dest, message in node.trickle_fire(self.clock, self.rng):
+                self.transmit(node, dest, message)
             self._wake_at(node, node.trickle.t_fire)
             return
         if self.tracer is not None:
@@ -529,13 +530,15 @@ class World:
 
     def _on_dao_refresh(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        self._send_all(node, node.build_own_dao(self.clock, self.rng))
+        for dest, message in node.build_own_dao(self.clock, self.rng):
+            self.transmit(node, dest, message)
         self._reschedule(self.clock + self.us["dao_period_s"], "dao_refresh",
                          node.node_id)
 
     def _on_volley(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        self._send_all(node, node.emit_forged(self.clock, self.rng))
+        for dest, message in node.emit_forged(self.clock, self.rng):
+            self.transmit(node, dest, message)
         self._reschedule(self.clock + self.us["attack_period_s"], "volley",
                          node.node_id)
 
@@ -557,25 +560,18 @@ class World:
                 self.tracer(now, node.node_id, "DATA_TX", f"counted={counted}")
             self.transmit(node, node.parent, packet)
 
-    def _handle_data(self, node: NodeState, packet: DataPacket) -> None:
-        if node.role is NodeRole.ROOT:
-            # the sink only accepts traffic from sources it holds a
-            # registered downward route for
-            node._purge_expired(self.clock)
-            if packet.src_addr not in node.routing:
-                self.counters.root_admission_drops += 1
-                return
-            if self.tracer is not None:
-                self.tracer(self.clock, node.node_id, "DATA_RX",
-                            f"from {packet.src_id}")
-            if packet.counted:
-                self.counters.received_at_root += 1
-                self.counters.delays.append((self.clock - packet.created) / US)
+    def _handle_data(self, root: NodeState, packet: DataPacket) -> None:
+        """The sink admits data only from sources it holds a route for."""
+        if root.route_lifetime:
+            root._purge_expired(self.clock)
+        if packet.src_addr not in root.routing:
+            self.counters.root_admission_drops += 1
             return
-        packet.hops += 1
-        if packet.hops > DATA_HOP_LIMIT or node.parent is None:
-            return
-        self.transmit(node, node.parent, packet)
+        if self.tracer is not None:
+            self.tracer(self.clock, root.node_id, "DATA_RX", f"from {packet.src_id}")
+        if packet.counted:
+            self.counters.received_at_root += 1
+            self.counters.delays.append((self.clock - packet.created) / US)
 
     def _on_mobility(self, event: Event) -> None:
         self._reschedule(self.clock + self.us["mobility_tick_s"], "mobility")

@@ -113,6 +113,7 @@ class NodeState:
         self.shared_key: bytes | None = None
         self.encrypted = False  # encrypted arm: forged DAOs carry blob-shaped options
         self.dao_seq = 0
+        self.registered = False  # has taken its own ACK; never cleared
         self.tracer = None
 
     # -- plumbing ---------------------------------------------------------
@@ -126,8 +127,7 @@ class NodeState:
         self.tracer(now, self.node_id, event, detail)
 
     def _purge_expired(self, now: int) -> None:
-        if self.route_lifetime <= 0:
-            return
+        """Drop expired routes; callers skip it when routes never expire."""
         dead = [t for t, e in self.routing.items() if e.expires_at <= now]
         for t in dead:
             del self.routing[t]
@@ -136,7 +136,8 @@ class NodeState:
         """Install or refresh a downward route; returns what happened."""
         if target in self.blacklist or next_hop in self.blacklist:
             return "refused"
-        self._purge_expired(now)
+        if self.route_lifetime:
+            self._purge_expired(now)
         expires = now + self.route_lifetime if self.route_lifetime > 0 else math.inf
         entry = self.routing.get(target)
         if entry is not None:
@@ -157,7 +158,7 @@ class NodeState:
     # -- control plane ----------------------------------------------------
 
     def handle_dis(self, dis: DisMessage, now: int) -> list:
-        if not self.joined:
+        if self.rank is None:
             return []
         if self.tracer is not None:
             self._trace(now, "DIO_TX", f"rank={self.rank} (solicited)")
@@ -180,7 +181,7 @@ class NodeState:
             else:
                 self.trickle.counter += 1
             return []
-        if self.joined and candidate + self.params.hysteresis >= self.rank:
+        if self.rank is not None and candidate + self.params.hysteresis >= self.rank:
             self.trickle.counter += 1
             return []
 
@@ -281,15 +282,18 @@ class NodeState:
 
     def handle_status(self, st: DaoStatus, now: int) -> list:
         """Consume our own ACK/NACK or relay it one hop further down."""
+        ack = st.status == STATUS_ACK
         if st.originator == self.address:
+            self.registered |= ack
             if self.tracer is not None:
-                self._trace(now, "ACK" if st.is_ack else "NACK",
-                            "registered" if st.is_ack else "registration rejected")
+                self._trace(now, "ACK" if ack else "NACK",
+                            "registered" if ack else "registration rejected")
             return []
 
-        self._purge_expired(now)
+        if self.route_lifetime:
+            self._purge_expired(now)
         entry = self.routing.get(st.originator)
-        if not st.is_ack:
+        if not ack:
             # forward first, then blacklist the rejected source and scrub
             # it from the routing table
             out = [(entry.next_hop, st)] if entry is not None else []

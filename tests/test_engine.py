@@ -36,10 +36,12 @@ from lisec_rtf.messages import (
     DioMessage,
     DisMessage,
     STATUS_NACK,
+    dao_length,
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
 from lisec_rtf.node import NodeRole, TrickleState, compute_rank
+from lisec_rtf.puf import license_blob_len
 from lisec_rtf.scenario import Scenario, ScenarioError
 
 
@@ -421,6 +423,25 @@ def test_transmit_charges_airtime_and_counts_by_type(kind, params):
     assert c.data_transmissions == (2 if data else 0)
     assert c.control_transmissions == (0 if data else 2)
     assert c.dao_path_transmissions == (2 if kind.startswith(("dao", "status")) else 0)
+
+
+def test_dao_airtime_follows_options_length_within_one_world():
+    # plain, encrypted, plain again: a memo keyed by anything but the
+    # length of the options would charge one of them another's airtime
+    p = SimParams()
+    w = World(p, ARMS["baseline"], seed=2)
+    a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
+    addr = node_address(1)
+    plain = DaoModified(src=addr, target=addr, sequence=1, reserved=7)
+    blob = bytes(license_blob_len(8))
+    sealed = DaoModified(src=addr, target=addr, sequence=2, reserved=0, options=blob)
+    sizes, charged = [], 0.0
+    for m in (plain, sealed, plain):
+        w.transmit(a, None, m)
+        charged += p.airtime_s(dao_length(m))  # each step, in the ledger's order
+        assert w.ledgers["a"].tx_s == charged
+        sizes.append(dao_length(m))
+    assert sizes == [DAO_BASE_LEN, 46, DAO_BASE_LEN]
 
 
 # -- trickle wake-ups -----------------------------------------------------
@@ -1376,6 +1397,35 @@ def test_orphan_data_counted_sent_but_lost():
     assert w.counters.sent_per_node == {"a": 1}
     assert w.counters.received_at_root == 0
     assert w.counters.data_transmissions == 0
+
+
+def _relay_pair():
+    """a and b, each the other's parent, out of the root's range."""
+    w = World(SimParams(), ARMS["baseline"], seed=2)
+    w.add_node("root", NodeRole.ROOT, (0.0, 0.0))
+    a = w.add_node("a", NodeRole.CLIENT, (150.0, 0.0))
+    b = w.add_node("b", NodeRole.CLIENT, (180.0, 0.0))
+    a.parent, b.parent = b.address, a.address
+    return w, a, b
+
+
+def test_data_caught_in_a_parent_cycle_stops_at_the_hop_limit():
+    w, a, _ = _relay_pair()
+    w.transmit(a, a.parent, DataPacket("a", a.address, 0, True))
+    w.run_until(10 * US)
+    c = w.counters
+    assert c.data_transmissions == 1 + engine.DATA_HOP_LIMIT
+    assert c.received_at_root == 0 and c.link_losses == 0
+
+
+def test_relay_without_a_parent_drops_data_unsent():
+    w, a, b = _relay_pair()
+    b.parent = None
+    w.transmit(a, a.parent, DataPacket("a", a.address, 0, True))
+    w.run_until(10 * US)
+    c = w.counters
+    assert c.data_transmissions == 1
+    assert c.received_at_root == 0 and c.link_losses == 0
 
 
 def test_warmup_boundary_sends_one_packet_per_instant():

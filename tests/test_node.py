@@ -281,6 +281,18 @@ def test_ack_relay_follows_routing_entry():
     assert b.handle_status(ack, 3.1) == [(d_addr, ack)]
 
 
+@pytest.mark.parametrize("status, registered",
+                         [(STATUS_ACK, True), (STATUS_NACK, False)])
+def test_own_ack_registers_and_nothing_clears_it(status, registered):
+    b, d_addr = relay_setup()
+    b.handle_status(DaoStatus(originator=d_addr, status=STATUS_ACK), 3.1)  # relayed
+    assert not b.registered
+    b.handle_status(DaoStatus(originator=b.address, status=status), 3.2)
+    assert b.registered == registered
+    b.handle_status(DaoStatus(originator=b.address, status=STATUS_NACK), 3.3)
+    assert b.registered == registered
+
+
 def test_status_for_unknown_target_dropped():
     b, _ = relay_setup()
     ack = DaoStatus(originator=node_address(40), status=STATUS_ACK)
