@@ -7,7 +7,7 @@ import sys
 
 from .engine import SetupError
 from .experiment import run_experiment
-from .scenario import Scenario, ScenarioError, apply, load_scenario
+from .scenario import ScenarioError, load_scenario, parse_scenario
 
 # scenario keys with a flag of the same dest; set flags parse like file lines
 _FLAG_KEYS = ("arms", "seeds", "n_attackers", "mobility", "encrypted")
@@ -37,19 +37,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def scenario_from_args(args) -> Scenario:
-    scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-    for key in _FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
-            apply(scenario, key, value)
-    return scenario
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        scenario = scenario_from_args(args)
+        flags = {key: value for key in _FLAG_KEYS
+                 if (value := getattr(args, key)) is not None}
+        scenario = (load_scenario(args.scenario, flags) if args.scenario
+                    else parse_scenario("", flags))
         report = run_experiment(scenario, out_dir=args.out,
                                 trace=args.trace == "on")
     except (ScenarioError, SetupError) as exc:

@@ -475,9 +475,11 @@ class World:
             for dest, out in sent:
                 transmit(node, dest, out)
         elif kind is DioMessage:
+            fire = None if node.trickle is None else node.trickle.t_fire
             for dest, out in node.handle_dio(message, now, self.rng):
                 transmit(node, dest, out)
-            if node.trickle is not None:
+            # the wake-up stands at the fire time unless handle_dio moved it
+            if node.trickle is not None and node.trickle.t_fire != fire:
                 self._wake_at(node, node.trickle.t_fire)
             if node.rank is not None and node.node_id not in self._joined:
                 self._joined.add(node.node_id)  # first join: start its DAO loops
@@ -777,6 +779,10 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     built on one entry with one mobility setting share its trajectory: a
     static one never steps, and a mobile one keeps every tick while it lives.
     """
+    if n_clients < 1:
+        raise ValueError(f"n_clients: need at least one client, got {n_clients}")
+    if n_attackers < 0:
+        raise ValueError(f"n_attackers: must be non-negative, got {n_attackers}")
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]

@@ -52,8 +52,10 @@ class ExperimentReport:
 def run_single(scenario: Scenario, arm_name: str, seed: int,
                trace: TextIO | None = None,
                placements: dict | None = None) -> RunResult:
-    """Build and run one world; `placements` is passed to
-    `build_random_world` as its placement memo."""
+    """Build and run one world of one of the scenario's arms; `placements`
+    is passed to `build_random_world` as its placement memo."""
+    if arm_name not in scenario.arms:  # only its arms were checked against it
+        raise ScenarioError(f"arms: {arm_name!r} is not an arm of this scenario")
     arm = ARMS[arm_name]
     # malicious nodes are placed in every arm (identical topology per seed)
     # but only emit volleys when the arm switches the attack on
@@ -113,19 +115,17 @@ def run_experiment(scenario: Scenario, out_dir=None, trace: bool = False,
     """
     if trace and out_dir is None:
         raise ValueError("trace=True needs out_dir: each run's trace streams into a file there")
-    scenario.validate()
     if base + min(scenario.seeds) < 0:
         raise ScenarioError(f"base: run seed {base + min(scenario.seeds)} is negative")
     out = None if out_dir is None else Path(out_dir)
     if out is not None:  # an unwritable directory fails before any run
         out.mkdir(parents=True, exist_ok=True)
-    arms = scenario.effective_arms()
-    by_arm: dict[str, list] = {arm_name: [] for arm_name in arms}
+    by_arm: dict[str, list] = {arm_name: [] for arm_name in scenario.arms}
     staged = []  # (hidden path, final path) per trace written so far
     try:
         for s in scenario.seeds:
             placements: dict = {}
-            for arm_name in arms:
+            for arm_name in scenario.arms:
                 stream = nullcontext()
                 if trace:
                     final = _trace_path(out, arm_name, base + s)

@@ -117,10 +117,6 @@ class DaoStatus:
         if self.status != STATUS_ACK and not STATUS_NACK <= self.status < 256:
             raise ValueError("status must be 0 or in [128, 255]")
 
-    @property
-    def is_ack(self) -> bool:
-        return self.status == STATUS_ACK
-
 
 def encode_dao(m: DaoModified) -> bytes:
     head = bytes([0, FLAG_K, m.reserved, m.sequence]) + m.target + m.src

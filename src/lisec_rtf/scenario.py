@@ -1,4 +1,4 @@
-"""Experiment descriptions: flat key=value files plus validation.
+"""Experiment descriptions: flat key=value files, checked when made.
 
 A scenario is the full recipe for one comparative experiment: the world
 parameters, how many clients and attackers, which arms to run, and the seed
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, fields
-from types import SimpleNamespace
 
 from .config import ARMS, US, ScenarioError, SimParams
 
@@ -18,27 +17,26 @@ _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """Frozen and checked when made, by `dataclasses.replace` too, so a
+    Scenario that breaks a rule never exists; `arms` and `seeds` are
+    stored as tuples."""
+
     params: SimParams = field(default_factory=SimParams)
     n_clients: int = 29
     n_attackers: int = 1
     mobility: bool = False
-    encrypted: bool = False
-    arms: list = field(default_factory=lambda: ["baseline", "attack", "defense"])
-    seeds: list = field(default_factory=lambda: list(range(10)))
+    arms: tuple = ("baseline", "attack", "defense")
+    seeds: tuple = tuple(range(10))
 
-    def effective_arms(self) -> list[str]:
-        """Arm list with the encrypted variant substituted when requested."""
-        if not self.encrypted:
-            return list(self.arms)
-        return ["defense_encrypted" if a == "defense" else a for a in self.arms]
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         """What needs the arms, seeds or counts, or defines the metrics."""
+        object.__setattr__(self, "arms", tuple(self.arms))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.arms:
             raise ScenarioError("arms: need at least one arm")
-        for arm in self.effective_arms():
+        for arm in self.arms:
             if arm not in ARMS:
                 raise ScenarioError(f"arms: unknown arm {arm!r}")
             if ARMS[arm].attack and self.n_attackers < 1:
@@ -50,13 +48,13 @@ class Scenario:
             raise ScenarioError("n_attackers: must be non-negative")
         if self.n_attackers > 3:
             warnings.warn(f"n_attackers={self.n_attackers} is outside the "
-                          "usual 0..3 range", stacklevel=2)
+                          "usual 0..3 range", stacklevel=3)
         if not self.seeds:
             raise ScenarioError("seeds: need at least one seed")
         if min(self.seeds) < 0:  # Random(-n) seeds exactly as Random(n) does
             raise ScenarioError(f"seeds: must be non-negative, got {min(self.seeds)}")
         # a repeat would count one sample twice in the CIs and overwrite a trace
-        for key, values in (("arms", self.effective_arms()), ("seeds", self.seeds)):
+        for key, values in (("arms", self.arms), ("seeds", self.seeds)):
             seen = set()
             for value in values:
                 if value in seen:
@@ -74,7 +72,7 @@ class Scenario:
             raise ScenarioError(
                 f"startup_stagger_s: must not exceed data_warmup_s "
                 f"({self.params.data_warmup_s}), got {self.params.startup_stagger_s}")
-        plain = [a for a in self.effective_arms() if not ARMS[a].encrypted]
+        plain = [a for a in self.arms if not ARMS[a].encrypted]
         if self.params.license_width > 8 and plain:
             raise ScenarioError(
                 f"license_width: arm {plain[0]!r} carries the license in the "
@@ -84,8 +82,6 @@ class Scenario:
 
 # a key's text is read as its default's type, int or float
 _PARAM_TYPES = {f.name: type(f.default) for f in fields(SimParams)}
-_SCENARIO_KEYS = {"n_clients", "n_attackers", "mobility", "encrypted",
-                  "arms", "seeds"}
 
 
 def _parse_bool(key: str, raw: str) -> bool:
@@ -105,50 +101,50 @@ def parse_seeds(raw: str) -> list[int]:
         raise ScenarioError(f"seeds: expected a count or comma list, got {raw!r}") from None
 
 
-def parse_scenario(text: str) -> Scenario:
-    """Read every line, then make one `SimParams` from all the parameter
-    keys, so the order of the lines never decides whether a file is valid."""
-    settings = SimpleNamespace()  # the scenario-level keys, as `apply` sets them
-    values = {}
+def _parse_value(key: str, raw: str):
+    """One key's value from its text form, as a file line gives it."""
+    if key in ("mobility", "encrypted"):
+        return _parse_bool(key, raw)
+    if key == "arms":
+        return [tok.strip() for tok in raw.split(",") if tok.strip()]
+    if key == "seeds":
+        return parse_seeds(raw)
+    kind = int if key in ("n_clients", "n_attackers") else _PARAM_TYPES.get(key)
+    if kind is None:
+        raise ScenarioError(f"unknown key {key!r}")
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ScenarioError(f"{key}: expected {kind.__name__}, got {raw!r}") from None
+
+
+def parse_scenario(text: str, flags: dict | None = None) -> Scenario:
+    """Read every line, then every flag, then make one `Scenario`, so the
+    order of the lines never decides whether a file is valid.  A flag is
+    key -> text, read as a line and overriding the line with its key;
+    `encrypted = on` is read last, as "run `defense` as `defense_encrypted`".
+    """
+    pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ScenarioError(f"line {lineno}: expected key=value, got {line!r}")
-        key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in _PARAM_TYPES:
-            apply(settings, key, raw)
-            continue
-        try:
-            values[key] = _PARAM_TYPES[key](raw)
-        except ValueError:
-            raise ScenarioError(f"{key}: expected {_PARAM_TYPES[key].__name__}, "
-                                f"got {raw!r}") from None
-    return Scenario(params=SimParams(**values), **vars(settings))
+        pairs.append([part.strip() for part in line.split("=", 1)])
+    params, settings = {}, {}
+    for key, raw in [*pairs, *(flags or {}).items()]:
+        (params if key in _PARAM_TYPES else settings)[key] = _parse_value(key, raw)
+    if settings.pop("encrypted", False):
+        settings["arms"] = ["defense_encrypted" if arm == "defense" else arm
+                            for arm in settings.get("arms", Scenario.arms)]
+    return Scenario(params=SimParams(**params), **settings)
 
 
-def apply(scenario: Scenario, key: str, raw: str) -> None:
-    """Set one scenario-level key from its text form, as a file line would."""
-    if key not in _SCENARIO_KEYS:
-        raise ScenarioError(f"unknown key {key!r}")
-    if key in ("mobility", "encrypted"):
-        setattr(scenario, key, _parse_bool(key, raw))
-    elif key == "arms":
-        scenario.arms = [tok.strip() for tok in raw.split(",") if tok.strip()]
-    elif key == "seeds":
-        scenario.seeds = parse_seeds(raw)
-    else:
-        try:
-            setattr(scenario, key, int(raw))
-        except ValueError:
-            raise ScenarioError(f"{key}: expected an integer, got {raw!r}") from None
-
-
-def load_scenario(path) -> Scenario:
+def load_scenario(path, flags: dict | None = None) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from None
-    return parse_scenario(text)
+    return parse_scenario(text, flags)

@@ -180,7 +180,7 @@ def test_duration_off_the_microsecond_grid_refused(key, value):
     # the clock counts whole microseconds: 1e-7 s would be 0.1 of one
     refused = f"^{key}: must be a non-negative whole number of microseconds, got {value}$"
     with pytest.raises(ScenarioError, match=refused):
-        Scenario(params=SimParams(**{key: value})).validate()
+        Scenario(params=SimParams(**{key: value}))
     with pytest.raises(ScenarioError, match=refused):
         World(SimParams(**{key: value}), ARMS["baseline"], seed=1)
     # builds without a Scenario, as the scaled benchmark makes them
@@ -953,6 +953,17 @@ def test_disconnected_topology_raises(monkeypatch):
                            n_attackers=0)
 
 
+@pytest.mark.parametrize("counts, name", [
+    ({"n_attackers": -1}, "n_attackers"), ({"n_clients": 0}, "n_clients"),
+    ({"n_clients": -2}, "n_clients"),
+])
+def test_negative_or_empty_node_count_refused(counts, name):
+    # n_attackers=-1 once built an attack world with no attacker (PDR 1.0)
+    with pytest.raises(ValueError, match=f"^{name}: "):
+        build_random_world(SimParams(), ARMS["attack"], seed=1,
+                           **{"n_clients": 3, "n_attackers": 1, **counts})
+
+
 @pytest.mark.parametrize("params, n_attackers, reason", [
     # everything is one hop from the root
     (SimParams(grid_m=30.0), 1,
@@ -1054,7 +1065,7 @@ def test_placement_memo_key_covers_every_params_field(name):
                      data_warmup_s=40.0)
     value = getattr(base, name)
     p = replace(base, **{name: value - 1 if isinstance(value, int) else value + 0.5})
-    Scenario(params=p, n_clients=10).validate()  # another valid value
+    Scenario(params=p, n_clients=10)  # another valid value
 
     def build(params, placements=None):
         return build_random_world(params, ARMS["baseline"], 1, n_clients=10,
@@ -1250,9 +1261,7 @@ def test_shared_ranges_match_all_pairs_distances(seed):
 
 
 def _mobile_scenario(arms: list) -> Scenario:
-    scenario = _small_scenario(arms)
-    scenario.mobility = True
-    return scenario
+    return replace(_small_scenario(arms), mobility=True)
 
 
 def test_experiment_walks_each_seed_once_for_all_arms(monkeypatch):
@@ -1501,7 +1510,7 @@ def test_non_finite_loop_period_refused(kind, period):
                                                 f"number of microseconds, got {period}$"):
             World(SimParams(**values), ARMS["baseline"], seed=2)
     with pytest.raises(ScenarioError, match=f"^{key}: "):  # nan: not positive
-        Scenario(params=SimParams(**values)).validate()
+        Scenario(params=SimParams(**values))
 
 
 def test_one_data_event_pending_while_the_data_loop_runs():

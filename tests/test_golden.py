@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -54,8 +55,7 @@ def compute(arms=ARMS) -> dict:
         golden = {}
         for arm in arms:
             for mobility in (False, True):
-                scenario = _scenario(mobility)
-                scenario.arms = [arm]
+                scenario = replace(_scenario(mobility), arms=[arm])
                 out = Path(tmp) / entry_name(arm, mobility).replace("/", "-")
                 run_experiment(scenario, out_dir=out, trace=True, base=0)
                 hashes = {f"digest-{seed}": world.digest()

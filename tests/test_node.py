@@ -358,7 +358,7 @@ def test_unprovisioned_node_sends_a_dao_the_encrypted_root_refuses():
     assert dest == ROOT_ADDR and dao.reserved == 0 and dao.options == b""
     root = make_root()
     (_, status), = root.root_handle_dao(dao, node.address, 1.0, CRDatabase())
-    assert not status.is_ack
+    assert status.status == STATUS_NACK
 
 
 def test_root_nacks_encrypted_license_wider_than_width():

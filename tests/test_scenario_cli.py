@@ -13,6 +13,7 @@ from lisec_rtf.config import ARMS, RULES, SimParams
 from lisec_rtf.engine import SetupError, build_random_world
 from lisec_rtf.experiment import RUNS_HEADER, SUMMARY_HEADER, run_experiment, run_single
 from lisec_rtf.scenario import (
+    Scenario,
     ScenarioError,
     load_scenario,
     parse_scenario,
@@ -44,7 +45,7 @@ def test_empty_file_gives_defaults(tmp_path):
     assert s.params.duration_s == 1800.0
     assert s.params.grid_m == 200.0
     assert s.params.tx_range_m == 50.0
-    assert s.seeds == list(range(10))
+    assert s.seeds == tuple(range(10))
 
 
 def test_unknown_key_rejected():
@@ -61,15 +62,13 @@ def test_attacker_count_relaxed_with_warning():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         s = parse_scenario("n_attackers = 5")
-        s.validate()
     assert s.n_attackers == 5
     assert any("n_attackers" in str(w.message) for w in caught)
 
 
 def test_attack_arm_requires_attacker():
-    s = parse_scenario("n_attackers = 0\narms = attack")
     with pytest.raises(ScenarioError, match="n_attackers"):
-        s.validate()
+        parse_scenario("n_attackers = 0\narms = attack")
 
 
 def test_seed_forms():
@@ -86,26 +85,22 @@ def test_comments_and_blank_lines_ignored():
 
 def test_encrypted_swaps_defense_arm():
     s = parse_scenario("encrypted = on")
-    assert s.effective_arms() == ["baseline", "attack", "defense_encrypted"]
+    assert s.arms == ("baseline", "attack", "defense_encrypted")
 
 
 def test_wide_license_requires_encrypted_mode():
-    s = parse_scenario("license_width = 16")
     with pytest.raises(ScenarioError, match="license_width"):
-        s.validate()
-    s = parse_scenario("license_width = 16\nencrypted = on\narms = defense")
-    s.validate()
+        parse_scenario("license_width = 16")
+    parse_scenario("license_width = 16\nencrypted = on\narms = defense")
     # the default arms keep baseline and attack, whose licenses stay plain
-    s = parse_scenario("license_width = 12\nencrypted = on")
     with pytest.raises(ScenarioError, match="license_width: arm 'baseline'"):
-        s.validate()
+        parse_scenario("license_width = 12\nencrypted = on")
 
 
 def test_encrypted_license_must_fit_the_dao_options():
     # the nonce and the ciphertext share options whose length is one octet
     s = parse_scenario(SMALL + "license_width = 1976\nencrypted = on\n"
                                "arms = defense\nseeds = 1\n")
-    s.validate()
     assert run_single(s, "defense_encrypted", 0).pdr > 0
     with pytest.raises(ScenarioError, match="^license_width: at most 1976 bits"):
         replace(s.params, license_width=1977)
@@ -114,7 +109,7 @@ def test_encrypted_license_must_fit_the_dao_options():
 def test_negative_seed_rejected():
     # Random(-n) seeds exactly as Random(n): the two rows would be one sample
     with pytest.raises(ScenarioError, match="^seeds: must be non-negative"):
-        parse_scenario("seeds = -2,2").validate()
+        parse_scenario("seeds = -2,2")
 
 
 def test_seed_base_that_makes_a_seed_negative_rejected():
@@ -131,7 +126,7 @@ def test_seed_base_that_makes_a_seed_negative_rejected():
 ])
 def test_repeated_seed_or_arm_rejected(text, key):
     with pytest.raises(ScenarioError, match=f"^{key}: .* is listed twice"):
-        parse_scenario(text).validate()
+        parse_scenario(text)
 
 
 @pytest.mark.parametrize("value, key", [
@@ -167,7 +162,7 @@ def test_negative_delay_or_window_rejected(key, value):
     with pytest.raises(ScenarioError, match=f"^{key}: must be non-negative"):
         parse_scenario(f"{key} = {value}")
     # the bound itself is allowed; a warm-up of 0 also needs a stagger of 0
-    parse_scenario(f"startup_stagger_s = 0\n{key} = 0").validate()
+    parse_scenario(f"startup_stagger_s = 0\n{key} = 0")
 
 
 @pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
@@ -190,7 +185,7 @@ def test_trickle_cap_past_float_range_rejected(text):
     pattern = r"^trickle_doublings: trickle_imin_s \* 2\*\*\d+ must be finite"
     with pytest.raises(ScenarioError, match=pattern):
         parse_scenario(text)
-    parse_scenario("trickle_doublings = 1021").validate()  # 4 * 2**1021 fits
+    parse_scenario("trickle_doublings = 1021")  # 4 * 2**1021 fits
 
 
 @pytest.mark.parametrize("text", [
@@ -199,17 +194,16 @@ def test_trickle_cap_past_float_range_rejected(text):
 ])
 def test_scenario_without_counted_data_rejected(text):
     with pytest.raises(ScenarioError, match="^data_warmup_s: no data packet"):
-        parse_scenario(text).validate()
+        parse_scenario(text)
 
 
 def test_warmup_rule_follows_accumulated_data_times():
     # data goes at exactly 3 x 1.1 = 3.3 s, which is not after a 3.3 s
     # warm-up, although the float sum 1.1 + 1.1 + 1.1 lands past it
-    scenario = parse_scenario("data_period_s = 1.1\ndata_warmup_s = 3.3\n"
-                              "duration_s = 3.3\nstartup_stagger_s = 0\n")
     with pytest.raises(ScenarioError, match=r"^data_warmup_s: no data packet is "
                                             r"sent after 3.3 s; the last goes at 3.3 s$"):
-        scenario.validate()
+        parse_scenario("data_period_s = 1.1\ndata_warmup_s = 3.3\n"
+                       "duration_s = 3.3\nstartup_stagger_s = 0\n")
 
 
 def test_cli_refuses_a_run_without_counted_data(tmp_path, capsys):
@@ -231,10 +225,10 @@ def test_stagger_past_warmup_rejected():
     text = "duration_s = 600\ndata_warmup_s = 300\nstartup_stagger_s = {}\n"
     with pytest.raises(ScenarioError, match=r"^startup_stagger_s: must not exceed "
                                             r"data_warmup_s \(300.0\), got 3000.0"):
-        parse_scenario(text.format(3000)).validate()
+        parse_scenario(text.format(3000))
     with pytest.raises(ScenarioError, match="^startup_stagger_s: "):
-        parse_scenario(text.format("300.001")).validate()
-    parse_scenario(text.format(300)).validate()  # every client is on by then
+        parse_scenario(text.format("300.001"))
+    parse_scenario(text.format(300))  # every client is on by then
 
 
 def test_cli_refuses_stagger_past_warmup(tmp_path, capsys):
@@ -295,6 +289,51 @@ def test_parameters_are_frozen_and_replace_checks_again():
         replace(params, loss_prob=2.0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    # each once ran through run_single: PDR 0.000 with clients still off
+    # after the warm-up, a defense arm with no attacker at PDR 1.000, and a
+    # ValueError from the DAO codec for a 12-bit license in a plain arm
+    ({"params": SimParams(duration_s=600.0, data_warmup_s=300.0,
+                          startup_stagger_s=3000.0)}, "startup_stagger_s"),
+    ({"n_attackers": -1, "arms": ["defense"]}, "n_attackers"),
+    ({"params": SimParams(license_width=12), "arms": ["defense"]}, "license_width"),
+])
+def test_scenario_that_breaks_a_rule_cannot_be_made(kwargs, key):
+    with pytest.raises(ScenarioError, match=f"^{key}: "):
+        Scenario(**kwargs)
+
+
+def test_scenarios_are_frozen_and_replace_checks_again():
+    scenario = Scenario(arms=["defense"], seeds=[0, 1])
+    assert (scenario.arms, scenario.seeds) == (("defense",), (0, 1))
+    with pytest.raises(FrozenInstanceError):
+        scenario.arms = ["attack"]
+    with pytest.raises(ScenarioError, match="^seeds: must be non-negative, got -1$"):
+        replace(scenario, seeds=[-1])
+    assert replace(scenario, seeds=[2]).seeds == (2,)
+
+
+def test_run_single_runs_only_the_scenarios_arms():
+    scenario = parse_scenario(SMALL + "arms = baseline\nseeds = 1\n")
+    with pytest.raises(ScenarioError, match="^arms: 'attack' is not an arm "):
+        run_single(scenario, "attack", 0)
+
+
+def test_a_flag_overrides_the_file_line_with_its_key(tmp_path):
+    path = tmp_path / "flags.scenario"
+    path.write_text("seeds = 5\nn_attackers = 2\narms = attack\nencrypted = on\n")
+    scenario = load_scenario(path, {"seeds": "1,3", "arms": "baseline, defense"})
+    assert (scenario.seeds, scenario.n_attackers, scenario.arms) == (
+        (1, 3), 2, ("baseline", "defense_encrypted"))
+    assert parse_scenario("encrypted = on", {"encrypted": "off"}).arms == (
+        "baseline", "attack", "defense")
+    # valid only with its flags: encrypted is read after every line and flag
+    assert parse_scenario("license_width = 16", {"arms": "defense", "encrypted": "on"}
+                          ).arms == ("defense_encrypted",)
+    with pytest.raises(ScenarioError, match="^unknown key 'nonsense'$"):
+        parse_scenario("", {"nonsense": "1"})
+
+
 @pytest.mark.parametrize("text", [
     "trickle_doublings = 1030\ntrickle_imin_s = 0.000001\n",
     "trickle_imin_s = 0.000001\ntrickle_doublings = 1030\n",
@@ -302,7 +341,6 @@ def test_parameters_are_frozen_and_replace_checks_again():
 def test_line_order_never_decides_acceptance(text):
     # 1030 doublings overflow the default 4 s interval but not 1 µs
     scenario = parse_scenario(text)
-    scenario.validate()
     assert (scenario.params.trickle_doublings, scenario.params.trickle_imin_s) == (1030, 1e-6)
 
 
