@@ -30,12 +30,20 @@ Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
 `nodes` order.
 
-Radio deliveries wait in `_inflight`, a FIFO beside the event heap with
-one entry per transmission: (arrival, seq, receivers, sender address,
-message, airtime).  Every delivery lands `d_hop_s` after it was sent, the
-clock never goes back and `d_hop_s` is a constant >= 0, so arrivals come due
-in send order.  `seq` is drawn from the heap's counter, and `run_until`
-takes whichever head has the smaller (time, seq).
+Work waits at three heads, each ordered by (time, seq) with `seq` drawn
+from one counter, and `run_until` takes whichever head is smallest:
+
+- the event heap `_queue`;
+- `_inflight`, a FIFO of radio deliveries with one entry per transmission:
+  (arrival, seq, receivers, sender address, message, airtime).  Every
+  delivery lands `d_hop_s` after it was sent, the clock never goes back and
+  `d_hop_s` is a constant >= 0, so arrivals come due in send order;
+- `_tick`, a mobile world's next mobility tick as a (time, seq) pair.  Tick
+  k's `seq` is drawn when tick k-1 runs, as it would be for a heap event
+  queued then, so an event at exactly k x `mobility_tick_s` runs before
+  tick k only if it was queued before tick k-1 ran: data at 30 s runs
+  before tick 30.  Between two ticks `run_until` drains the other two heads
+  without looking at the third.
 
 A relayed frame costs one call per layer it crosses: `_receive` (kernel),
 the node's handler and `transmit` (radio).  `_receive` tests types by how
@@ -231,6 +239,7 @@ class World:
         self.clock = 0
         self._queue: list[Event] = []
         self._inflight: deque[tuple] = deque()
+        self._tick: tuple[int, int] | None = None  # next mobility tick's (time, seq)
         self._seq = 0
         self.nodes: dict[str, NodeState] = {}
         self._in_range: dict[str, dict[str, NodeState]] = {}
@@ -314,7 +323,9 @@ class World:
                  payload=None) -> None:
         if time < self.clock:
             raise ScheduleInPastError(f"cannot schedule at {time} (clock {self.clock})")
-        heapq.heappush(self._queue, Event(time, self._seq, kind, node_id, payload))
+        # the NamedTuple constructor costs more than twice as much
+        heapq.heappush(self._queue, tuple.__new__(
+            Event, (time, self._seq, kind, node_id, payload)))
         self._seq += 1
 
     def run_until(self, t_end: int) -> None:
@@ -322,20 +333,32 @@ class World:
             raise ValueError("t_end before current clock")
         queue, inflight = self._queue, self._inflight
         receive, dispatch = self._receive, self._dispatch
+        end = (t_end, math.inf)  # after every (time, seq) with time <= t_end
         while True:
-            if inflight and (not queue or inflight[0] < queue[0]):
-                if inflight[0][0] > t_end:
+            tick = self._tick
+            bound = end if tick is None or end < tick else tick
+            stop = bound[0]
+            # every delivery and event that comes before `bound`; the seq is
+            # read only at a tie, as comparing a tuple costs more
+            while True:
+                if inflight and (not queue or inflight[0] < queue[0]):
+                    if inflight[0][0] >= stop and not inflight[0] < bound:
+                        break
+                    self.clock, _, receivers, sender_addr, message, airtime = (
+                        inflight.popleft())
+                    for node in receivers:
+                        receive(node, sender_addr, message, airtime)
+                elif queue and (queue[0].time < stop or queue[0] < bound):
+                    event = heapq.heappop(queue)
+                    self.clock = event.time
+                    dispatch(event)
+                else:
                     break
-                self.clock, _, receivers, sender_addr, message, airtime = (
-                    inflight.popleft())
-                for node in receivers:
-                    receive(node, sender_addr, message, airtime)
-            elif queue and queue[0].time <= t_end:
-                event = heapq.heappop(queue)
-                self.clock = event.time
-                dispatch(event)
-            else:
+            if bound is end:
                 break
+            self._tick = None  # stays None if the handler queues no next tick
+            self.clock = tick[0]
+            self._on_mobility(tick)  # looked up per tick: a patched handler runs
         self.clock = t_end
 
     def run(self) -> RunCounters:
@@ -358,7 +381,14 @@ class World:
             self.schedule(t0, "start", node_id)
         self._reschedule(self.us["data_period_s"], "data")
         if self.mobility:
-            self._reschedule(self.us["mobility_tick_s"], "mobility")
+            self._tick_at(self.us["mobility_tick_s"])
+
+    def _tick_at(self, time: int) -> None:
+        """Queue the next mobility tick, drawing its `seq` now, unless it
+        falls past the horizon."""
+        if time <= self.us["duration_s"]:
+            self._tick = (time, self._seq)
+            self._seq += 1
 
     # -- radio -------------------------------------------------------------
 
@@ -575,12 +605,14 @@ class World:
             self.counters.received_at_root += 1
             self.counters.delays.append((self.clock - packet.created) / US)
 
-    def _on_mobility(self, event: Event) -> None:
-        self._reschedule(self.clock + self.us["mobility_tick_s"], "mobility")
+    def _on_mobility(self, due: tuple) -> None:
+        """Take the tick that came due at (time, seq) `due` and queue the
+        next one."""
+        self._tick_at(due[0] + self.us["mobility_tick_s"])
         self._in_range.clear()
         walk = self.trajectory
         if self._ticks == walk.ticks:  # the first world here computes it
-            walk._step(self.clock)
+            walk._step(due[0])
         self._ticks += 1
 
     # -- teardown ----------------------------------------------------------

@@ -1,9 +1,13 @@
 """Control-message model and the DAO wire codec.
 
-Every message travels as an in-memory value.  The DAO has a fixed binary
-layout so traces can dump exact frames; the ACK/NACK status layout fixes
-its size, STATUS_LEN, and so its airtime, though a status value holds only
-its originator and status:
+Every message travels as an in-memory value: an immutable tuple whose
+`__new__` checks its fields, read by name through properties.  Tuples
+compare by content, so messages of two types with equal fields are equal;
+the simulator never compares messages of different types.
+
+The DAO has a fixed binary layout so traces can dump exact frames; the
+ACK/NACK status layout fixes its size, STATUS_LEN, and so its airtime,
+though a status value holds only its originator and status:
 
 DAO (36 bytes + options):
     octet 0       instance id, constant 0
@@ -25,7 +29,7 @@ Status (20 bytes):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import _tuplegetter  # namedtuple's C field reader
 
 ADDRESS_LEN = 16
 NODE_PREFIX = 0xFD     # addresses assigned to real nodes
@@ -68,54 +72,89 @@ def _check_address(addr: bytes, name: str) -> None:
         raise ValueError(f"{name} must be {ADDRESS_LEN} bytes")
 
 
-@dataclass(frozen=True)
-class DisMessage:
+class _Record(tuple):
+    """An immutable message: a tuple of its fields in `_fields` order, read
+    by name through properties.  Each subclass checks its fields in
+    `__new__`, where an address of type `bytes` and 16 octets skips
+    `_check_address`.  Written out by hand, a record generates no code at
+    import, as a dataclass or a NamedTuple would."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        """Copies and pickles are made through `__new__`, fields one by one."""
+        return tuple(self)
+
+
+class DisMessage(_Record):
     """A solicitation: any joined neighbour answers with a DIO."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class DioMessage:
-    sender: bytes
-    rank: int
+    def __new__(cls):
+        return tuple.__new__(cls)
 
-    def __post_init__(self):
-        _check_address(self.sender, "sender")
-        if not 0 <= self.rank < 1 << 16:
+
+class DioMessage(_Record):
+    __slots__ = ()
+    _fields = ("sender", "rank")
+    sender = _tuplegetter(0, None)
+    rank = _tuplegetter(1, None)
+
+    def __new__(cls, sender: bytes, rank: int):
+        if type(sender) is not bytes or len(sender) != ADDRESS_LEN:
+            _check_address(sender, "sender")
+        if not 0 <= rank < 1 << 16:
             raise ValueError("rank must fit 16 bits")
+        return tuple.__new__(cls, (sender, rank))
 
 
-@dataclass(frozen=True)
-class DaoModified:
+class DaoModified(_Record):
     """DAO whose reserved octet carries the license (or 0 in encrypted mode)."""
 
-    src: bytes
-    target: bytes
-    sequence: int
-    reserved: int
-    options: bytes = b""
+    __slots__ = ()
+    _fields = ("src", "target", "sequence", "reserved", "options")
+    src = _tuplegetter(0, None)
+    target = _tuplegetter(1, None)
+    sequence = _tuplegetter(2, None)
+    reserved = _tuplegetter(3, None)
+    options = _tuplegetter(4, None)
 
-    def __post_init__(self):
-        _check_address(self.src, "src")
-        _check_address(self.target, "target")
-        if not 0 <= self.sequence < 256:
+    def __new__(cls, src: bytes, target: bytes, sequence: int, reserved: int,
+                options: bytes = b""):
+        if type(src) is not bytes or len(src) != ADDRESS_LEN:
+            _check_address(src, "src")
+        if type(target) is not bytes or len(target) != ADDRESS_LEN:
+            _check_address(target, "target")
+        if not 0 <= sequence < 256:
             raise ValueError("sequence must be one octet")
-        if not 0 <= self.reserved < 256:
+        if not 0 <= reserved < 256:
             raise ValueError("reserved must be one octet")
-        if len(self.options) > OPTIONS_MAX:
+        if len(options) > OPTIONS_MAX:
             raise ValueError(f"options longer than {OPTIONS_MAX} bytes")
+        return tuple.__new__(cls, (src, target, sequence, reserved, options))
 
 
-@dataclass(frozen=True)
-class DaoStatus:
+class DaoStatus(_Record):
     """DAO-ACK (status 0) or DAO-NACK (status >= 128)."""
 
-    originator: bytes
-    status: int
+    __slots__ = ()
+    _fields = ("originator", "status")
+    originator = _tuplegetter(0, None)
+    status = _tuplegetter(1, None)
 
-    def __post_init__(self):
-        _check_address(self.originator, "originator")
-        if self.status != STATUS_ACK and not STATUS_NACK <= self.status < 256:
+    def __new__(cls, originator: bytes, status: int):
+        if type(originator) is not bytes or len(originator) != ADDRESS_LEN:
+            _check_address(originator, "originator")
+        if status != STATUS_ACK and not STATUS_NACK <= status < 256:
             raise ValueError("status must be 0 or in [128, 255]")
+        return tuple.__new__(cls, (originator, status))
 
 
 def encode_dao(m: DaoModified) -> bytes:

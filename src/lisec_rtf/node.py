@@ -114,17 +114,13 @@ class NodeState:
         self.encrypted = False  # encrypted arm: forged DAOs carry blob-shaped options
         self.dao_seq = 0
         self.registered = False  # has taken its own ACK; never cleared
-        self.tracer = None
+        self.tracer = None  # callers test it first, so no detail is built untraced
 
     # -- plumbing ---------------------------------------------------------
 
     @property
     def joined(self) -> bool:
         return self.rank is not None
-
-    def _trace(self, now: int, event: str, detail: str) -> None:
-        """Callers check `tracer` first, so no detail is built untraced."""
-        self.tracer(now, self.node_id, event, detail)
 
     def _purge_expired(self, now: int) -> None:
         """Drop expired routes; callers skip it when routes never expire."""
@@ -146,12 +142,12 @@ class NodeState:
             return "updated"
         if self.rt_cap is not None and len(self.routing) >= self.rt_cap:
             if self.tracer is not None:
-                self._trace(now, "ROUTE_FULL", format_address(target))
+                self.tracer(now, self.node_id, "ROUTE_FULL", format_address(target))
             return "full"
         self.routing[target] = RoutingEntry(next_hop, expires)
         self.rt_peak = max(self.rt_peak, len(self.routing))
         if self.tracer is not None:
-            self._trace(now, "ROUTE_ADD",
+            self.tracer(now, self.node_id, "ROUTE_ADD",
                         f"{format_address(target)} via {format_address(next_hop)}")
         return "added"
 
@@ -161,7 +157,7 @@ class NodeState:
         if self.rank is None:
             return []
         if self.tracer is not None:
-            self._trace(now, "DIO_TX", f"rank={self.rank} (solicited)")
+            self.tracer(now, self.node_id, "DIO_TX", f"rank={self.rank} (solicited)")
         return [(None, self._dio())]
 
     def _dio(self) -> DioMessage:
@@ -201,7 +197,7 @@ class NodeState:
         if not fired:
             return []
         if self.tracer is not None:
-            self._trace(now, "DIO_TX", f"rank={self.rank}")
+            self.tracer(now, self.node_id, "DIO_TX", f"rank={self.rank}")
         return [(None, self._dio())]
 
     # -- DAO path ---------------------------------------------------------
@@ -223,7 +219,7 @@ class NodeState:
             dao = DaoModified(src=self.address, target=self.address,
                               sequence=self.dao_seq, reserved=self.license)
         if self.tracer is not None:
-            self._trace(now, "DAO_TX",
+            self.tracer(now, self.node_id, "DAO_TX",
                         f"seq={self.dao_seq} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
@@ -243,7 +239,8 @@ class NodeState:
                 dao = DaoModified(src=fake, target=fake, sequence=self.dao_seq,
                                   reserved=rng.randrange(256))
             if self.tracer is not None:
-                self._trace(now, "DAO_TX", f"forged frame={encode_dao(dao).hex()}")
+                self.tracer(now, self.node_id, "DAO_TX",
+                            f"forged frame={encode_dao(dao).hex()}")
             out.append((self.parent, dao))
         return out
 
@@ -258,7 +255,7 @@ class NodeState:
         if self.parent is None:
             return []
         if self.tracer is not None:
-            self._trace(now, "DAO_FWD",
+            self.tracer(now, self.node_id, "DAO_FWD",
                         f"{format_address(dao.src)} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
@@ -277,7 +274,8 @@ class NodeState:
         status = DaoStatus(originator=dao.src,
                            status=STATUS_ACK if accepted else STATUS_NACK)
         if self.tracer is not None:
-            self._trace(now, "ACK" if accepted else "NACK", format_address(dao.src))
+            self.tracer(now, self.node_id, "ACK" if accepted else "NACK",
+                        format_address(dao.src))
         return [(sender, status)]
 
     def handle_status(self, st: DaoStatus, now: int) -> list:
@@ -286,7 +284,7 @@ class NodeState:
         if st.originator == self.address:
             self.registered |= ack
             if self.tracer is not None:
-                self._trace(now, "ACK" if ack else "NACK",
+                self.tracer(now, self.node_id, "ACK" if ack else "NACK",
                             "registered" if ack else "registration rejected")
             return []
 
@@ -301,7 +299,8 @@ class NodeState:
             if st.originator not in self.blacklist:
                 self.blacklist.add(st.originator)
                 if self.tracer is not None:
-                    self._trace(now, "BLACKLIST", format_address(st.originator))
+                    self.tracer(now, self.node_id, "BLACKLIST",
+                                format_address(st.originator))
             if self.parent == st.originator:
                 # detach: a node without a parent advertises no rank
                 self.parent = self.rank = self.trickle = None

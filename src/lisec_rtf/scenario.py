@@ -34,6 +34,15 @@ class Scenario:
         """What needs the arms, seeds or counts, or defines the metrics."""
         object.__setattr__(self, "arms", tuple(self.arms))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        # types first, so a value below is compared only as what it must be;
+        # a bool is an int to Python, but True clients is no count
+        for key, values in (("n_clients", [self.n_clients]),
+                            ("n_attackers", [self.n_attackers]), ("seeds", self.seeds)):
+            for value in values:
+                if not isinstance(value, int) or isinstance(value, bool):
+                    raise ScenarioError(f"{key}: must be an integer, got {value!r}")
+        if not isinstance(self.mobility, bool):  # "off" is truthy
+            raise ScenarioError(f"mobility: must be True or False, got {self.mobility!r}")
         if not self.arms:
             raise ScenarioError("arms: need at least one arm")
         for arm in self.arms:

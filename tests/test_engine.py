@@ -293,7 +293,7 @@ def test_broadcast_follows_mobility_tick():
     w._inflight.clear()
     walk(w, {"leaving": RwpState(waypoint=(200.0, 0.0), speed=10.0),
              "arriving": RwpState(waypoint=(0.0, 0.0), speed=10.0)})
-    w.schedule(US, "mobility")
+    w._tick_at(US)
     w.run_until(US)
     w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["arriving"]
@@ -633,7 +633,7 @@ def test_rwp_step_unit_vector():
     w = World(SimParams(), ARMS["baseline"], seed=2)
     w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     walk(w, {"a": RwpState(waypoint=(3.0, 4.0), speed=1.0)})
-    w.schedule(US, "mobility")
+    w._tick_at(US)
     w.run_until(US)
     x, y = w.positions["a"]
     assert (x, y) == pytest.approx((0.6, 0.8))
@@ -677,7 +677,7 @@ def test_rwp_time_average_concentrates_toward_center():
         walk(w, {"a": RwpState(
             waypoint=(w.rng_topo.uniform(0, 200), w.rng_topo.uniform(0, 200)),
             speed=w.rng_topo.uniform(1, 2))})
-        w.schedule(US, "mobility")  # each tick queues the next
+        w._tick_at(US)  # each tick queues the next
         positions = []
         orig = w._on_mobility
         def spy(ev, _o=orig, _w=w, _p=positions):
@@ -1471,7 +1471,7 @@ def test_period_dividing_horizon_in_decimal_keeps_last_event(kind, period, horiz
     fired = []
     handler = getattr(w, f"_on_{kind}")
     def spy(event):
-        fired.append(event.time)
+        fired.append(w.clock)
         handler(event)
     setattr(w, f"_on_{kind}", spy)
     w.run()

@@ -2,6 +2,7 @@
 
 import io
 import math
+import re
 import warnings
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -301,6 +302,28 @@ def test_parameters_are_frozen_and_replace_checks_again():
 def test_scenario_that_breaks_a_rule_cannot_be_made(kwargs, key):
     with pytest.raises(ScenarioError, match=f"^{key}: "):
         Scenario(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    # each was once made: half a client, a float and a bool seed, and a
+    # mobile run from the truthy string "off"; "3" clients was a TypeError
+    ({"n_clients": 2.5}, "n_clients: must be an integer, got 2.5"),
+    ({"n_clients": "3"}, "n_clients: must be an integer, got '3'"),
+    ({"n_clients": True}, "n_clients: must be an integer, got True"),
+    ({"n_attackers": 1.0}, "n_attackers: must be an integer, got 1.0"),
+    ({"n_attackers": False, "arms": ["baseline"]},
+     "n_attackers: must be an integer, got False"),
+    ({"seeds": [0, 0.5]}, "seeds: must be an integer, got 0.5"),
+    ({"seeds": [True]}, "seeds: must be an integer, got True"),
+    ({"seeds": ["1"]}, "seeds: must be an integer, got '1'"),
+    ({"mobility": "off"}, "mobility: must be True or False, got 'off'"),
+    ({"mobility": 1}, "mobility: must be True or False, got 1"),
+])
+def test_scenario_of_a_wrong_type_cannot_be_made(kwargs, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        Scenario(**kwargs)
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        replace(Scenario(), **kwargs)
 
 
 def test_scenarios_are_frozen_and_replace_checks_again():
