@@ -21,10 +21,10 @@ every tick in one flat array, x and y per node.  Worlds built through one
 placement memo with one mobility setting share it: whichever world first
 reaches a tick computes it, and the ids in range of a sender at a tick are
 computed once for all of them.  Each world caches each sender's
-neighbours, in `nodes` order, until `add_node` or the next mobility tick;
-a unicast reads the sender's cache when it is filled and otherwise the two
-nodes' points at the tick.  A mobile world copies the tick into
-`positions` only when something reads it.
+neighbours by address, in `nodes` order, until `add_node` or the next
+mobility tick; a unicast finds its receiver in the sender's cache when it
+is filled and otherwise reads the two nodes' points at the tick.  A mobile
+world copies the tick into `positions` only when something reads it.
 
 Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
@@ -48,7 +48,9 @@ from one counter, and `run_until` takes whichever head is smallest:
 A relayed frame costs one call per layer it crosses: `_receive` (kernel),
 the node's handler and `transmit` (radio).  `_receive` tests types by how
 often they arrive and forwards a relay's data hop itself; `transmit` takes
-the unicast branch first and keeps DAO airtimes by options length.
+the unicast branch first and keeps DAO airtimes by options length.  Each
+node holds its start time and its `EnergyLedger`, the objects `start_times`
+and `ledgers` hold by id, so a hop charges and checks them without a lookup.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ from .messages import (
     node_address,
 )
 from .metrics import EnergyLedger, RunCounters
-from .node import NodeRole, NodeState, TrickleState
+from .node import CLIENT, MALICIOUS, ROOT, NodeRole, NodeState, TrickleState
 from .puf import KEY_LEN, CRDatabase, KeyedPuf
 
 
@@ -242,7 +244,7 @@ class World:
         self._tick: tuple[int, int] | None = None  # next mobility tick's (time, seq)
         self._seq = 0
         self.nodes: dict[str, NodeState] = {}
-        self._in_range: dict[str, dict[str, NodeState]] = {}
+        self._in_range: dict[str, dict[bytes, NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
         self._positions: dict[str, tuple[float, float]] = {}
         self.start_times: dict[str, int] = {}
@@ -257,6 +259,7 @@ class World:
         # joined, its next DIS while not; events at other times are stale
         self._wake: dict[str, int] = {}
         self._hop_us = params.us["d_hop_s"]
+        self._loss, self._cpu_s = params.loss_prob, params.cpu_per_packet_s
         # airtime by message type; a DAO's by the length of its options
         self._dao_airtime: dict[int, float] = {}
         self._airtime = {
@@ -283,8 +286,9 @@ class World:
         self._in_range.clear()
         self.by_addr[address] = node
         self._positions[node_id] = pos
-        self.start_times[node_id] = start_time
-        self.ledgers[node_id] = EnergyLedger()
+        # the radio reads these off the node, saving a dict lookup per hop
+        node.start_time = self.start_times[node_id] = start_time
+        node.ledger = self.ledgers[node_id] = EnergyLedger()
         return node
 
     @property
@@ -305,7 +309,7 @@ class World:
         """Registration phase: store one pair per node, hand out licenses."""
         skip = skip or set()
         for node in self.nodes.values():
-            if node.role is NodeRole.ROOT or node.node_id in skip:
+            if node.role is ROOT or node.node_id in skip:
                 continue
             secret = hashlib.blake2b(f"{self.seed}|{node.node_id}".encode(),
                                      digest_size=16).digest()
@@ -403,14 +407,13 @@ class World:
             self.trajectory = Trajectory(self.params, self.seed, {}, self._positions)
         return self.trajectory
 
-    def _neighbours(self, sender: NodeState) -> dict[str, NodeState]:
-        """Nodes within radio range of `sender` by id, in `nodes` order."""
+    def _neighbours(self, sender: NodeState) -> dict[bytes, NodeState]:
+        """Nodes within radio range of `sender` by address, in `nodes` order."""
         near = self._in_range.get(sender.node_id)
         if near is None:
-            nodes = self.nodes
+            ids = self._walk().near(self._ticks, sender.node_id)
             near = self._in_range[sender.node_id] = {
-                other_id: nodes[other_id]
-                for other_id in self._walk().near(self._ticks, sender.node_id)}
+                other.address: other for other in map(self.nodes.__getitem__, ids)}
         return near
 
     def transmit(self, sender: NodeState, dest: bytes | None, message) -> None:
@@ -422,8 +425,8 @@ class World:
                 airtime = memo[n] = self.params.airtime_s(dao_length(message))
         else:
             airtime = self._airtime[kind]
-        self.ledgers[sender.node_id].tx_s += airtime
-        counters, now, loss = self.counters, self.clock, self.params.loss_prob
+        sender.ledger.tx_s += airtime
+        counters, now, loss = self.counters, self.clock, self._loss
         if kind is DataPacket:
             counters.data_transmissions += 1
         else:
@@ -431,24 +434,23 @@ class World:
             if kind is DaoModified or kind is DaoStatus:
                 counters.dao_path_transmissions += 1
         if dest is not None:
-            receiver = self.by_addr.get(dest)
-            if receiver is None or now < self.start_times[receiver.node_id]:
-                counters.link_losses += 1
-                return
             near = self._in_range.get(sender.node_id)
-            if near is not None and receiver is not sender:  # cache excludes sender
-                out_of_range = receiver.node_id not in near
-            else:
-                out_of_range = not self._walk().reaches(self._ticks, sender.node_id,
-                                                        receiver.node_id)
-            if out_of_range or self.rng.random() < loss:
+            receiver = None if near is None else near.get(dest)
+            if receiver is None:  # not in a filled cache, which excludes the sender
+                receiver = self.by_addr.get(dest)
+                if (receiver is None or (near is not None and receiver is not sender)
+                        or not self._walk().reaches(self._ticks, sender.node_id,
+                                                    receiver.node_id)):
+                    counters.link_losses += 1
+                    return
+            if now < receiver.start_time or self.rng.random() < loss:
                 counters.link_losses += 1
                 return
             receivers = (receiver,)
         else:
-            receivers, start_times, draw = [], self.start_times, self.rng.random
+            receivers, draw = [], self.rng.random
             for other in self._neighbours(sender).values():
-                if now < start_times[other.node_id]:
+                if now < other.start_time:
                     continue
                 if draw() < loss:
                     counters.link_losses += 1
@@ -468,19 +470,19 @@ class World:
 
     def _on_start(self, event: Event) -> None:
         node = self.nodes[event.node_id]
-        if node.role is NodeRole.ROOT:
+        if node.role is ROOT:
             node.trickle = TrickleState.start(self.params, self.rng, self.clock)
             self._joined.add(node.node_id)
         self._wake_at(node, node.trickle.t_fire if node.joined else self.clock)
 
     def _receive(self, node: NodeState, sender_addr: bytes, message,
                  airtime: float) -> None:
-        ledger = self.ledgers[node.node_id]
+        ledger = node.ledger
         ledger.rx_s += airtime
-        ledger.cpu_s += self.params.cpu_per_packet_s
+        ledger.cpu_s += self._cpu_s
         kind = type(message)
         if kind is DataPacket:
-            if node.role is NodeRole.ROOT:
+            if node.role is ROOT:
                 self._handle_data(node, message)
                 return
             message.hops += 1
@@ -496,7 +498,7 @@ class World:
                 # detached: solicit at once, like a node that never joined
                 self._wake_at(node, now)
         elif kind is DaoModified:
-            if node.role is NodeRole.ROOT:
+            if node.role is ROOT:
                 sent = node.root_handle_dao(message, sender_addr, now,
                                             self.db if self.arm.defense else None)
                 self._record_root_decision(message, sent)
@@ -513,7 +515,7 @@ class World:
                 self._wake_at(node, node.trickle.t_fire)
             if node.rank is not None and node.node_id not in self._joined:
                 self._joined.add(node.node_id)  # first join: start its DAO loops
-                if node.role is NodeRole.MALICIOUS:
+                if node.role is MALICIOUS:
                     if self.arm.attack:
                         self._reschedule(now, "volley", node.node_id)
                     self._reschedule(now + self.us["attacker_self_dao_delay_s"],
@@ -581,7 +583,7 @@ class World:
         counted = now > self.us["data_warmup_s"]
         sent = self.counters.sent_per_node
         for node in self.nodes.values():
-            if node.role is not NodeRole.CLIENT:
+            if node.role is not CLIENT:
                 continue
             if counted:
                 sent[node.node_id] = sent.get(node.node_id, 0) + 1
@@ -621,8 +623,8 @@ class World:
         c = self.counters
         c.ledgers = self.ledgers
         c.client_ids = [n.node_id for n in self.nodes.values()
-                        if n.role is NodeRole.CLIENT]
-        non_root = [n for n in self.nodes.values() if n.role is not NodeRole.ROOT]
+                        if n.role is CLIENT]
+        non_root = [n for n in self.nodes.values() if n.role is not ROOT]
         c.n_blacklisted = sum(len(n.blacklist) for n in non_root)
         c.rt_peak = max((n.rt_peak for n in non_root), default=0)
 
@@ -831,12 +833,12 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
         rng.setstate(entry.rng_state)
 
     uniform, us = rng.uniform, world.us
-    world.add_node("root", NodeRole.ROOT, positions["root"])
+    world.add_node("root", ROOT, positions["root"])
     for node_id in client_ids:
-        world.add_node(node_id, NodeRole.CLIENT, positions[node_id],
+        world.add_node(node_id, CLIENT, positions[node_id],
                        start_time=round(uniform(0, us["startup_stagger_s"])))
     for node_id in attacker_ids:
-        world.add_node(node_id, NodeRole.MALICIOUS, positions[node_id],
+        world.add_node(node_id, MALICIOUS, positions[node_id],
                        start_time=round(uniform(0, us["attacker_start_window_s"])))
     world.provision()
 
@@ -844,7 +846,7 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     if mobility:
         # every world draws the first waypoints, so rng_topo ends where it would
         for node in world.nodes.values():
-            if node.role is NodeRole.ROOT:
+            if node.role is ROOT:
                 continue  # the sink stays where it is deployed
             walkers[node.node_id] = RwpState(
                 waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),

@@ -36,6 +36,10 @@ class NodeRole(enum.Enum):
     MALICIOUS = "malicious"
 
 
+# bound once: on Python 3.10 and 3.11 every `NodeRole.X` load runs the enum
+# metaclass's `__getattr__`, four to eight times the cost of a module global
+ROOT, CLIENT, MALICIOUS = NodeRole.ROOT, NodeRole.CLIENT, NodeRole.MALICIOUS
+
 # RFC 6550: ROOT_RANK, the default MinHopRankIncrease and INFINITE_RANK
 ROOT_RANK = 256
 MIN_HOP_RANK_INCREASE = 256
@@ -96,13 +100,13 @@ class NodeState:
         self.address = address
         self.role = role
         self.params = params
-        if role is NodeRole.ROOT:
+        if role is ROOT:
             self.rt_cap = params.root_rt_cap if params.root_rt_cap > 0 else None
         else:
             self.rt_cap = params.rt_cap
         self.route_lifetime = params.us["route_lifetime_s"]
 
-        self.rank: int | None = ROOT_RANK if role is NodeRole.ROOT else None
+        self.rank: int | None = ROOT_RANK if role is ROOT else None
         self.parent: bytes | None = None
         self.routing: dict[bytes, RoutingEntry] = {}
         self.rt_peak = 0  # largest size `routing` has reached
@@ -164,13 +168,14 @@ class NodeState:
         return DioMessage(sender=self.address, rank=self.rank)
 
     def handle_dio(self, dio: DioMessage, now: int, rng: random.Random) -> list:
-        if dio.sender in self.blacklist:
+        sender = dio.sender
+        if sender in self.blacklist:
             return []
-        if self.role is NodeRole.ROOT:
+        if self.role is ROOT:
             return []
 
         candidate = compute_rank(dio.rank)
-        if dio.sender == self.parent:  # never true before joining
+        if sender == self.parent:  # never true before joining
             if candidate != self.rank:
                 self.rank = candidate
                 self.trickle.reset(rng, now)
@@ -183,10 +188,10 @@ class NodeState:
 
         # join, or switch to a parent that is better by the hysteresis; a
         # fresh trickle makes the same single draw as a reset
-        self.parent = dio.sender
+        self.parent = sender
         self.rank = candidate
         self.trickle = TrickleState.start(self.params, rng, now)
-        if self.role is NodeRole.MALICIOUS:
+        if self.role is MALICIOUS:
             return []  # lies low; registers only after its first volley
         return self.build_own_dao(now, rng)
 
@@ -225,7 +230,7 @@ class NodeState:
 
     def emit_forged(self, now: int, rng: random.Random) -> list:
         """One attack volley: forged registrations for nonexistent children."""
-        if self.role is not NodeRole.MALICIOUS or self.parent is None:
+        if self.role is not MALICIOUS or self.parent is None:
             return []
         out = []
         for _ in range(self.params.forged_per_period):
@@ -249,14 +254,15 @@ class NodeState:
 
         A DAO from this node's own parent can only come round a parent
         cycle; it is dropped, so no DAO circulates."""
-        if dao.src in self.blacklist or sender == self.parent:
+        src = dao.src
+        if src in self.blacklist or sender == self.parent:
             return []
         self.add_route(dao.target, sender, now)
         if self.parent is None:
             return []
         if self.tracer is not None:
             self.tracer(now, self.node_id, "DAO_FWD",
-                        f"{format_address(dao.src)} frame={encode_dao(dao).hex()}")
+                        f"{format_address(src)} frame={encode_dao(dao).hex()}")
         return [(self.parent, dao)]
 
     def root_handle_dao(self, dao: DaoModified, sender: bytes, now: int,
@@ -268,20 +274,21 @@ class NodeState:
         actually stored; a full table means the node cannot be registered
         and is refused like any other bad DAO.
         """
-        accepted = db is None or db.admits(dao.src, dao.reserved, dao.options)
+        src = dao.src
+        accepted = db is None or db.admits(src, dao.reserved, dao.options)
         if accepted:
             accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
-        status = DaoStatus(originator=dao.src,
+        status = DaoStatus(originator=src,
                            status=STATUS_ACK if accepted else STATUS_NACK)
         if self.tracer is not None:
             self.tracer(now, self.node_id, "ACK" if accepted else "NACK",
-                        format_address(dao.src))
+                        format_address(src))
         return [(sender, status)]
 
     def handle_status(self, st: DaoStatus, now: int) -> list:
         """Consume our own ACK/NACK or relay it one hop further down."""
-        ack = st.status == STATUS_ACK
-        if st.originator == self.address:
+        ack, originator = st.status == STATUS_ACK, st.originator
+        if originator == self.address:
             self.registered |= ack
             if self.tracer is not None:
                 self.tracer(now, self.node_id, "ACK" if ack else "NACK",
@@ -290,18 +297,18 @@ class NodeState:
 
         if self.route_lifetime:
             self._purge_expired(now)
-        entry = self.routing.get(st.originator)
+        entry = self.routing.get(originator)
         if not ack:
             # forward first, then blacklist the rejected source and scrub
             # it from the routing table
             out = [(entry.next_hop, st)] if entry is not None else []
-            self.routing.pop(st.originator, None)
-            if st.originator not in self.blacklist:
-                self.blacklist.add(st.originator)
+            self.routing.pop(originator, None)
+            if originator not in self.blacklist:
+                self.blacklist.add(originator)
                 if self.tracer is not None:
                     self.tracer(now, self.node_id, "BLACKLIST",
-                                format_address(st.originator))
-            if self.parent == st.originator:
+                                format_address(originator))
+            if self.parent == originator:
                 # detach: a node without a parent advertises no rank
                 self.parent = self.rank = self.trickle = None
             return out

@@ -1,5 +1,6 @@
 """Event kernel, radio, mobility, energy accounting and world properties."""
 
+import dis
 import gc
 import io
 import itertools
@@ -37,10 +38,11 @@ from lisec_rtf.messages import (
     DisMessage,
     STATUS_NACK,
     dao_length,
+    forged_address,
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
-from lisec_rtf.node import NodeRole, TrickleState, compute_rank
+from lisec_rtf.node import NodeRole, NodeState, TrickleState, compute_rank
 from lisec_rtf.puf import license_blob_len
 from lisec_rtf.scenario import Scenario, ScenarioError
 
@@ -332,7 +334,8 @@ def test_unicast_matches_distance_test():
     # oracle: whether a unicast's range test is answered from the sender's
     # neighbour cache or not, deliveries, link losses and the loss generator
     # must match a plain distance test -- with caches filled, after add_node,
-    # after a mobility tick cleared them, and for self-unicasts
+    # after a mobility tick cleared them, and for self-unicasts; a unicast
+    # to an address no node holds is one link loss and draws nothing
     rng = random.Random(5)
     for trial in range(10):
         params = SimParams(loss_prob=0.3)
@@ -376,6 +379,13 @@ def test_unicast_matches_distance_test():
                 else:
                     expected.append(receiver.node_id)
                 w.transmit(sender, receiver.address, DisMessage())
+            cached = [n for n in nodes if n.node_id in w._in_range]
+            uncached = [n for n in nodes if n.node_id not in w._in_range]
+            for sender in (rng.choice(cached), rng.choice(uncached)):
+                for dest in (node_address(999), forged_address(rng)):
+                    losses += 1
+                    w.transmit(sender, dest, DisMessage())
+                    assert w.counters.link_losses == losses
 
         exchange()
         w.clock = 6 * US
@@ -733,6 +743,26 @@ def test_energy_time_budget_conserved():
         active = ledger.tx_s + ledger.rx_s + ledger.cpu_s
         assert active < elapsed
         assert active + ledger.lpm_s(elapsed) == pytest.approx(elapsed)
+
+
+def test_radio_state_lives_on_the_node():
+    # the radio charges and checks each node through attributes it holds,
+    # which must be the world's own ledger and start time, and role tests
+    # read the module constants: on Python 3.10 and 3.11 every load of a
+    # `NodeRole` member runs the enum metaclass's `__getattr__`
+    p = SimParams(duration_s=400.0, grid_m=140.0)
+    w = build_random_world(p, ARMS["defense"], seed=3, n_clients=10, n_attackers=1)
+    for node_id, n in w.nodes.items():
+        assert n.ledger is w.ledgers[node_id]
+        assert n.start_time == w.start_times[node_id]
+    counters = w.run()
+    assert counters.ledgers.keys() == w.nodes.keys()
+    for node_id, n in w.nodes.items():
+        assert counters.ledgers[node_id] is n.ledger
+    for fn in (World._receive, World.transmit, World._on_data,
+               NodeState.handle_dio, NodeState.emit_forged):
+        assert "NodeRole" not in {ins.argval for ins in dis.get_instructions(fn)
+                                  if ins.opname == "LOAD_GLOBAL"}, fn.__qualname__
 
 
 def test_transmission_strictly_increases_energy():
