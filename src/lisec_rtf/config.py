@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .messages import OPTIONS_MAX
+from .messages import DAO_BASE_LEN
 from .puf import NONCE_LEN, license_blob_len
 
 US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
@@ -131,11 +131,11 @@ class SimParams:
         except OverflowError:
             raise ScenarioError(f"trickle_doublings: trickle_imin_s * "
                                 f"2**{self.trickle_doublings} must be finite") from None
-        # the encrypted license and its nonce ride in the DAO options
-        if license_blob_len(self.license_width) > OPTIONS_MAX:
-            raise ScenarioError(
-                f"license_width: at most {(OPTIONS_MAX - NONCE_LEN) * 8} bits fit "
-                f"the DAO options, got {self.license_width}")
+        # an encrypted DAO: options of one length octet, the nonce and the ciphertext
+        if DAO_BASE_LEN + 1 + license_blob_len(self.license_width) > MAX_FRAME:
+            bits = (MAX_FRAME - DAO_BASE_LEN - 1 - NONCE_LEN) * 8
+            raise ScenarioError(f"license_width: at most {bits} bits fit an encrypted DAO "
+                                f"in one {MAX_FRAME}-octet frame, got {self.license_width}")
         us = {}
         for key, rules in RULES.items():
             if "µs" in rules:

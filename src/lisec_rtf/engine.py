@@ -473,7 +473,7 @@ class World:
         if node.role is ROOT:
             node.trickle = TrickleState.start(self.params, self.rng, self.clock)
             self._joined.add(node.node_id)
-        self._wake_at(node, node.trickle.t_fire if node.joined else self.clock)
+        self._wake_at(node, node.trickle.t_fire if node.rank is not None else self.clock)
 
     def _receive(self, node: NodeState, sender_addr: bytes, message,
                  airtime: float) -> None:

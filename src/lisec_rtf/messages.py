@@ -1,9 +1,12 @@
 """Control-message model and the DAO wire codec.
 
-Every message travels as an in-memory value: an immutable tuple whose
-`__new__` checks its fields, read by name through properties.  Tuples
-compare by content, so messages of two types with equal fields are equal;
-the simulator never compares messages of different types.
+Every message travels as an in-memory value: a named tuple whose `__new__`
+checks every field (an address of type `bytes` and 16 octets skips
+`_check_address`) and calls `tuple.__new__` itself, as the named tuple's own
+`__new__` costs one more Python call per message.  `_make` and `_replace`
+skip the checks, so nothing may build a message through them.
+Tuples compare by content, so messages of two types with equal fields are
+equal; the simulator never compares messages of different types.
 
 The DAO has a fixed binary layout so traces can dump exact frames; the
 ACK/NACK status layout fixes its size, STATUS_LEN, and so its airtime,
@@ -29,7 +32,7 @@ Status (20 bytes):
 from __future__ import annotations
 
 import random
-from collections import _tuplegetter  # namedtuple's C field reader
+from collections import namedtuple
 
 ADDRESS_LEN = 16
 NODE_PREFIX = 0xFD     # addresses assigned to real nodes
@@ -72,27 +75,7 @@ def _check_address(addr: bytes, name: str) -> None:
         raise ValueError(f"{name} must be {ADDRESS_LEN} bytes")
 
 
-class _Record(tuple):
-    """An immutable message: a tuple of its fields in `_fields` order, read
-    by name through properties.  Each subclass checks its fields in
-    `__new__`, where an address of type `bytes` and 16 octets skips
-    `_check_address`.  Written out by hand, a record generates no code at
-    import, as a dataclass or a NamedTuple would."""
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}"
-                           for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
-
-    def __getnewargs__(self) -> tuple:
-        """Copies and pickles are made through `__new__`, fields one by one."""
-        return tuple(self)
-
-
-class DisMessage(_Record):
+class DisMessage(namedtuple("DisMessage", ())):
     """A solicitation: any joined neighbour answers with a DIO."""
 
     __slots__ = ()
@@ -101,11 +84,8 @@ class DisMessage(_Record):
         return tuple.__new__(cls)
 
 
-class DioMessage(_Record):
+class DioMessage(namedtuple("DioMessage", "sender rank")):
     __slots__ = ()
-    _fields = ("sender", "rank")
-    sender = _tuplegetter(0, None)
-    rank = _tuplegetter(1, None)
 
     def __new__(cls, sender: bytes, rank: int):
         if type(sender) is not bytes or len(sender) != ADDRESS_LEN:
@@ -115,16 +95,10 @@ class DioMessage(_Record):
         return tuple.__new__(cls, (sender, rank))
 
 
-class DaoModified(_Record):
+class DaoModified(namedtuple("DaoModified", "src target sequence reserved options")):
     """DAO whose reserved octet carries the license (or 0 in encrypted mode)."""
 
     __slots__ = ()
-    _fields = ("src", "target", "sequence", "reserved", "options")
-    src = _tuplegetter(0, None)
-    target = _tuplegetter(1, None)
-    sequence = _tuplegetter(2, None)
-    reserved = _tuplegetter(3, None)
-    options = _tuplegetter(4, None)
 
     def __new__(cls, src: bytes, target: bytes, sequence: int, reserved: int,
                 options: bytes = b""):
@@ -141,13 +115,10 @@ class DaoModified(_Record):
         return tuple.__new__(cls, (src, target, sequence, reserved, options))
 
 
-class DaoStatus(_Record):
+class DaoStatus(namedtuple("DaoStatus", "originator status")):
     """DAO-ACK (status 0) or DAO-NACK (status >= 128)."""
 
     __slots__ = ()
-    _fields = ("originator", "status")
-    originator = _tuplegetter(0, None)
-    status = _tuplegetter(1, None)
 
     def __new__(cls, originator: bytes, status: int):
         if type(originator) is not bytes or len(originator) != ADDRESS_LEN:

@@ -104,7 +104,7 @@ def _t_central(t: float, df: int) -> float:
     return total
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # True must not hit the entry for 1
 def t_critical(confidence: float, df: int) -> float:
     """Two-sided Student-t critical value: P(|T| <= t) = confidence.
 
@@ -112,6 +112,8 @@ def t_critical(confidence: float, df: int) -> float:
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
+    if type(df) is not int or df < 1:
+        raise ValueError(f"df must be an int >= 1, got {df!r}")
     lo, hi = 0.0, 1.0
     while _t_central(hi, df) < confidence:
         lo, hi = hi, 2.0 * hi

@@ -122,10 +122,6 @@ class NodeState:
 
     # -- plumbing ---------------------------------------------------------
 
-    @property
-    def joined(self) -> bool:
-        return self.rank is not None
-
     def _purge_expired(self, now: int) -> None:
         """Drop expired routes; callers skip it when routes never expire."""
         dead = [t for t, e in self.routing.items() if e.expires_at <= now]

@@ -1708,7 +1708,7 @@ def test_first_volley_after_the_horizon_is_not_sent():
     m = w.add_node("m", NodeRole.MALICIOUS, (10.0, 0.0),
                    start_time=w.us["duration_s"] - 1000)
     c = w.run()
-    assert m.joined  # the root's DIO lands after the horizon
+    assert m.rank is not None  # the root's DIO lands after the horizon
     assert c.forged_acked == c.forged_nacked == 0
 
 
@@ -1789,7 +1789,7 @@ class WorldMachine(RuleBasedStateMachine):
         for node in w.nodes.values():
             wake = w._wake[node.node_id]
             if node.trickle is None:
-                assert not node.joined, node.node_id
+                assert node.rank is None, node.node_id
                 assert wake in self._queued("wake", node.node_id), node.node_id
             else:
                 assert wake == node.trickle.t_fire, node.node_id

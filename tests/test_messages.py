@@ -184,8 +184,9 @@ def test_no_code_compares_messages_of_different_types(monkeypatch):
             return op(self, other)
         return compare
 
-    monkeypatch.setattr(msg._Record, "__eq__", checked(tuple.__eq__))
-    monkeypatch.setattr(msg._Record, "__ne__", checked(tuple.__ne__))
+    for cls in (msg.DisMessage, DioMessage, DaoModified, DaoStatus):
+        monkeypatch.setattr(cls, "__eq__", checked(tuple.__eq__))
+        monkeypatch.setattr(cls, "__ne__", checked(tuple.__ne__))
     assert DioMessage(_A, 0) == DaoStatus(_A, 0) and mixed  # the spy sees it
     mixed.clear()
     params = SimParams(duration_s=300.0, grid_m=140.0, startup_stagger_s=60.0,

@@ -179,6 +179,13 @@ def test_t_critical_rejects_confidence_outside_unit_interval():
             t_critical(confidence, 5)
 
 
+def test_t_critical_refuses_degrees_of_freedom_it_cannot_use():
+    # 0 gave inf, -1 ZeroDivisionError and 2.5 TypeError; True is no count
+    for df in (0, -1, 2.5, True):
+        with pytest.raises(ValueError, match="^df must be"):
+            t_critical(0.95, df)
+
+
 def test_t_critical_matches_scipy():
     stats = pytest.importorskip("scipy.stats")
     dfs = range(1, 501)

@@ -1,13 +1,14 @@
 """Unit behavior of the node state machine: ranks, trickle, DAO handling."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from lisec_rtf.config import US, SimParams
+from lisec_rtf.config import MAX_FRAME, US, ScenarioError, SimParams
 from lisec_rtf.messages import (
     DaoModified,
     DaoStatus,
@@ -15,6 +16,8 @@ from lisec_rtf.messages import (
     DisMessage,
     STATUS_ACK,
     STATUS_NACK,
+    dao_length,
+    encode_dao,
     forged_address,
     is_forged_address,
     node_address,
@@ -179,7 +182,7 @@ def test_dio_from_blacklisted_sender_ignored():
     out = node.handle_dio(
         DioMessage(sender=node_address(7), rank=256),
         1.0, random.Random(2))
-    assert out == [] and not node.joined
+    assert out == [] and node.rank is None
 
 
 # -- own DAO ------------------------------------------------------------
@@ -359,6 +362,20 @@ def test_unprovisioned_node_sends_a_dao_the_encrypted_root_refuses():
     root = make_root()
     (_, status), = root.root_handle_dao(dao, node.address, 1.0, CRDatabase())
     assert status.status == STATUS_NACK
+
+
+def test_widest_encrypted_license_fills_one_frame():
+    # 36 octets of DAO, the options' length octet, the 8-octet nonce and 82
+    # octets of ciphertext; one bit more needs a 128-octet frame
+    params = SimParams(license_width=656)
+    node = make_node(1, params=params)
+    node.encrypted = True
+    node.shared_key = bytes(range(16))
+    node.license = (1 << 656) - 1
+    (_, dao), = join(node)
+    assert dao_length(dao) == len(encode_dao(dao)) == MAX_FRAME == 127
+    with pytest.raises(ScenarioError, match="^license_width:"):
+        replace(params, license_width=657)
 
 
 def test_root_nacks_encrypted_license_wider_than_width():

@@ -99,12 +99,22 @@ def test_wide_license_requires_encrypted_mode():
 
 
 def test_encrypted_license_must_fit_the_dao_options():
-    # the nonce and the ciphertext share options whose length is one octet
-    s = parse_scenario(SMALL + "license_width = 1976\nencrypted = on\n"
+    # the DAO, the options' length octet, the nonce and the ciphertext share
+    # one 127-octet frame
+    s = parse_scenario(SMALL + "license_width = 656\nencrypted = on\n"
                                "arms = defense\nseeds = 1\n")
     assert run_single(s, "defense_encrypted", 0).pdr > 0
-    with pytest.raises(ScenarioError, match="^license_width: at most 1976 bits"):
-        replace(s.params, license_width=1977)
+    with pytest.raises(ScenarioError, match="^license_width: at most 656 bits"):
+        replace(s.params, license_width=657)
+
+
+def test_encrypted_license_past_one_frame_refused_by_name():
+    # 657 bits made a 128-octet DAO, one past an 802.15.4 frame
+    for make in (lambda: SimParams(license_width=657),
+                 lambda: parse_scenario("arms = defense\nencrypted = on\n"
+                                        "license_width = 657\n")):
+        with pytest.raises(ScenarioError, match="^license_width: .*127-octet frame"):
+            make()
 
 
 def test_negative_seed_rejected():
@@ -694,7 +704,7 @@ def test_cli_refuses_out_of_range_world_parameters(tmp_path, capsys):
                  "p_tx_mw = inf", "cpu_per_packet_s = inf",
                  "forged_per_period = -1", "root_rt_cap = -1",
                  "route_lifetime_s = -1", "trickle_k = -1", "rt_cap = -1",
-                 "license_width = 1977", "seeds = -1,1"):
+                 "license_width = 657", "seeds = -1,1"):
         path = tmp_path / "bad.scenario"
         path.write_text(f"seeds = 1\narms = defense\n{line}\n")
         out = tmp_path / "res"
