@@ -26,11 +26,12 @@ print("\nper-node energy breakdown (static, seed 0):")
 world = build_random_world(params, ARMS["baseline"], 0, n_clients=15,
                            n_attackers=0)
 world.run()
+ledgers = world.counters.ledgers
 elapsed = params.duration_s
 print(f"{'node':6s} {'tx[s]':>8s} {'rx[s]':>8s} {'cpu[s]':>8s} "
       f"{'lpm[s]':>10s} {'energy[mJ]':>12s} {'power[mW]':>10s}")
-for node_id in sorted(world.ledgers)[:8]:
-    led = world.ledgers[node_id]
+for node_id in sorted(ledgers)[:8]:
+    led = ledgers[node_id]
     print(f"{node_id:6s} {led.tx_s:8.3f} {led.rx_s:8.3f} {led.cpu_s:8.3f} "
           f"{led.lpm_s(elapsed):10.1f} {led.energy_mj(elapsed, params):12.2f} "
           f"{led.power_mw(elapsed, params):10.4f}")

@@ -49,8 +49,8 @@ A relayed frame costs one call per layer it crosses: `_receive` (kernel),
 the node's handler and `transmit` (radio).  `_receive` tests types by how
 often they arrive and forwards a relay's data hop itself; `transmit` takes
 the unicast branch first and keeps DAO airtimes by options length.  Each
-node holds its start time and its `EnergyLedger`, the objects `start_times`
-and `ledgers` hold by id, so a hop charges and checks them without a lookup.
+node holds its start time, `EnergyLedger`, wake-up and join time, so a hop
+charges and checks it, and a wake-up is found stale, without a lookup.
 """
 
 from __future__ import annotations
@@ -227,7 +227,8 @@ def _line_sink(stream: TextIO):
 
 
 class World:
-    """`clock`, every time it takes, `start_times` and `us` are whole µs."""
+    """`clock`, every time it takes, `start_times` and `us` are whole µs;
+    each node, not a table here, holds its own lifecycle."""
 
     def __init__(self, params: SimParams, arm: ArmFlags, seed: int,
                  trace: TextIO | None = None):
@@ -247,17 +248,11 @@ class World:
         self._in_range: dict[str, dict[bytes, NodeState]] = {}
         self.by_addr: dict[bytes, NodeState] = {}
         self._positions: dict[str, tuple[float, float]] = {}
-        self.start_times: dict[str, int] = {}
         self.trajectory: Trajectory | None = None  # covers every node
         self._ticks = 0  # mobility ticks this world has taken
-        self.ledgers: dict[str, EnergyLedger] = {}
         self.db = CRDatabase(width=params.license_width)
         self.counters = RunCounters()
         self.tracer = None if trace is None else _line_sink(trace)
-        self._joined: set[str] = set()
-        # time of each node's one live wake-up: its trickle fire time while
-        # joined, its next DIS while not; events at other times are stale
-        self._wake: dict[str, int] = {}
         self._hop_us = params.us["d_hop_s"]
         self._loss, self._cpu_s = params.loss_prob, params.cpu_per_packet_s
         # airtime by message type; a DAO's by the length of its options
@@ -286,10 +281,14 @@ class World:
         self._in_range.clear()
         self.by_addr[address] = node
         self._positions[node_id] = pos
-        # the radio reads these off the node, saving a dict lookup per hop
-        node.start_time = self.start_times[node_id] = start_time
-        node.ledger = self.ledgers[node_id] = EnergyLedger()
+        node.start_time = start_time
+        node.ledger = EnergyLedger()
         return node
+
+    @property
+    def start_times(self) -> dict[str, int]:
+        """Each node's start time by id, read off the nodes."""
+        return {node_id: node.start_time for node_id, node in self.nodes.items()}
 
     @property
     def mobility(self) -> tuple[str, ...]:
@@ -379,10 +378,16 @@ class World:
             self.schedule(time, kind, node_id)
 
     def _schedule_initial(self) -> None:
-        """Queue the start events, then the first event of each periodic
-        loop; every loop's handler schedules its own next event."""
-        for node_id, t0 in self.start_times.items():
-            self.schedule(t0, "start", node_id)
+        """Start the root's trickle timer, queue each node's first wake-up
+        (the root's at its fire time, another's at its start time) and the
+        first event of each periodic loop; each handler queues its next."""
+        for node in self.nodes.values():
+            if node.role is ROOT:
+                node.trickle = TrickleState.start(self.params, self.rng, node.start_time)
+                node.joined_at = node.start_time
+                self._wake_at(node, node.trickle.t_fire)
+            else:
+                self._wake_at(node, node.start_time)
         self._reschedule(self.us["data_period_s"], "data")
         if self.mobility:
             self._tick_at(self.us["mobility_tick_s"])
@@ -468,13 +473,6 @@ class World:
         handler = getattr(self, f"_on_{event.kind}")
         handler(event)
 
-    def _on_start(self, event: Event) -> None:
-        node = self.nodes[event.node_id]
-        if node.role is ROOT:
-            node.trickle = TrickleState.start(self.params, self.rng, self.clock)
-            self._joined.add(node.node_id)
-        self._wake_at(node, node.trickle.t_fire if node.rank is not None else self.clock)
-
     def _receive(self, node: NodeState, sender_addr: bytes, message,
                  airtime: float) -> None:
         ledger = node.ledger
@@ -507,14 +505,13 @@ class World:
             for dest, out in sent:
                 transmit(node, dest, out)
         elif kind is DioMessage:
-            fire = None if node.trickle is None else node.trickle.t_fire
             for dest, out in node.handle_dio(message, now, self.rng):
                 transmit(node, dest, out)
-            # the wake-up stands at the fire time unless handle_dio moved it
-            if node.trickle is not None and node.trickle.t_fire != fire:
+            # a joined node wakes at its fire time, which handle_dio may move
+            if node.trickle is not None and node.trickle.t_fire != node.wake:
                 self._wake_at(node, node.trickle.t_fire)
-            if node.rank is not None and node.node_id not in self._joined:
-                self._joined.add(node.node_id)  # first join: start its DAO loops
+            if node.rank is not None and node.joined_at is None:
+                node.joined_at = now  # first join: start its DAO loops
                 if node.role is MALICIOUS:
                     if self.arm.attack:
                         self._reschedule(now, "volley", node.node_id)
@@ -538,20 +535,19 @@ class World:
             c.genuine_nacked += not accepted
 
     def _wake_at(self, node: NodeState, t: int) -> None:
-        """Move the node's one wake-up to `t`, or drop it past the horizon."""
-        if t > self.us["duration_s"]:
-            self._wake.pop(node.node_id, None)
-        elif self._wake.get(node.node_id) != t:
-            self._wake[node.node_id] = t
-            self.schedule(t, "wake", node.node_id)
+        """Move the node's one wake-up to `t`, queuing it unless it falls
+        past the horizon; an event at any other time is then stale."""
+        if node.wake != t:
+            node.wake = t
+            if t <= self.us["duration_s"]:
+                self.schedule(t, "wake", node.node_id)
 
     def _on_wake(self, event: Event) -> None:
         """Fire the trickle timer of a joined node; solicit with a DIS
         while the node has not joined."""
-        if self._wake.get(event.node_id) != event.time:
-            return  # stale: the wake-up has moved since
-        del self._wake[event.node_id]
         node = self.nodes[event.node_id]
+        if node.wake != event.time:
+            return  # stale: the wake-up has moved since
         if node.rank is not None:
             for dest, message in node.trickle_fire(self.clock, self.rng):
                 self.transmit(node, dest, message)
@@ -621,7 +617,7 @@ class World:
 
     def _finalize(self) -> None:
         c = self.counters
-        c.ledgers = self.ledgers
+        c.ledgers = {node_id: node.ledger for node_id, node in self.nodes.items()}
         c.client_ids = [n.node_id for n in self.nodes.values()
                         if n.role is CLIENT]
         non_root = [n for n in self.nodes.values() if n.role is not ROOT]

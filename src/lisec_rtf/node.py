@@ -112,6 +112,8 @@ class NodeState:
         self.rt_peak = 0  # largest size `routing` has reached
         self.blacklist: set[bytes] = set()  # only grows
         self.trickle: TrickleState | None = None
+        self.wake: int | None = None  # µs of the live wake-up; others are stale
+        self.joined_at: int | None = None  # µs of the first join: DAO loops start
 
         self.license = 0
         self.shared_key: bytes | None = None

@@ -275,7 +275,7 @@ def test_broadcast_matches_all_pairs_scan():
             sx, sy = w.positions[sender.node_id]
             for other in w.nodes.values():
                 ox, oy = w.positions[other.node_id]
-                if (other is sender or w.start_times[other.node_id] > w.clock
+                if (other is sender or other.start_time > w.clock
                         or math.hypot(sx - ox, sy - oy) > params.tx_range_m):
                     continue
                 if oracle_rng.random() >= params.loss_prob:
@@ -359,7 +359,7 @@ def test_unicast_matches_distance_test():
                 sx, sy = w.positions[sender.node_id]
                 for other in nodes:
                     ox, oy = w.positions[other.node_id]
-                    if (other is sender or w.clock < w.start_times[other.node_id]
+                    if (other is sender or w.clock < other.start_time
                             or math.hypot(sx - ox, sy - oy) > params.tx_range_m):
                         continue
                     if oracle_rng.random() < params.loss_prob:
@@ -372,7 +372,7 @@ def test_unicast_matches_distance_test():
             for sender, receiver in pairs:
                 sx, sy = w.positions[sender.node_id]
                 rx, ry = w.positions[receiver.node_id]
-                if (w.clock < w.start_times[receiver.node_id]
+                if (w.clock < receiver.start_time
                         or math.hypot(sx - rx, sy - ry) > params.tx_range_m
                         or oracle_rng.random() < params.loss_prob):
                     losses += 1
@@ -425,9 +425,9 @@ def test_transmit_charges_airtime_and_counts_by_type(kind, params):
     a = w.add_node("a", NodeRole.CLIENT, (0.0, 0.0))
     b = w.add_node("b", NodeRole.CLIENT, (30.0, 0.0))
     for dest in (None, b.address):
-        before = w.ledgers["a"].tx_s
+        before = a.ledger.tx_s
         w.transmit(a, dest, message)
-        assert w.ledgers["a"].tx_s - before == params.airtime_s(size)
+        assert a.ledger.tx_s - before == params.airtime_s(size)
     c = w.counters
     data = kind == "data"
     assert c.data_transmissions == (2 if data else 0)
@@ -449,7 +449,7 @@ def test_dao_airtime_follows_options_length_within_one_world():
     for m in (plain, sealed, plain):
         w.transmit(a, None, m)
         charged += p.airtime_s(dao_length(m))  # each step, in the ledger's order
-        assert w.ledgers["a"].tx_s == charged
+        assert a.ledger.tx_s == charged
         sizes.append(dao_length(m))
     assert sizes == [DAO_BASE_LEN, 46, DAO_BASE_LEN]
 
@@ -508,8 +508,7 @@ def test_trickle_wake_follows_resets(monkeypatch):
     w, a, trace, deliver_dio = _dio_driven_node(SimParams(duration_s=600.0))
 
     def live_wakeups():
-        return [e.time for e in w._queue if e.kind == "wake"
-                and e.time == w._wake.get("a")]
+        return [e.time for e in w._queue if e.kind == "wake" and e.time == a.wake]
 
     deliver_dio(US, 256)  # joins: first fire time drawn
     w.run_until(200 * US)  # the interval has doubled to 64 s or more
@@ -518,7 +517,7 @@ def test_trickle_wake_follows_resets(monkeypatch):
         pending = a.trickle.t_fire
         deliver_dio(pending - lead, rank)  # the parent's rank changed: reset
         assert (a.trickle.t_fire < pending) == (moved == "earlier")
-        assert w._wake == {"a": a.trickle.t_fire}
+        assert a.wake == a.trickle.t_fire
         assert live_wakeups() == [a.trickle.t_fire]
         superseded.append(f"{pending / US:.6f}")
     w.run_until(w.us["duration_s"])
@@ -538,9 +537,41 @@ def test_trickle_wake_dropped_past_horizon():
     a.trickle.i_min = 1000.0  # the next reset draws a time past the horizon
     deliver_dio(pending - US // 2, 512)
     assert a.trickle.t_fire > w.us["duration_s"]
-    assert w._wake == {}
+    assert a.wake == a.trickle.t_fire
+    assert not [e for e in w._queue if e.kind == "wake" and e.time > w.us["duration_s"]]
     w.run_until(w.us["duration_s"] + DRAIN_US)
     assert _dio_tx_times(trace) == []
+
+
+@pytest.mark.parametrize("mobility", [False, True])
+def test_first_wake_ups_are_the_only_node_events_queued_at_the_start(mobility):
+    # a node's lifecycle starts at its first wake-up: the root's at its first
+    # trickle fire, any other node's at its start time, where it solicits
+    w = build_random_world(SimParams(), ARMS["attack"], seed=1, n_clients=26,
+                           n_attackers=3, mobility=mobility)
+    w._schedule_initial()
+    assert sorted(e.kind for e in w._queue) == ["data"] + ["wake"] * len(w.nodes)
+    wakes = {e.node_id: e.time for e in w._queue if e.kind == "wake"}
+    root = w.nodes["root"]
+    assert wakes["root"] == root.wake == root.trickle.t_fire
+    assert root.joined_at == root.start_time == 0
+    for node_id, n in w.nodes.items():
+        if n is not root:
+            assert wakes[node_id] == n.wake == n.start_time, node_id
+            assert n.trickle is None and n.joined_at is None, node_id
+
+
+def test_a_root_that_starts_late_draws_its_first_dio_from_its_start():
+    p = SimParams(duration_s=60.0)
+    trace = io.StringIO()
+    w = World(p, ARMS["baseline"], seed=3, trace=trace)
+    root = w.add_node("root", NodeRole.ROOT, (0.0, 0.0), start_time=5 * US)
+    w._schedule_initial()
+    fire = root.trickle.t_fire
+    assert root.joined_at == 5 * US and root.wake == fire
+    assert (5 + p.trickle_imin_s / 2) * US <= fire <= (5 + p.trickle_imin_s) * US
+    w.run_until(w.us["duration_s"] + DRAIN_US)
+    assert _dio_tx_times(trace)[0] == f"{fire / US:.6f}"
 
 
 @pytest.mark.parametrize("arm", ["attack", "defense", "defense_encrypted"])
@@ -737,9 +768,9 @@ def test_energy_mixed_ledger_frozen_value():
 def test_energy_time_budget_conserved():
     p = SimParams(duration_s=400.0, grid_m=120.0)
     w = build_random_world(p, ARMS["baseline"], seed=3, n_clients=10, n_attackers=0)
-    w.run()
+    counters = w.run()
     elapsed = p.duration_s + DRAIN_US / US
-    for ledger in w.ledgers.values():
+    for ledger in counters.ledgers.values():
         active = ledger.tx_s + ledger.rx_s + ledger.cpu_s
         assert active < elapsed
         assert active + ledger.lpm_s(elapsed) == pytest.approx(elapsed)
@@ -747,14 +778,14 @@ def test_energy_time_budget_conserved():
 
 def test_radio_state_lives_on_the_node():
     # the radio charges and checks each node through attributes it holds,
-    # which must be the world's own ledger and start time, and role tests
-    # read the module constants: on Python 3.10 and 3.11 every load of a
-    # `NodeRole` member runs the enum metaclass's `__getattr__`
+    # the only copies: `start_times` reads them, `counters.ledgers` gathers
+    # them; role tests read the module constants: on Python 3.10 and 3.11
+    # every load of a `NodeRole` member runs the enum metaclass's `__getattr__`
     p = SimParams(duration_s=400.0, grid_m=140.0)
     w = build_random_world(p, ARMS["defense"], seed=3, n_clients=10, n_attackers=1)
-    for node_id, n in w.nodes.items():
-        assert n.ledger is w.ledgers[node_id]
-        assert n.start_time == w.start_times[node_id]
+    assert w.start_times == {node_id: n.start_time for node_id, n in w.nodes.items()}
+    with pytest.raises(AttributeError):
+        w.start_times = {}
     counters = w.run()
     assert counters.ledgers.keys() == w.nodes.keys()
     for node_id, n in w.nodes.items():
@@ -768,9 +799,9 @@ def test_radio_state_lives_on_the_node():
 def test_transmission_strictly_increases_energy():
     w, a, b = radio_world(40.0)
     p = w.params
-    before = w.ledgers["a"].energy_mj(100.0, p)
+    before = a.ledger.energy_mj(100.0, p)
     w.transmit(a, b.address, DisMessage())
-    assert w.ledgers["a"].energy_mj(100.0, p) > before
+    assert a.ledger.energy_mj(100.0, p) > before
 
 
 # -- whole-world properties ----------------------------------------------
@@ -1246,7 +1277,7 @@ def _traced_run(arm, seed, memo, mobility=True):
 
     w._on_mobility = spy
     counters = w.run()
-    return (w.digest(), counters, w.ledgers, trace.getvalue()), seen, w.trajectory
+    return (w.digest(), counters, counters.ledgers, trace.getvalue()), seen, w.trajectory
 
 
 # each seed runs static and mobile worlds, so the test ids stay one per seed
@@ -1628,16 +1659,20 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
     w._schedule_initial()
     w.run_until(round(t_nack * US))
     assert b.parent == a.address
+    joined = b.joined_at  # the first join, when b sent its first DAO
     nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)  # nothing else is due at t_nack
-    assert w._wake["b"] == w.clock  # the trickle wake-up became a DIS
+    assert b.wake == w.clock  # the trickle wake-up became a DIS
     w.run_until(w.clock + 50 * US)
     refresh = [e for e in w._queue if e.kind == "dao_refresh" and e.node_id == "b"]
-    assert len(refresh) == 1
+    assert len(refresh) == 1 and b.joined_at == joined
     w.run_until(w.us["duration_s"] + DRAIN_US)
 
-    after = [line.split("\t") for line in trace.getvalue().splitlines()
-             if line.split("\t")[1] == "b" and float(line.split("\t")[0]) >= t_nack]
+    assert b.joined_at == joined
+    lines = [line.split("\t") for line in trace.getvalue().splitlines()]
+    assert [t for t, n, kind, _ in lines if n == "b" and kind == "DAO_TX"][0] == (
+        f"{joined / US:.6f}")
+    after = [line for line in lines if line[1] == "b" and float(line[0]) >= t_nack]
     assert [(t, kind) for t, _, kind, _ in after[:2]] == [
         (f"{t_nack:.6f}", "BLACKLIST"), (f"{t_nack:.6f}", "DIS_TX")]
     kinds = [kind for _, _, kind, _ in after[1:]]
@@ -1648,7 +1683,8 @@ def test_nack_for_parent_detaches_and_rejoins(t_nack, with_c):
         assert "DIO_TX" in kinds  # advertises again once rejoined
     else:
         assert b.parent is None and b.rank is None and b.trickle is None
-        assert "b" not in w._wake  # the next DIS falls past the horizon
+        assert b.wake > w.us["duration_s"]  # the next DIS falls past the horizon
+        assert not [e for e in w._queue if e.kind == "wake" and e.node_id == "b"]
         times = [float(t) for t, _, _, _ in after[1:]]
         assert kinds == ["DIS_TX"] * len(kinds)
         assert times == [t_nack + k * params.dis_period_s for k in range(len(times))]
@@ -1671,7 +1707,8 @@ def test_nack_for_parent_after_horizon_sends_nothing():
     nack = DaoStatus(originator=a.address, status=STATUS_NACK)
     w._receive(b, a.address, nack, 0.0)
     w.run_until(w.us["duration_s"] + DRAIN_US)
-    assert b.parent is None and "b" not in w._wake
+    assert b.parent is None and b.wake > w.us["duration_s"]
+    assert not [e for e in w._queue if e.kind == "wake" and e.node_id == "b"]
     assert w.counters.control_transmissions == sent
     late = [line.split("\t") for line in trace.getvalue().splitlines()
             if float(line.split("\t")[0]) > params.duration_s]
@@ -1787,7 +1824,7 @@ class WorldMachine(RuleBasedStateMachine):
         # event at the new loop's next time, where it runs in its place.
         w = self.w
         for node in w.nodes.values():
-            wake = w._wake[node.node_id]
+            wake = node.wake
             if node.trickle is None:
                 assert node.rank is None, node.node_id
                 assert wake in self._queued("wake", node.node_id), node.node_id

@@ -76,7 +76,7 @@ def _run(world_class, params, arm, seed=0):
     w._on_mobility = spy
     counters = w.run()
     assert len(at_ticks) == w.us["duration_s"] // w.us["mobility_tick_s"]
-    return w.digest(), counters, w.ledgers, trace.getvalue(), at_ticks
+    return w.digest(), counters, counters.ledgers, trace.getvalue(), at_ticks
 
 
 @pytest.mark.parametrize("change", [
