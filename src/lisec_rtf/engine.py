@@ -1,6 +1,6 @@
-"""Deterministic discrete-event kernel: unit-disk radio, random-waypoint
-mobility, per-node energy accounting, and the event loops that drive the
-protocol handlers in `node`.
+"""Deterministic discrete-event kernel: unit-disk radio over the
+random-waypoint walk of `mobility`, per-node energy accounting, and the
+event loops that drive the protocol handlers in `node`.
 
 One World is one logical timeline in whole microseconds (`config.US` to the
 second), so a loop at period P fires at exactly k x P up to `duration_s`;
@@ -14,17 +14,18 @@ them leaves the other streams untouched) and `rng` (protocol-driven draws).
 Replaying the same seed and configuration reproduces the event trace byte
 for byte.
 
-Every world's radio reads a `Trajectory` that covers every node: a mobile
-world's walkers move in it, a static world's never steps, and a world
-built by hand gets a still one the first time its radio is used.  It keeps
-every tick in one flat array, x and y per node.  Worlds built through one
-placement memo with one mobility setting share it: whichever world first
-reaches a tick computes it, and the ids in range of a sender at a tick are
-computed once for all of them.  Each world caches each sender's
-neighbours by address, in `nodes` order, until `add_node` or the next
-mobility tick; a unicast finds its receiver in the sender's cache when it
-is filled and otherwise reads the two nodes' points at the tick.  A mobile
-world copies the tick into `positions` only when something reads it.
+Every world's radio reads a `Trajectory` (`mobility`) that covers every
+node: a mobile world's walkers move in it, a static world's never steps,
+and a world built by hand gets a still one the first time its radio is
+used.  It keeps every tick in one flat array, x and y per node.  Worlds
+built through one placement memo with one mobility setting share it: the
+first world to take a tick walks the whole run, and the ids in range of a
+sender at a tick are computed once for all of them.  Each world caches
+each sender's neighbours by address, in `nodes` order, until `add_node` or
+the next mobility tick; a unicast finds its receiver in the sender's cache
+when it is filled and otherwise reads the two nodes' points at the tick.
+A mobile world copies the tick into `positions` only when something reads
+it.
 
 Every client sends with the same period and phase, so data leaves from one
 `"data"` event per period whose handler sends each client's packet in
@@ -59,7 +60,6 @@ import hashlib
 import heapq
 import math
 import random
-from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
@@ -77,6 +77,7 @@ from .messages import (
     node_address,
 )
 from .metrics import EnergyLedger, RunCounters
+from .mobility import RwpState, Trajectory
 from .node import CLIENT, MALICIOUS, ROOT, NodeRole, NodeState, TrickleState
 from .puf import KEY_LEN, CRDatabase, KeyedPuf
 
@@ -113,99 +114,6 @@ class DataPacket:
         self.created = created
         self.counted = counted
         self.hops = 0
-
-
-@dataclass
-class RwpState:
-    waypoint: tuple[float, float]
-    speed: float
-    pause_until: int = 0
-
-
-class Trajectory:
-    """The random-waypoint walk of `walkers` (none in a static world, which
-    then has no `rng`) among the nodes of `positions` (`order`), and which
-    are in range of each other.
-
-    `_step(clock)` computes the next tick; every world takes tick k at k x
-    the period, so a shared tick is computed at the clock each of them would
-    use.  `now` holds every node's x and y at the latest tick and `xy` every
-    tick from 0 in one flat `array("d")`, 16 B per node per tick: tick k's
-    row starts at k x `width`, and `index` is each node's offset in a row.
-    Past 128 kB glibc maps that array afresh where 64-tick blocks reused
-    freed heap, so the desk matrix peaks 0.8 MiB higher on the same live
-    bytes.  `near(k, sender)`, the ids in range after k ticks in `order`, is
-    computed when a world first asks and kept in `relations` for all of
-    them: lists, since freed tuples of many lengths pile up in CPython's
-    per-length free lists (0.25 MB more peak over 10 seeds).
-    """
-
-    def __init__(self, params: SimParams, seed: int, walkers: dict[str, RwpState],
-                 positions: dict[str, tuple[float, float]]):
-        self.params = params
-        # a stream of its own, so trajectories match across arms at equal seed
-        self.rng = random.Random((seed << 16) ^ 0x30B1) if walkers else None
-        self.walkers = walkers
-        self.ids = tuple(walkers)
-        self.order = tuple(positions)
-        self.width = 2 * len(self.order)
-        self.index = {node_id: 2 * i for i, node_id in enumerate(self.order)}
-        self.slots = [self.index[node_id] for node_id in self.ids]
-        self.xy = array("d", [c for xy in positions.values() for c in xy])
-        self.now = self.xy.tolist()
-        self.ticks = 0
-        self.relations: dict[tuple[int, str], list[str]] = {}
-
-    def near(self, k: int, sender: str) -> list[str]:
-        key = (k, sender)
-        ids = self.relations.get(key)
-        if ids is None:
-            xy, start = self.xy, k * self.width
-            at = start + self.index[sender]
-            x, y, reach, hypot = xy[at], xy[at + 1], self.params.tx_range_m, math.hypot
-            row = iter(xy[start:start + self.width])
-            ids = self.relations[key] = [
-                other for other, ox, oy in zip(self.order, row, row)
-                if other != sender and hypot(x - ox, y - oy) <= reach]
-        return ids
-
-    def reaches(self, k: int, sender: str, receiver: str) -> bool:
-        """Whether `receiver` is in range of `sender` after k ticks."""
-        xy, row, index = self.xy, k * self.width, self.index
-        a, b = row + index[sender], row + index[receiver]
-        return math.hypot(xy[a] - xy[b], xy[a + 1] - xy[b + 1]) <= self.params.tx_range_m
-
-    def _step(self, clock: int) -> None:
-        p, now = self.params, self.now
-        tick, grid, uniform = p.mobility_tick_s, p.grid_m, self.rng.uniform
-        for i, state in zip(self.slots, self.walkers.values()):
-            if clock < state.pause_until:
-                continue
-            x, y = now[i], now[i + 1]
-            wx, wy = state.waypoint
-            dx, dy = wx - x, wy - y
-            dist = math.hypot(dx, dy)
-            step = state.speed * tick
-            if dist <= step:
-                now[i], now[i + 1] = state.waypoint
-                state.waypoint = (uniform(0, grid), uniform(0, grid))
-                state.speed = uniform(p.speed_min_mps, p.speed_max_mps)
-                state.pause_until = clock + p.us["pause_s"]
-            else:
-                # clamp into the grid; branches cost less than min/max calls
-                nx = x + dx / dist * step
-                if nx < 0.0:
-                    nx = 0.0
-                elif nx > grid:
-                    nx = grid
-                ny = y + dy / dist * step
-                if ny < 0.0:
-                    ny = 0.0
-                elif ny > grid:
-                    ny = grid
-                now[i], now[i + 1] = nx, ny
-        self.ticks += 1
-        self.xy.fromlist(now)
 
 
 def _line_sink(stream: TextIO):
@@ -608,9 +516,8 @@ class World:
         next one."""
         self._tick_at(due[0] + self.us["mobility_tick_s"])
         self._in_range.clear()
-        walk = self.trajectory
-        if self._ticks == walk.ticks:  # the first world here computes it
-            walk._step(due[0])
+        if not self.trajectory.ticks:  # the first world to take a tick walks the run
+            self.trajectory.walk(self.us["duration_s"] // self.us["mobility_tick_s"])
         self._ticks += 1
 
     # -- teardown ----------------------------------------------------------

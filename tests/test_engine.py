@@ -22,10 +22,8 @@ from lisec_rtf.engine import (
     DRAIN_US,
     DataPacket,
     Event,
-    RwpState,
     ScheduleInPastError,
     SetupError,
-    Trajectory,
     World,
     build_random_world,
 )
@@ -42,6 +40,7 @@ from lisec_rtf.messages import (
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
+from lisec_rtf.mobility import RwpState, Trajectory
 from lisec_rtf.node import NodeRole, NodeState, TrickleState, compute_rank
 from lisec_rtf.puf import license_blob_len
 from lisec_rtf.scenario import Scenario, ScenarioError
@@ -592,8 +591,9 @@ def test_untraced_run_formats_nothing(monkeypatch, arm):
 # -- mobility -----------------------------------------------------------
 
 
-def _reference_mobility_tick(positions, walkers, rng, p, clock):
-    """The random-waypoint tick written plainly, kept as the oracle."""
+def _re_aiming_tick(positions, walkers, rng, p, clock):
+    """The random-waypoint tick that re-aims every step at the waypoint from
+    the last position, written plainly: the walk before legs were summed."""
     for node_id, state in walkers.items():
         x, y = positions[node_id]
         if clock < state.pause_until:
@@ -613,14 +613,53 @@ def _reference_mobility_tick(positions, walkers, rng, p, clock):
             positions[node_id] = (nx, ny)
 
 
+def _summed_step_tick(positions, legs, walkers, rng, p, k):
+    """Tick k of the summed-step walk, written plainly, kept as the oracle.
+
+    A walker that is not paused and on no leg starts one where it stands:
+    its step is the unit vector to the waypoint times speed x tick, and it
+    arrives at once if the waypoint is at most a step away, else after
+    ceil(d / step) - 1 steps.  On a leg it adds the step to the leg's sum
+    and stands at that sum clamped into the grid; at the arrival tick it
+    snaps to the waypoint and draws the next one, walkers in slot order."""
+    clock = k * p.us["mobility_tick_s"]
+    for node_id, state in walkers.items():
+        if clock < state.pause_until:
+            continue
+        if node_id not in legs:
+            x, y = positions[node_id]
+            wx, wy = state.waypoint
+            dx, dy = wx - x, wy - y
+            dist = math.hypot(dx, dy)
+            step = state.speed * p.mobility_tick_s
+            if dist <= step:
+                legs[node_id] = [x, y, 0.0, 0.0, k]
+            else:
+                legs[node_id] = [x, y, dx / dist * step, dy / dist * step,
+                                 k + max(1, math.ceil(dist / step) - 1)]
+        leg = legs[node_id]
+        if k == leg[4]:
+            del legs[node_id]
+            positions[node_id] = state.waypoint
+            state.waypoint = (rng.uniform(0, p.grid_m), rng.uniform(0, p.grid_m))
+            state.speed = rng.uniform(p.speed_min_mps, p.speed_max_mps)
+            state.pause_until = clock + p.us["pause_s"]
+        else:
+            leg[0] += leg[2]
+            leg[1] += leg[3]
+            positions[node_id] = (min(max(leg[0], 0.0), p.grid_m),
+                                  min(max(leg[1], 0.0), p.grid_m))
+
+
 @st.composite
 def _rwp_worlds(draw):
-    """(params, seed, clock, [(position, RwpState)]) covering every branch."""
+    """(params, seed, [(position, RwpState)]) covering every branch; the
+    walk lasts `duration_s`, 1 to 12 ticks."""
     grid = draw(st.sampled_from([200.0, 120.0]))
     tick = draw(st.sampled_from([1.0, 0.5, 2.0]))  # speed * tick is exact
     params = SimParams(grid_m=grid, mobility_tick_s=tick,
+                       duration_s=tick * draw(st.integers(1, 12)),
                        pause_s=draw(st.sampled_from([0.0, 3.0])))
-    clock = draw(st.integers(0, 1000 * US))
     coord = st.one_of(st.floats(0.0, grid), st.sampled_from([0.0, -0.0, grid]))
     # waypoints past the edge make the clamp bite
     far = st.one_of(coord, st.floats(-30.0, grid + 30.0))
@@ -629,7 +668,7 @@ def _rwp_worlds(draw):
         pos = (draw(coord), draw(coord))
         state = RwpState(waypoint=(draw(far), draw(far)),
                          speed=draw(st.floats(0.1, 5.0)),
-                         pause_until=draw(st.integers(0, clock)))
+                         pause_until=draw(st.integers(0, round(tick * US))))
         dist = math.hypot(state.waypoint[0] - pos[0], state.waypoint[1] - pos[1])
         case = draw(st.sampled_from(["move", "at_waypoint", "step_equals_dist",
                                      "arrive", "paused"]))
@@ -640,15 +679,16 @@ def _rwp_worlds(draw):
         elif case == "arrive":
             state.speed = (dist + draw(st.floats(0.0, 5.0))) / tick
         elif case == "paused":
-            state.pause_until = clock + draw(st.integers(1000, 10 * US))
+            state.pause_until = draw(st.integers(1000, 10 * US))
         nodes.append((pos, state))
-    return params, draw(st.integers(0, 2**32)), clock, nodes
+    return params, draw(st.integers(0, 2**32)), nodes
 
 
 @settings(max_examples=200)
-@given(_rwp_worlds(), st.integers(1, 4))
-def test_mobility_tick_matches_reference(case, n_ticks):
-    params, seed, clock, nodes = case
+@given(_rwp_worlds())
+def test_mobility_tick_matches_reference(case):
+    # the first tick walks the whole run; each tick then reads its row
+    params, seed, nodes = case
     w = World(params, ARMS["baseline"], seed=seed)
     walkers, ref_walkers = {}, {}
     for i, (pos, state) in enumerate(nodes):
@@ -656,18 +696,99 @@ def test_mobility_tick_matches_reference(case, n_ticks):
         walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
         ref_walkers[f"n{i}"] = RwpState(state.waypoint, state.speed, state.pause_until)
     trajectory = walk(w, walkers)
-    ref_positions = dict(w.positions)
+    ref_positions, legs = dict(w.positions), {}
     ref_rng = random.Random((seed << 16) ^ 0x30B1)  # the walk's own stream
-    for _ in range(n_ticks):
-        w.clock = clock
+    n_ticks = w.us["duration_s"] // w.us["mobility_tick_s"]
+    for k in range(1, n_ticks + 1):
+        w.clock = k * w.us["mobility_tick_s"]
         w._in_range["n0"] = {}
-        w._on_mobility(Event(clock, 0, "mobility"))
-        _reference_mobility_tick(ref_positions, ref_walkers, ref_rng, params, clock)
+        w._on_mobility(Event(w.clock, 0, "mobility"))
+        _summed_step_tick(ref_positions, legs, ref_walkers, ref_rng, params, k)
         assert repr(w.positions) == repr(ref_positions)  # tells -0.0 from 0.0
-        assert trajectory.walkers == ref_walkers
-        assert trajectory.rng.getstate() == ref_rng.getstate()
         assert w._in_range == {}
-        clock += w.us["mobility_tick_s"]
+    assert trajectory.ticks == n_ticks
+    assert trajectory.walkers == ref_walkers
+    assert trajectory.rng.getstate() == ref_rng.getstate()
+
+
+class _Logged(RwpState):
+    """An RwpState that logs each field set after it was made: an arrival
+    sets the next waypoint, speed and `pause_until`, which names its tick."""
+
+    def __setattr__(self, name, value):
+        if "log" in self.__dict__:
+            self.log.append((name, value))
+        super().__setattr__(name, value)
+
+
+@st.composite
+def _desk_walks(draw):
+    """(params, seed, [(position, waypoint, speed)]) for desk-length walks
+    whose first legs are drawn uniformly, as every build draws them, from a
+    stream Hypothesis seeds; walkers at 0.5 m/s or more arrive at least
+    once in 1800 s on a 200 m grid."""
+    low = draw(st.floats(0.5, 3.0))
+    params = SimParams(mobility_tick_s=draw(st.sampled_from([1.0, 0.5, 2.0])),
+                       pause_s=draw(st.sampled_from([0.0, 2.5, 7.0])),
+                       speed_min_mps=low, speed_max_mps=low + draw(st.floats(0.0, 4.0)))
+    rng, grid = random.Random(draw(st.integers(0, 2**32))), params.grid_m
+    nodes = [((rng.uniform(0, grid), rng.uniform(0, grid)),
+              (rng.uniform(0, grid), rng.uniform(0, grid)),
+              rng.uniform(params.speed_min_mps, params.speed_max_mps))
+             for _ in range(draw(st.integers(1, 6)))]
+    return params, draw(st.integers(0, 2**32)), nodes
+
+
+def _logged_walk(params, seed, nodes) -> Trajectory:
+    walkers = {}
+    for i, (_, waypoint, speed) in enumerate(nodes):
+        walkers[f"n{i}"] = state = _Logged(waypoint, speed)
+        state.__dict__["log"] = []
+    return Trajectory(params, seed, walkers,
+                      {f"n{i}": pos for i, (pos, _, _) in enumerate(nodes)})
+
+
+def _re_aimed_rows(walk, n_ticks) -> list:
+    """Each tick's positions, in `walk.order`, of `walk` re-aimed tick by tick."""
+    positions = dict(zip(walk.order, zip(walk.xy[::2], walk.xy[1::2])))
+    rows = [list(positions.values())]
+    for k in range(1, n_ticks + 1):
+        _re_aiming_tick(positions, walk.walkers, walk.rng, walk.params,
+                        k * walk.params.us["mobility_tick_s"])
+        rows.append(list(positions.values()))
+    return rows
+
+
+@settings(max_examples=30, deadline=None)
+@given(_desk_walks())
+def test_summed_legs_stay_within_a_nanometre_of_the_re_aiming_walk(case):
+    # every draw, in stream order, and every arrival tick are the re-aiming
+    # walk's; a position differs from it by rounding alone
+    summed, re_aimed = _logged_walk(*case), _logged_walk(*case)
+    n_ticks = summed.params.us["duration_s"] // summed.params.us["mobility_tick_s"]
+    summed.walk(n_ticks)
+    for k, row in enumerate(_re_aimed_rows(re_aimed, n_ticks)):
+        at = summed.xy[k * summed.width:(k + 1) * summed.width]
+        for i, (x, y) in enumerate(row):
+            assert abs(at[2 * i] - x) <= 1e-9 and abs(at[2 * i + 1] - y) <= 1e-9, (k, i)
+    assert all(state.log for state in re_aimed.walkers.values())
+    for node_id, state in re_aimed.walkers.items():
+        assert summed.walkers[node_id].log == state.log, node_id
+    assert summed.rng.getstate() == re_aimed.rng.getstate()
+
+
+def test_a_leg_arrives_at_the_tick_its_length_gives():
+    # 1 m at 0.1 m/s is ten steps, so the walker stands on its waypoint at
+    # tick 10; re-aimed from rounded positions it was 1.1e-16 m short of one
+    # step at tick 9 and arrived at tick 11
+    params = SimParams(speed_min_mps=0.1, speed_max_mps=0.1, duration_s=12.0)
+    nodes = [((0.0, 0.0), (0.0, 1.0), 0.1)]
+    summed, re_aimed = _logged_walk(params, 0, nodes), _logged_walk(params, 0, nodes)
+    summed.walk(12)
+    assert summed.xy[2 * 9 + 1] < 1.0 == summed.xy[2 * 10 + 1]
+    assert summed.walkers["n0"].log[-1] == ("pause_until", 10 * US)
+    assert [y for _, y in itertools.chain(*_re_aimed_rows(re_aimed, 12))].index(1.0) == 11
+    assert re_aimed.walkers["n0"].log[-1] == ("pause_until", 11 * US)
 
 
 def test_rwp_step_unit_vector():
@@ -1326,20 +1447,20 @@ def _mobile_scenario(arms: list) -> Scenario:
 
 
 def test_experiment_walks_each_seed_once_for_all_arms(monkeypatch):
-    steps = []
-    step = Trajectory._step
+    passes = []
+    whole = Trajectory.walk
 
-    def counted(self, clock):
-        steps.append(clock)
-        step(self, clock)
+    def counted(self, ticks):
+        passes.append(ticks)
+        whole(self, ticks)
 
-    monkeypatch.setattr(Trajectory, "_step", counted)
+    monkeypatch.setattr(Trajectory, "walk", counted)
     run_experiment(_mobile_scenario(["baseline"]), base=0)
-    one_arm = list(steps)
-    steps.clear()
+    one_arm = list(passes)
+    passes.clear()
     run_experiment(_mobile_scenario(["baseline", "attack", "defense"]), base=0)
-    assert steps == one_arm
-    assert len(steps) == 3 * 420  # three seeds, one tick a second
+    assert passes == one_arm
+    assert passes == [420] * 3  # three seeds, each walked whole at its first tick
 
 
 def test_experiment_keeps_one_trajectory_alive_at_a_time(monkeypatch):
