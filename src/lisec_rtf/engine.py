@@ -106,13 +106,11 @@ class Event(NamedTuple):
 
 
 class DataPacket:
-    __slots__ = ("src_id", "src_addr", "created", "counted", "hops")
+    __slots__ = ("src_addr", "created", "hops")
 
-    def __init__(self, src_id: str, src_addr: bytes, created: int, counted: bool):
-        self.src_id = src_id
+    def __init__(self, src_addr: bytes, created: int):
         self.src_addr = src_addr
         self.created = created
-        self.counted = counted
         self.hops = 0
 
 
@@ -493,21 +491,19 @@ class World:
                 sent[node.node_id] = sent.get(node.node_id, 0) + 1
             if node.parent is None:
                 continue  # orphan: packet lost at the source
-            packet = DataPacket(node.node_id, node.address, now, counted)
             if self.tracer is not None:
                 self.tracer(now, node.node_id, "DATA_TX", f"counted={counted}")
-            self.transmit(node, node.parent, packet)
+            self.transmit(node, node.parent, DataPacket(node.address, now))
 
     def _handle_data(self, root: NodeState, packet: DataPacket) -> None:
         """The sink admits data only from sources it holds a route for."""
-        if root.route_lifetime:
-            root._purge_expired(self.clock)
-        if packet.src_addr not in root.routing:
+        if packet.src_addr not in root.routes(self.clock):
             self.counters.root_admission_drops += 1
             return
         if self.tracer is not None:
-            self.tracer(self.clock, root.node_id, "DATA_RX", f"from {packet.src_id}")
-        if packet.counted:
+            self.tracer(self.clock, root.node_id, "DATA_RX",
+                        f"from {self.by_addr[packet.src_addr].node_id}")
+        if packet.created > self.us["data_warmup_s"]:
             self.counters.received_at_root += 1
             self.counters.delays.append((self.clock - packet.created) / US)
 
@@ -543,11 +539,9 @@ class World:
             h.update(node_id.encode())
             h.update(f"|{node.rank}|{node.parent.hex() if node.parent else '-'}"
                      f"|{len(node.blacklist)}|{node.dao_seq}|{x:.6f},{y:.6f}".encode())
-            for target in sorted(node.routing):
-                entry = node.routing[target]
-                if entry.expires_at > self.clock:  # skip what the next purge drops
-                    h.update(target.hex().encode())
-                    h.update(entry.next_hop.hex().encode())
+            for target, entry in sorted(node.live_routes(self.clock).items()):
+                h.update(target.hex().encode())
+                h.update(entry.next_hop.hex().encode())
             for addr in sorted(node.blacklist):
                 h.update(addr.hex().encode())
         c = self.counters

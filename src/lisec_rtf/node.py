@@ -124,34 +124,41 @@ class NodeState:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _purge_expired(self, now: int) -> None:
-        """Drop expired routes; callers skip it when routes never expire."""
-        dead = [t for t, e in self.routing.items() if e.expires_at <= now]
-        for t in dead:
-            del self.routing[t]
+    def _drop_expired(self, table: dict, now: int) -> dict:
+        for target in [t for t, e in table.items() if e.expires_at <= now]:
+            del table[target]
+        return table
 
-    def add_route(self, target: bytes, next_hop: bytes, now: int) -> str:
-        """Install or refresh a downward route; returns what happened."""
+    def routes(self, now: int) -> dict[bytes, RoutingEntry]:
+        """The routing table, once every route expired by `now` is dropped;
+        the handlers here skip the call when no route can expire."""
+        return self._drop_expired(self.routing, now) if self.route_lifetime else self.routing
+
+    def live_routes(self, now: int) -> dict[bytes, RoutingEntry]:
+        """What `routes(now)` would keep, as a new dict; the table stays."""
+        return self._drop_expired(dict(self.routing), now)
+
+    def add_route(self, target: bytes, next_hop: bytes, now: int) -> bool:
+        """Install or refresh a downward route; True if the table now holds it."""
         if target in self.blacklist or next_hop in self.blacklist:
-            return "refused"
-        if self.route_lifetime:
-            self._purge_expired(now)
+            return False
+        routing = self.routes(now) if self.route_lifetime else self.routing
         expires = now + self.route_lifetime if self.route_lifetime > 0 else math.inf
-        entry = self.routing.get(target)
+        entry = routing.get(target)
         if entry is not None:
             entry.next_hop = next_hop
             entry.expires_at = expires
-            return "updated"
-        if self.rt_cap is not None and len(self.routing) >= self.rt_cap:
+            return True
+        if self.rt_cap is not None and len(routing) >= self.rt_cap:
             if self.tracer is not None:
                 self.tracer(now, self.node_id, "ROUTE_FULL", format_address(target))
-            return "full"
-        self.routing[target] = RoutingEntry(next_hop, expires)
-        self.rt_peak = max(self.rt_peak, len(self.routing))
+            return False
+        routing[target] = RoutingEntry(next_hop, expires)
+        self.rt_peak = max(self.rt_peak, len(routing))
         if self.tracer is not None:
             self.tracer(now, self.node_id, "ROUTE_ADD",
                         f"{format_address(target)} via {format_address(next_hop)}")
-        return "added"
+        return True
 
     # -- control plane ----------------------------------------------------
 
@@ -167,9 +174,7 @@ class NodeState:
 
     def handle_dio(self, dio: DioMessage, now: int, rng: random.Random) -> list:
         sender = dio.sender
-        if sender in self.blacklist:
-            return []
-        if self.role is ROOT:
+        if sender in self.blacklist or self.role is ROOT:
             return []
 
         candidate = compute_rank(dio.rank)
@@ -273,9 +278,8 @@ class NodeState:
         and is refused like any other bad DAO.
         """
         src = dao.src
-        accepted = db is None or db.admits(src, dao.reserved, dao.options)
-        if accepted:
-            accepted = self.add_route(dao.target, sender, now) in ("added", "updated")
+        accepted = ((db is None or db.admits(src, dao.reserved, dao.options))
+                    and self.add_route(dao.target, sender, now))
         status = DaoStatus(originator=src,
                            status=STATUS_ACK if accepted else STATUS_NACK)
         if self.tracer is not None:
@@ -293,9 +297,7 @@ class NodeState:
                             "registered" if ack else "registration rejected")
             return []
 
-        if self.route_lifetime:
-            self._purge_expired(now)
-        entry = self.routing.get(originator)
+        entry = (self.routes(now) if self.route_lifetime else self.routing).get(originator)
         if not ack:
             # forward first, then blacklist the rejected source and scrub
             # it from the routing table

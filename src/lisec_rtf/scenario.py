@@ -147,6 +147,8 @@ def parse_scenario(text: str, flags: dict | None = None) -> Scenario:
     if settings.pop("encrypted", False):
         settings["arms"] = ["defense_encrypted" if arm == "defense" else arm
                             for arm in settings.get("arms", Scenario.arms)]
+        if "defense_encrypted" not in settings["arms"]:
+            raise ScenarioError("encrypted: on needs a defense arm, and none is listed")
     return Scenario(params=SimParams(**params), **settings)
 
 

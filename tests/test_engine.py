@@ -409,7 +409,7 @@ def _message_of_each_type(params):
         "dao_options": (DaoModified(src=a, target=a, sequence=3, reserved=0,
                                     options=bytes(range(9))), DAO_BASE_LEN + 1 + 9),
         "status": (DaoStatus(originator=a, status=0), STATUS_LEN),
-        "data": (DataPacket("a", a, 0, True), params.data_bytes),
+        "data": (DataPacket(a, 0), params.data_bytes),
     }
 
 
@@ -812,18 +812,19 @@ def test_static_world_positions_never_change():
 
 
 def test_digest_hashes_only_live_routes():
-    # no timer purges expired routes, so a table holds them until its next
-    # reader; the digest must not tell such a table from a purged one
+    # no timer drops expired routes, so a table holds them until its next
+    # read; the digest must not tell such a table from one just read, and
+    # must itself leave every table as it is
     p = SimParams(route_lifetime_s=180.0)
     expired = 0
     for seed in (0, 1, 2):
         w = build_random_world(p, ARMS["attack"], seed, n_clients=26, n_attackers=3)
         w.run()
+        tables = {node.node_id: dict(node.routing) for node in w.nodes.values()}
         digest = w.digest()
         for node in w.nodes.values():
-            held = len(node.routing)
-            node._purge_expired(w.clock)
-            expired += held - len(node.routing)
+            assert node.routing == tables[node.node_id]
+            expired += len(node.routing) - len(node.routes(w.clock))
         assert w.digest() == digest, seed
     assert expired > 0
 
@@ -1602,7 +1603,7 @@ def _relay_pair():
 
 def test_data_caught_in_a_parent_cycle_stops_at_the_hop_limit():
     w, a, _ = _relay_pair()
-    w.transmit(a, a.parent, DataPacket("a", a.address, 0, True))
+    w.transmit(a, a.parent, DataPacket(a.address, 0))
     w.run_until(10 * US)
     c = w.counters
     assert c.data_transmissions == 1 + engine.DATA_HOP_LIMIT
@@ -1612,7 +1613,7 @@ def test_data_caught_in_a_parent_cycle_stops_at_the_hop_limit():
 def test_relay_without_a_parent_drops_data_unsent():
     w, a, b = _relay_pair()
     b.parent = None
-    w.transmit(a, a.parent, DataPacket("a", a.address, 0, True))
+    w.transmit(a, a.parent, DataPacket(a.address, 0))
     w.run_until(10 * US)
     c = w.counters
     assert c.data_transmissions == 1

@@ -217,3 +217,10 @@ def test_address_formatting_matches_pairwise_join(addr):
     # reference: eight two-byte groups, hex, joined by colons
     expected = ":".join(addr[i:i + 2].hex() for i in range(0, msg.ADDRESS_LEN, 2))
     assert msg.format_address(addr) == expected
+
+
+@pytest.mark.parametrize("index", [-1, 1 << 16])
+def test_node_index_outside_16_bits_refused(index):
+    # no other test reaches this check
+    with pytest.raises(ValueError, match="^node index out of range$"):
+        node_address(index)

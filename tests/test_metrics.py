@@ -204,3 +204,13 @@ def test_package_imports_neither_scipy_nor_numpy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("make, error, message", [
+    # no other test reaches these checks
+    (lambda: EnergyLedger().power_mw(0.0, P), ValueError, "elapsed time must be positive"),
+    (lambda: apc(RunCounters(), 60.0, P), MetricUndefinedError, "no client ledgers"),
+])
+def test_input_check_names_its_cause(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

@@ -302,6 +302,37 @@ def test_status_for_unknown_target_dropped():
     assert b.handle_status(ack, 3.1) == []
 
 
+def test_add_route_tells_whether_the_table_holds_the_route():
+    n = make_node(params=SimParams(route_lifetime_s=10.0))
+    n.rt_cap = 2
+    a, c, d = node_address(2), node_address(3), node_address(4)
+    assert n.add_route(a, a, 0) is True           # added, expires at 10 s
+    assert n.add_route(a, c, 5 * US) is True      # refreshed, expires at 15 s
+    assert n.add_route(c, c, 6 * US) is True      # added, expires at 16 s
+    assert n.add_route(d, d, 7 * US) is False     # full
+    n.blacklist.add(d)
+    assert n.add_route(d, d, 20 * US) is False    # refused, before any read
+    assert list(n.routing) == [a, c]
+    n.blacklist.clear()
+    assert n.add_route(d, c, 15 * US) is True     # a expired at 15 s: room
+    assert list(n.routing) == [c, d]
+
+
+def test_routes_drop_what_has_expired_and_live_routes_changes_nothing():
+    n = make_node(params=SimParams(route_lifetime_s=10.0))
+    a, c = node_address(2), node_address(3)
+    n.add_route(a, a, 0)
+    n.add_route(c, c, 1)
+    live = n.live_routes(10 * US)                 # a expires at 10 s exactly
+    assert list(live) == [c] and live[c] is n.routing[c]
+    assert list(n.routing) == [a, c]
+    assert n.routes(10 * US) is n.routing
+    assert list(n.routing) == [c]
+    never = make_node()                           # route_lifetime_s = 0
+    never.add_route(a, a, 0)
+    assert list(never.routes(10 ** 15)) == [a]
+
+
 # -- root validation ----------------------------------------------------
 
 

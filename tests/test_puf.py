@@ -239,3 +239,10 @@ def test_admits(monkeypatch, sealed, case, plain_ok, sealed_ok):
     # an unknown address is refused before any license is read; only a
     # table that holds the address's key decrypts
     assert len(read) == (sealed and case != "unknown")
+
+
+@pytest.mark.parametrize("nonce_len", [puf.NONCE_LEN - 1, puf.NONCE_LEN + 1])
+def test_nonce_of_the_wrong_length_refused(nonce_len):
+    # no other test reaches this check
+    with pytest.raises(ValueError, match=f"^nonce must be {puf.NONCE_LEN} bytes$"):
+        encrypt_license(bytes(16), 5, bytes(nonce_len))

@@ -336,6 +336,36 @@ def test_scenario_of_a_wrong_type_cannot_be_made(kwargs, message):
         replace(Scenario(), **kwargs)
 
 
+@pytest.mark.parametrize("make, message", [
+    # no other test reaches these checks
+    (lambda: Scenario(arms=("nope",)), "arms: unknown arm 'nope'"),
+    (lambda: Scenario(n_clients=0), "n_clients: need at least one client"),
+    (lambda: Scenario(n_attackers=-1, arms=("baseline",)),
+     "n_attackers: must be non-negative"),
+    (lambda: Scenario(seeds=()), "seeds: need at least one seed"),
+    (lambda: parse_scenario("mobility = maybe"), "mobility: expected on/off, got 'maybe'"),
+    (lambda: parse_scenario("seeds = 2\nmobility on\n"),
+     "line 2: expected key=value, got 'mobility on'"),
+])
+def test_input_check_names_its_key_or_cause(make, message):
+    with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_encrypted_without_a_defense_arm_refused(tmp_path, capsys):
+    # once ran the plain arms and exited 0, encrypting nothing
+    with pytest.raises(ScenarioError, match="^encrypted: "):
+        parse_scenario("arms = baseline,attack\n", {"encrypted": "on"})
+    assert parse_scenario("arms = defense_encrypted\n",
+                          {"encrypted": "on"}).arms == ("defense_encrypted",)
+    out = tmp_path / "res"
+    assert main(["--arms", "baseline,attack", "--encrypted", "on",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: encrypted: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_scenarios_are_frozen_and_replace_checks_again():
     scenario = Scenario(arms=["defense"], seeds=[0, 1])
     assert (scenario.arms, scenario.seeds) == (("defense",), (0, 1))
@@ -752,3 +782,22 @@ def test_single_seed_reports_no_ci(tmp_path, capsys):
         for metric in ("pdr", "ae2ed_s", "apc_mw"):
             assert fields[f"{metric}_ci95"] == "nan"
             assert fields[f"{metric}_mean"] != "nan"
+
+
+@pytest.mark.parametrize("seeds, runs, summary", [
+    ((0, 1),
+     ["baseline,0,0,off,0.000000,nan,0.055555,0,0",
+      "baseline,1,0,off,0.000000,nan,0.055529,0,0"],
+     "baseline,0,off,0.000000,0.000000,nan,nan,0.055542,0.000160"),
+    ((0,),
+     ["baseline,0,0,off,0.000000,nan,0.055555,0,0"],
+     "baseline,0,off,0.000000,nan,nan,nan,0.055555,nan"),
+])
+def test_run_that_delivers_nothing_reports_nan(tmp_path, seeds, runs, summary):
+    # every frame is lost: no delay is measured, so none is reported, and
+    # one seed gives no interval for any metric
+    scenario = Scenario(params=SimParams(loss_prob=1.0), n_clients=5, n_attackers=0,
+                        arms=("baseline",), seeds=seeds)
+    run_experiment(scenario, out_dir=tmp_path)
+    assert (tmp_path / "runs.csv").read_text().splitlines() == [RUNS_HEADER, *runs]
+    assert (tmp_path / "summary.csv").read_text().splitlines() == [SUMMARY_HEADER, summary]
