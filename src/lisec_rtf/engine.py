@@ -181,7 +181,6 @@ class World:
         self.trajectory = None  # a still walk is made again with the node
         address = node_address(len(self.nodes))
         node = NodeState(node_id, address, role, self.params)
-        node.encrypted = self.arm.encrypted
         node.tracer = self.tracer
         self.nodes[node_id] = node
         self._in_range.clear()
@@ -405,7 +404,13 @@ class World:
             if node.role is ROOT:
                 sent = node.root_handle_dao(message, sender_addr, now,
                                             self.db if self.arm.defense else None)
-                self._record_root_decision(message, sent)
+                accepted = sent[0][1].status == STATUS_ACK
+                if is_forged_address(message.src):
+                    self.counters.forged_acked += accepted
+                    self.counters.forged_nacked += not accepted
+                else:
+                    self.counters.genuine_acked += accepted
+                    self.counters.genuine_nacked += not accepted
             else:
                 sent = node.handle_dao(message, sender_addr, now)
             for dest, out in sent:
@@ -429,16 +434,6 @@ class World:
         elif kind is DisMessage:
             for dest, out in node.handle_dis(message, now):
                 transmit(node, dest, out)
-
-    def _record_root_decision(self, dao: DaoModified, out: list) -> None:
-        accepted = out[0][1].status == STATUS_ACK
-        c = self.counters
-        if is_forged_address(dao.src):
-            c.forged_acked += accepted
-            c.forged_nacked += not accepted
-        else:
-            c.genuine_acked += accepted
-            c.genuine_nacked += not accepted
 
     def _wake_at(self, node: NodeState, t: int) -> None:
         """Move the node's one wake-up to `t`, queuing it unless it falls

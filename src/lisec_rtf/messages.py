@@ -15,7 +15,7 @@ though a status value holds only its originator and status:
 DAO (36 bytes + options):
     octet 0       instance id, constant 0
     octet 1       flags, K bit (0x80) set
-    octet 2       reserved, carries the 8-bit license in plain mode
+    octet 2       reserved, the 8-bit license when the node holds no shared key
     octet 3       sequence
     octets 4-19   target address
     octets 20-35  source address
@@ -96,7 +96,7 @@ class DioMessage(namedtuple("DioMessage", "sender rank")):
 
 
 class DaoModified(namedtuple("DaoModified", "src target sequence reserved options")):
-    """DAO whose reserved octet carries the license (or 0 in encrypted mode)."""
+    """DAO whose reserved octet carries the license (or 0 when the options carry it)."""
 
     __slots__ = ()
 

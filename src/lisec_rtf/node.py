@@ -117,7 +117,6 @@ class NodeState:
 
         self.license = 0
         self.shared_key: bytes | None = None
-        self.encrypted = False  # encrypted arm: forged DAOs carry blob-shaped options
         self.dao_seq = 0
         self.registered = False  # has taken its own ACK; never cleared
         self.tracer = None  # callers test it first, so no detail is built untraced
@@ -210,46 +209,42 @@ class NodeState:
 
     # -- DAO path ---------------------------------------------------------
 
+    def _dao(self, src: bytes, reserved: int, options: bytes, now: int) -> tuple:
+        """Number, trace and address a DAO registering `src`, own or forged."""
+        self.dao_seq = (self.dao_seq + 1) % 256
+        dao = DaoModified(src=src, target=src, sequence=self.dao_seq,
+                          reserved=reserved, options=options)
+        if self.tracer is not None:
+            head = f"seq={self.dao_seq}" if src == self.address else "forged"
+            self.tracer(now, self.node_id, "DAO_TX",
+                        f"{head} frame={encode_dao(dao).hex()}")
+        return self.parent, dao
+
     def build_own_dao(self, now: int, rng: random.Random) -> list:
         """Register (or refresh) this node at the root through its parent."""
         if self.parent is None:
             return []
-        self.dao_seq = (self.dao_seq + 1) % 256
-        # a node that was never provisioned holds no key: its DAO carries
-        # the license octet it has, 0, and the root refuses it
-        if self.shared_key is not None:
-            nonce = rng.randbytes(NONCE_LEN)
-            options = encrypt_license(self.shared_key, self.license, nonce,
-                                      self.params.license_width)
-            dao = DaoModified(src=self.address, target=self.address,
-                              sequence=self.dao_seq, reserved=0, options=options)
-        else:
-            dao = DaoModified(src=self.address, target=self.address,
-                              sequence=self.dao_seq, reserved=self.license)
-        if self.tracer is not None:
-            self.tracer(now, self.node_id, "DAO_TX",
-                        f"seq={self.dao_seq} frame={encode_dao(dao).hex()}")
-        return [(self.parent, dao)]
+        # without a key the license is the reserved octet; a node never
+        # provisioned holds neither, sends license 0, and the root refuses it
+        if self.shared_key is None:
+            return [self._dao(self.address, self.license, b"", now)]
+        options = encrypt_license(self.shared_key, self.license, rng.randbytes(NONCE_LEN),
+                                  self.params.license_width)
+        return [self._dao(self.address, 0, options, now)]
 
     def emit_forged(self, now: int, rng: random.Random) -> list:
-        """One attack volley: forged registrations for nonexistent children."""
+        """One attack volley: forged registrations for nonexistent children.
+        Each license field follows the key the node holds, as in its own
+        DAO: random options of a license blob's length, else a random octet."""
         if self.role is not MALICIOUS or self.parent is None:
             return []
         out = []
+        n = license_blob_len(self.params.license_width)
         for _ in range(self.params.forged_per_period):
-            fake = forged_address(rng)
-            self.dao_seq = (self.dao_seq + 1) % 256
-            if self.encrypted:
-                n = license_blob_len(self.params.license_width)
-                dao = DaoModified(src=fake, target=fake, sequence=self.dao_seq,
-                                  reserved=0, options=rng.randbytes(n))
-            else:
-                dao = DaoModified(src=fake, target=fake, sequence=self.dao_seq,
-                                  reserved=rng.randrange(256))
-            if self.tracer is not None:
-                self.tracer(now, self.node_id, "DAO_TX",
-                            f"forged frame={encode_dao(dao).hex()}")
-            out.append((self.parent, dao))
+            fake = forged_address(rng)  # drawn before its license field
+            reserved, options = ((rng.randrange(256), b"") if self.shared_key is None
+                                 else (0, rng.randbytes(n)))
+            out.append(self._dao(fake, reserved, options, now))
         return out
 
     def handle_dao(self, dao: DaoModified, sender: bytes, now: int) -> list:
@@ -298,10 +293,10 @@ class NodeState:
             return []
 
         entry = (self.routes(now) if self.route_lifetime else self.routing).get(originator)
+        out = [(entry.next_hop, st)] if entry is not None else []
         if not ack:
             # forward first, then blacklist the rejected source and scrub
             # it from the routing table
-            out = [(entry.next_hop, st)] if entry is not None else []
             self.routing.pop(originator, None)
             if originator not in self.blacklist:
                 self.blacklist.add(originator)
@@ -311,7 +306,4 @@ class NodeState:
             if self.parent == originator:
                 # detach: a node without a parent advertises no rank
                 self.parent = self.rank = self.trickle = None
-            return out
-        if entry is None:
-            return []
-        return [(entry.next_hop, st)]
+        return out

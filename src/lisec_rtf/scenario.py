@@ -131,8 +131,8 @@ def parse_scenario(text: str, flags: dict | None = None) -> Scenario:
     """Read every line, then every flag, then make one `Scenario`, so the
     order of the lines never decides whether a file is valid.  A flag is
     key -> text, read as a line and overriding the line with its key;
-    `encrypted = on` is read last, as "run `defense` as `defense_encrypted`".
-    """
+    `encrypted = on` is read last, as "run `defense` as `defense_encrypted`",
+    and refused for want of that arm only once the rest makes a Scenario."""
     pairs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -144,12 +144,14 @@ def parse_scenario(text: str, flags: dict | None = None) -> Scenario:
     params, settings = {}, {}
     for key, raw in [*pairs, *(flags or {}).items()]:
         (params if key in _PARAM_TYPES else settings)[key] = _parse_value(key, raw)
-    if settings.pop("encrypted", False):
+    encrypted = settings.pop("encrypted", False)
+    if encrypted:
         settings["arms"] = ["defense_encrypted" if arm == "defense" else arm
                             for arm in settings.get("arms", Scenario.arms)]
-        if "defense_encrypted" not in settings["arms"]:
-            raise ScenarioError("encrypted: on needs a defense arm, and none is listed")
-    return Scenario(params=SimParams(**params), **settings)
+    scenario = Scenario(params=SimParams(**params), **settings)
+    if encrypted and "defense_encrypted" not in scenario.arms:
+        raise ScenarioError("encrypted: on needs a defense arm, and none is listed")
+    return scenario
 
 
 def load_scenario(path, flags: dict | None = None) -> Scenario:

@@ -37,6 +37,7 @@ from lisec_rtf.messages import (
     STATUS_NACK,
     dao_length,
     forged_address,
+    is_forged_address,
     node_address,
 )
 from lisec_rtf.metrics import EnergyLedger
@@ -1549,6 +1550,33 @@ def test_encrypted_arm_daos_carry_options_not_reserved():
     assert seen
     for dao in seen:
         assert dao.reserved == 0 and len(dao.options) == 9
+
+
+def test_unkeyed_attacker_forges_plain_daos_in_the_encrypted_arm():
+    # the license field follows the key a node holds, not the arm: the
+    # attacker provisioning skipped holds none, so its forged DAOs carry the
+    # reserved octet beside the keyed client's blobs
+    p = SimParams(duration_s=120.0, startup_stagger_s=0.0, data_warmup_s=0.0)
+    w = World(p, ARMS["defense_encrypted"], seed=3)
+    w.add_node("root", NodeRole.ROOT, (0.0, 0.0))
+    c = w.add_node("c", NodeRole.CLIENT, (30.0, 0.0))
+    w.add_node("m", NodeRole.MALICIOUS, (0.0, 30.0))
+    w.provision(skip={"m"})
+    seen = []
+    orig = w._receive
+    def spy(node, sender_addr, message, airtime, _o=orig):
+        if isinstance(message, DaoModified):
+            seen.append(message)
+        _o(node, sender_addr, message, airtime)
+    w._receive = spy
+    counters = w.run()
+    forged = [dao for dao in seen if is_forged_address(dao.src)]
+    own = [dao for dao in seen if dao.src == c.address]
+    assert forged and own
+    assert all(dao.options == b"" for dao in forged)
+    assert all(dao.reserved == 0 and len(dao.options) == license_blob_len(p.license_width)
+               for dao in own)
+    assert counters.forged_acked == 0 and c.registered
 
 
 def test_provision_registers_more_than_1024_nodes():

@@ -30,7 +30,7 @@ from lisec_rtf.node import (
     TrickleState,
     compute_rank,
 )
-from lisec_rtf.puf import CRDatabase, encrypt_license
+from lisec_rtf.puf import CRDatabase, encrypt_license, license_blob_len
 
 
 P = SimParams()
@@ -387,7 +387,6 @@ def test_unprovisioned_node_sends_a_dao_the_encrypted_root_refuses():
     # a node the registration phase skipped holds no shared key; building
     # its DAO once raised TypeError in the cipher
     node = make_node(1)
-    node.encrypted = True
     (dest, dao), = join(node)
     assert dest == ROOT_ADDR and dao.reserved == 0 and dao.options == b""
     root = make_root()
@@ -400,7 +399,6 @@ def test_widest_encrypted_license_fills_one_frame():
     # octets of ciphertext; one bit more needs a 128-octet frame
     params = SimParams(license_width=656)
     node = make_node(1, params=params)
-    node.encrypted = True
     node.shared_key = bytes(range(16))
     node.license = (1 << 656) - 1
     (_, dao), = join(node)
@@ -462,6 +460,26 @@ def test_forged_volley_arithmetic_over_run():
         total += len(mal.emit_forged(t, rng))
         t += params.attack_period_s
     assert total == 40
+
+
+@pytest.mark.parametrize("width", [8, 16])
+@pytest.mark.parametrize("key", [None, bytes(range(16))], ids=["no_key", "shared_key"])
+def test_license_field_follows_the_key_the_node_holds(key, width):
+    # own and forged DAOs alike: with a shared key the field is an options
+    # blob and reserved is 0; without one it is the reserved octet
+    params = SimParams(license_width=width, forged_per_period=3)
+    mal = NodeState("m01", node_address(30), NodeRole.MALICIOUS, params)
+    mal.shared_key, mal.license = key, 0x5A
+    join(mal)
+    (_, own), = mal.build_own_dao(1.0, random.Random(1))
+    forged = [dao for _, dao in mal.emit_forged(5.0, random.Random(8))]
+    assert len(forged) == 3
+    if key is None:
+        assert own.reserved == 0x5A
+        assert all(dao.options == b"" for dao in [own, *forged])
+    else:
+        assert all(dao.reserved == 0 and len(dao.options) == license_blob_len(width)
+                   for dao in [own, *forged])
 
 
 def test_orphan_attacker_emits_nothing():

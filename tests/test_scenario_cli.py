@@ -366,6 +366,23 @@ def test_encrypted_without_a_defense_arm_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, flags, key", [
+    # the arms' own fault comes first; it once read as a missing defense arm
+    ("", {"arms": "nope", "encrypted": "on"}, "arms"),
+    # a plain arm with a wide license is named before the missing defense arm
+    ("license_width = 12\narms = baseline,attack\n", {"encrypted": "on"}, "license_width"),
+])
+def test_encrypted_names_a_fault_of_the_scenario_first(text, flags, key):
+    with pytest.raises(ScenarioError, match=f"^{key}: "):
+        parse_scenario(text, flags)
+
+
+def test_unknown_arm_with_encrypted_on_names_arms(tmp_path, capsys):
+    assert main(["--arms", "nope", "--encrypted", "on",
+                 "--out", str(tmp_path / "res")]) == 2
+    assert capsys.readouterr().err == "error: arms: unknown arm 'nope'\n"
+
+
 def test_scenarios_are_frozen_and_replace_checks_again():
     scenario = Scenario(arms=["defense"], seeds=[0, 1])
     assert (scenario.arms, scenario.seeds) == (("defense",), (0, 1))
