@@ -36,9 +36,11 @@ from one counter, and `run_until` takes whichever head is smallest:
 
 - the event heap `_queue`;
 - `_inflight`, a FIFO of radio deliveries with one entry per transmission:
-  (arrival, seq, receivers, sender address, message, airtime).  Every
-  delivery lands `d_hop_s` after it was sent, the clock never goes back and
-  `d_hop_s` is a constant >= 0, so arrivals come due in send order;
+  (arrival, seq, receivers, sender address, message, airtime), where
+  `receivers` is the receiving node of a unicast or the list of nodes a
+  broadcast reached.  Every delivery lands `d_hop_s` after it was sent, the
+  clock never goes back and `d_hop_s` is a constant >= 0, so arrivals come
+  due in send order;
 - `_tick`, a mobile world's next mobility tick as a (time, seq) pair.  Tick
   k's `seq` is drawn when tick k-1 runs, as it would be for a heap event
   queued then, so an event at exactly k x `mobility_tick_s` runs before
@@ -176,6 +178,9 @@ class World:
                  start_time: int = 0) -> NodeState:
         if node_id in self.nodes:
             raise ValueError(f"{node_id}: already in the world")
+        if not isinstance(start_time, int) or start_time < 0:
+            raise ValueError(f"{node_id}: start_time must be a non-negative whole "
+                             f"number of microseconds, got {start_time!r}")
         if self.mobility:
             raise ValueError(f"{node_id}: add every node before attaching a trajectory")
         self.trajectory = None  # a still walk is made again with the node
@@ -254,8 +259,11 @@ class World:
                         break
                     self.clock, _, receivers, sender_addr, message, airtime = (
                         inflight.popleft())
-                    for node in receivers:
-                        receive(node, sender_addr, message, airtime)
+                    if receivers.__class__ is NodeState:  # a unicast
+                        receive(receivers, sender_addr, message, airtime)
+                    else:
+                        for node in receivers:
+                            receive(node, sender_addr, message, airtime)
                 elif queue and (queue[0].time < stop or queue[0] < bound):
                     event = heapq.heappop(queue)
                     self.clock = event.time
@@ -356,7 +364,7 @@ class World:
             if now < receiver.start_time or self.rng.random() < loss:
                 counters.link_losses += 1
                 return
-            receivers = (receiver,)
+            receivers = receiver
         else:
             receivers, draw = [], self.rng.random
             for other in self._neighbours(sender).values():
@@ -392,11 +400,13 @@ class World:
             if message.hops <= DATA_HOP_LIMIT and node.parent is not None:
                 self.transmit(node, node.parent, message)
             return
-        now, transmit = self.clock, self.transmit
+        # calling `self.transmit` builds no bound method and still finds a
+        # transmit patched on the class (bench/probe.py)
+        now = self.clock
         if kind is DaoStatus:
             joined = node.rank is not None
             for dest, out in node.handle_status(message, now):
-                transmit(node, dest, out)
+                self.transmit(node, dest, out)
             if joined and node.rank is None:
                 # detached: solicit at once, like a node that never joined
                 self._wake_at(node, now)
@@ -414,10 +424,10 @@ class World:
             else:
                 sent = node.handle_dao(message, sender_addr, now)
             for dest, out in sent:
-                transmit(node, dest, out)
+                self.transmit(node, dest, out)
         elif kind is DioMessage:
             for dest, out in node.handle_dio(message, now, self.rng):
-                transmit(node, dest, out)
+                self.transmit(node, dest, out)
             # a joined node wakes at its fire time, which handle_dio may move
             if node.trickle is not None and node.trickle.t_fire != node.wake:
                 self._wake_at(node, node.trickle.t_fire)
@@ -433,7 +443,7 @@ class World:
                                      node.node_id)
         elif kind is DisMessage:
             for dest, out in node.handle_dis(message, now):
-                transmit(node, dest, out)
+                self.transmit(node, dest, out)
 
     def _wake_at(self, node: NodeState, t: int) -> None:
         """Move the node's one wake-up to `t`, queuing it unless it falls

@@ -195,8 +195,10 @@ def test_duration_off_the_microsecond_grid_refused(key, value):
 
 
 def _receivers(w):
-    """Node ids of the pending deliveries, in the order they were sent."""
-    return [n.node_id for entry in w._inflight for n in entry[2]]
+    """Node ids of the pending deliveries, in the order they were sent; an
+    entry holds a unicast's receiving node or a broadcast's list."""
+    return [n.node_id for entry in w._inflight
+            for n in ((entry[2],) if isinstance(entry[2], NodeState) else entry[2])]
 
 
 def radio_world(distance, loss=0.0):
@@ -212,6 +214,7 @@ def test_unicast_within_range_delivers():
     w.transmit(a, b.address, DisMessage())
     assert _receivers(w) == ["b"]
     assert w._inflight[0][0] == w.us["d_hop_s"] == 5000
+    assert w._inflight[0][2] is b  # a unicast's entry holds its receiver
 
 
 def test_unicast_beyond_range_lost():
@@ -253,6 +256,7 @@ def test_broadcast_reaches_only_in_range_nodes():
     w.add_node("far", NodeRole.CLIENT, (90.0, 0.0))
     w.transmit(a, None, DisMessage())
     assert _receivers(w) == ["near"]
+    assert type(w._inflight[0][2]) is list  # a broadcast's holds every receiver
 
 
 def test_broadcast_matches_all_pairs_scan():
@@ -328,6 +332,18 @@ def test_add_node_refuses_a_repeated_id():
     walk(w, {"b": RwpState(waypoint=(20.0, 0.0), speed=1.0)})
     with pytest.raises(ValueError, match="^b: already in the world"):
         w.add_node("b", NodeRole.CLIENT, (5.0, 0.0))
+
+
+@pytest.mark.parametrize("start_time", [2.5, 5.0, -1, None])
+def test_add_node_refuses_a_start_time_off_the_microsecond_grid(start_time):
+    # start times count whole µs: 2.5 is likely seconds and would make the
+    # clock a float, and -1 would fail only at run() without naming the node
+    w = empty_world()
+    refused = (f"^a: start_time must be a non-negative whole number of "
+               f"microseconds, got {start_time!r}$")
+    with pytest.raises(ValueError, match=refused):
+        w.add_node("a", NodeRole.CLIENT, (0.0, 0.0), start_time=start_time)
+    assert w.nodes == {} and w.by_addr == {} and w.positions == {}
 
 
 def test_unicast_matches_distance_test():

@@ -1,5 +1,6 @@
-"""Exact laws between arms at the desk scenario: 26 clients and 3 attackers,
-seeds 0-2, static and mobile.
+"""Exact laws at the desk scenario: 26 clients and 3 attackers, between
+arms at seeds 0-2, static and mobile, and within the static attack arm at
+seeds 0-9.
 
 Where two arms differ only in a switch that finds nothing to act on, they
 must give the same run: the same `World.digest()` and the same counters,
@@ -10,6 +11,7 @@ license nonces come from `World.rng`, so it draws where the baseline does
 not.
 """
 
+from collections import Counter
 from dataclasses import replace
 from functools import cache
 
@@ -59,3 +61,38 @@ def test_an_unbounded_root_table_loses_no_data_to_the_attack(seed):
     baseline = _run(params, ARMS["baseline"], seed, False)
     assert attacked[0] != baseline[0]  # the attack does act
     assert pdr(attacked[1]) == pdr(baseline[1])
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_the_static_attack_is_a_race_to_fill_the_root_table(seed):
+    # forged routes fill the root's table; a client that joined before it
+    # filled holds its route and loses nothing, one that joined after is
+    # refused a route and the root admits none of its data
+    w = build_random_world(DESK, ARMS["attack"], seed, n_clients=26, n_attackers=3,
+                           placements=_PLACEMENTS)
+    root = w.nodes["root"]
+    # the kernel reads both from w at run time, so wrappers set on w are called
+    receive, handle_data = w._receive, w._handle_data
+    full_at = []
+    delivered = Counter()
+
+    def watch_table(node, sender_addr, message, airtime):
+        receive(node, sender_addr, message, airtime)
+        if node is root and not full_at and len(root.routes(w.clock)) >= root.rt_cap:
+            full_at.append(w.clock)
+
+    def count_delivery(node, packet):
+        before = w.counters.received_at_root
+        handle_data(node, packet)
+        delivered[packet.src_addr] += w.counters.received_at_root - before
+
+    w._receive, w._handle_data = watch_table, count_delivery
+    sent = w.run().sent_per_node
+    assert full_at  # the attack does fill the table
+    clients = [c for c in w.nodes.values() if c.node_id in sent]
+    late = {c.node_id for c in clients
+            if c.joined_at is None or c.joined_at >= full_at[0]}
+    broken = [(c.node_id, c.joined_at, delivered[c.address], sent[c.node_id])
+              for c in clients if delivered[c.address]
+              != (0 if c.node_id in late else sent[c.node_id])]
+    assert broken == [], f"table full at {full_at[0]} µs"

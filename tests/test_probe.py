@@ -43,6 +43,10 @@ def test_bench_probe_installs_runs_and_leaves_no_patch(monkeypatch, tmp_path):
     assert record.arm == "defense" and record.mobile and record.placement
     assert tracer.topology_attempts > 0 and tracer.report_bytes > 0
     assert tracer.queue_peak > 0 and tracer.events > 0
+    # every transmission passes through World.transmit, where the tracer counts it
+    assert tracer.calls["engine.transmit"] == sum(
+        r.counters.data_transmissions + r.counters.control_transmissions
+        for r in probe.records)
     for layer in ("engine.mobility", "puf.verify", "experiment.write_report",
                   *(f"node.{name}" for name in NODE_HANDLERS)):
         assert tracer.calls[layer] > 0, layer
