@@ -7,6 +7,7 @@ RFC 6550's rank constants are in `node.py`, the shared key's length in `puf.py`.
 A `SimParams` is frozen and checked when it is made, for a scenario file and
 library use alike: a value that breaks a rule in `RULES` raises `ScenarioError`
 naming the key.  Vary one with `dataclasses.replace`, which checks it again.
+`check_world` adds the rules on a random world's parameters, arm and counts.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .puf import NONCE_LEN, license_blob_len
 US = 1_000_000  # clock ticks per second: simulated time is whole microseconds
 MAX_FRAME = 127  # octets in an IEEE 802.15.4 PHY frame (aMaxPHYPacketSize)
 _FRAME = f"at most {MAX_FRAME} octets"
+RT_MARGIN = 4  # table entries a placement leaves free in every relay's table
 
 
 class ScenarioError(ValueError):
@@ -172,3 +174,25 @@ ARMS = {
     "defense_encrypted": ArmFlags("defense_encrypted", attack=True, defense=True,
                                   encrypted=True),
 }
+
+
+def check_world(params: SimParams, arm: ArmFlags, n_clients: int,
+                n_attackers: int) -> None:
+    """Refuse, with a `ScenarioError` naming the key, a random world that
+    could never be placed or run; a hand-built `World` is not checked."""
+    for key, value in (("n_clients", n_clients), ("n_attackers", n_attackers)):
+        if not isinstance(value, int) or isinstance(value, bool):  # True is no count
+            raise ScenarioError(f"{key}: must be an integer, got {value!r}")
+    if n_clients < 1:
+        raise ScenarioError("n_clients: need at least one client")
+    if n_attackers < 0:
+        raise ScenarioError("n_attackers: must be non-negative")
+    least = RT_MARGIN + (n_attackers > 0)
+    if params.rt_cap < least:
+        why = ", and an attacker's parent relays its route" if n_attackers else ""
+        raise ScenarioError(f"rt_cap: must be at least {least}, got {params.rt_cap}; "
+                            f"placement keeps {RT_MARGIN} entries free per relay{why}")
+    if params.license_width > 8 and not arm.encrypted:
+        raise ScenarioError(f"license_width: arm {arm.name!r} carries the license in "
+                            "the 8-bit reserved octet; wider licenses need "
+                            "encrypted=on with only the defense arm")

@@ -66,7 +66,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
 
-from .config import US, ArmFlags, SimParams
+from .config import RT_MARGIN, US, ArmFlags, SimParams, check_world
 from .messages import (
     DaoModified,
     DaoStatus,
@@ -677,7 +677,7 @@ def _search(rng: random.Random, params: SimParams, seed: int, client_ids: list[s
             rejected["attacker too shallow"] += 1
             continue
         if _max_subtree_load(positions, depth, params.tx_range_m,
-                             "root") > params.rt_cap - 4:
+                             "root") > params.rt_cap - RT_MARGIN:
             rejected["subtree overload"] += 1
             continue
         return positions
@@ -704,6 +704,7 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
 
     Positions, start times and provisioning draw only from the topology
     generator, so every arm sees the same network for a given seed.
+    Inputs that `check_world` refuses raise `ScenarioError` before any draw.
 
     `placements` is a memo the caller owns, keyed by the seed, the counts
     and `params`, a frozen `SimParams` that compares by every field;
@@ -715,10 +716,7 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
     built on one entry with one mobility setting share its trajectory: a
     static one never steps, and a mobile one keeps every tick while it lives.
     """
-    if n_clients < 1:
-        raise ValueError(f"n_clients: need at least one client, got {n_clients}")
-    if n_attackers < 0:
-        raise ValueError(f"n_attackers: must be non-negative, got {n_attackers}")
+    check_world(params, arm, n_clients, n_attackers)
     world = World(params, arm, seed, trace=trace)
     rng = world.rng_topo
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]

@@ -54,7 +54,7 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
                placements: dict | None = None) -> RunResult:
     """Build and run one world of one of the scenario's arms; `placements`
     is passed to `build_random_world` as its placement memo."""
-    if arm_name not in scenario.arms:  # only its arms were checked against it
+    if arm_name not in scenario.arms:  # only its arms were checked for an attacker
         raise ScenarioError(f"arms: {arm_name!r} is not an arm of this scenario")
     arm = ARMS[arm_name]
     # malicious nodes are placed in every arm (identical topology per seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, fields
 
-from .config import ARMS, US, ScenarioError, SimParams
+from .config import ARMS, US, ScenarioError, SimParams, check_world
 
 _BOOL_WORDS = {"on": True, "true": True, "1": True, "yes": True,
                "off": False, "false": False, "0": False, "no": False}
@@ -31,16 +31,13 @@ class Scenario:
     seeds: tuple = tuple(range(10))
 
     def __post_init__(self) -> None:
-        """What needs the arms, seeds or counts, or defines the metrics."""
+        """`check_world` for each arm, then the experiment's own rules: seeds, arms
+        once, an attacker per attack arm, data after the warm-up, clients on by then."""
         object.__setattr__(self, "arms", tuple(self.arms))
         object.__setattr__(self, "seeds", tuple(self.seeds))
-        # types first, so a value below is compared only as what it must be;
-        # a bool is an int to Python, but True clients is no count
-        for key, values in (("n_clients", [self.n_clients]),
-                            ("n_attackers", [self.n_attackers]), ("seeds", self.seeds)):
-            for value in values:
-                if not isinstance(value, int) or isinstance(value, bool):
-                    raise ScenarioError(f"{key}: must be an integer, got {value!r}")
+        for seed in self.seeds:  # True is an int to Python, but no seed
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise ScenarioError(f"seeds: must be an integer, got {seed!r}")
         if not isinstance(self.mobility, bool):  # "off" is truthy
             raise ScenarioError(f"mobility: must be True or False, got {self.mobility!r}")
         if not self.arms:
@@ -48,13 +45,10 @@ class Scenario:
         for arm in self.arms:
             if arm not in ARMS:
                 raise ScenarioError(f"arms: unknown arm {arm!r}")
+            check_world(self.params, ARMS[arm], self.n_clients, self.n_attackers)
             if ARMS[arm].attack and self.n_attackers < 1:
                 raise ScenarioError(
                     f"n_attackers: arm {arm!r} requires at least one attacker")
-        if self.n_clients < 1:
-            raise ScenarioError("n_clients: need at least one client")
-        if self.n_attackers < 0:
-            raise ScenarioError("n_attackers: must be non-negative")
         if self.n_attackers > 3:
             warnings.warn(f"n_attackers={self.n_attackers} is outside the "
                           "usual 0..3 range", stacklevel=3)
@@ -81,12 +75,6 @@ class Scenario:
             raise ScenarioError(
                 f"startup_stagger_s: must not exceed data_warmup_s "
                 f"({self.params.data_warmup_s}), got {self.params.startup_stagger_s}")
-        plain = [a for a in self.arms if not ARMS[a].encrypted]
-        if self.params.license_width > 8 and plain:
-            raise ScenarioError(
-                f"license_width: arm {plain[0]!r} carries the license in the "
-                "8-bit reserved octet; wider licenses need encrypted=on "
-                "with only the defense arm")
 
 
 # a key's text is read as its default's type, int or float

@@ -1180,6 +1180,77 @@ def test_setup_error_names_the_failed_constraint(monkeypatch, params, n_attacker
                            n_attackers=n_attackers)
 
 
+# -- check_world: one rule book for the library and Scenario ---------------
+
+
+def test_wide_license_in_a_plain_arm_refused_at_build(monkeypatch):
+    # once built, then raised "reserved must be one octet" 428.9 s into run()
+    tries = _count_searches(monkeypatch)
+    with pytest.raises(ScenarioError, match="^license_width: arm 'baseline'"):
+        build_random_world(SimParams(license_width=16), ARMS["baseline"], 0,
+                           n_clients=5, n_attackers=0)
+    assert tries == []
+
+
+@pytest.mark.parametrize("rt_cap, n_attackers", [(3, 0), (4, 1)])
+def test_table_too_small_to_place_refused_before_any_try(monkeypatch, rt_cap,
+                                                         n_attackers):
+    # each once spent 200 tries: a relay keeps 4 entries spare, and an
+    # attacker at depth >= 2 puts one route in its parent's table
+    tries = _count_searches(monkeypatch)
+    p = SimParams(rt_cap=rt_cap)
+    arm = "attack" if n_attackers else "baseline"
+    with pytest.raises(ScenarioError, match="^rt_cap: must be at least"):
+        build_random_world(p, ARMS[arm], 1, n_clients=5, n_attackers=n_attackers)
+    with pytest.raises(ScenarioError, match="^rt_cap: must be at least"):
+        Scenario(params=p, n_clients=5, n_attackers=n_attackers, arms=(arm,))
+    assert tries == []
+
+
+@pytest.mark.parametrize("n_clients", [True, 2.5])
+def test_count_of_a_wrong_type_refused_at_build(n_clients):
+    # True once built a one-client world; 2.5 was a TypeError from range
+    with pytest.raises(ScenarioError, match=f"^n_clients: must be an integer, "
+                                            f"got {n_clients!r}$"):
+        build_random_world(SimParams(), ARMS["baseline"], 1, n_clients=n_clients,
+                           n_attackers=0)
+
+
+class _Checked(Exception):
+    """Raised in place of a World: the build passed `check_world`."""
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+@pytest.mark.parametrize("license_width", [8, 9, 16])
+@pytest.mark.parametrize("rt_cap", [3, 4, 5])
+@pytest.mark.parametrize("n_clients, n_attackers",
+                         [(0, 0), (3, -1), (3, 0), (3, 1), (True, 0)])
+def test_library_and_scenario_refuse_the_same_worlds(monkeypatch, arm, license_width,
+                                                     rt_cap, n_clients, n_attackers):
+    def no_world(*args, **kwargs):
+        raise _Checked
+
+    def refusal(make):
+        try:
+            make()
+        except ScenarioError as exc:
+            return str(exc)
+        except _Checked:
+            pass
+        return None
+
+    monkeypatch.setattr(engine, "World", no_world)
+    p = SimParams(license_width=license_width, rt_cap=rt_cap)
+    scenario = refusal(lambda: Scenario(params=p, n_clients=n_clients,
+                                        n_attackers=n_attackers, arms=(arm,), seeds=(0,)))
+    library = refusal(lambda: build_random_world(p, ARMS[arm], 0, n_clients=n_clients,
+                                                 n_attackers=n_attackers))
+    if scenario is not None and scenario.endswith("requires at least one attacker"):
+        # the Scenario's own rule: the library builds a peacetime attack arm
+        scenario = None
+    assert scenario == library
+
+
 # -- placement memo ---------------------------------------------------------
 
 

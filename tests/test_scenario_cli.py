@@ -172,8 +172,10 @@ def test_non_positive_period_rejected(value, key):
 def test_negative_delay_or_window_rejected(key, value):
     with pytest.raises(ScenarioError, match=f"^{key}: must be non-negative"):
         parse_scenario(f"{key} = {value}")
-    # the bound itself is allowed; a warm-up of 0 also needs a stagger of 0
-    parse_scenario(f"startup_stagger_s = 0\n{key} = 0")
+    # the bound itself is allowed; a warm-up of 0 also needs a stagger of 0;
+    # a relay's table keeps 4 routes spare and holds the default attacker's
+    bound = 5 if key == "rt_cap" else 0
+    parse_scenario(f"startup_stagger_s = 0\n{key} = {bound}")
 
 
 @pytest.mark.parametrize("key", ["duration_s", "grid_m", "speed_min_mps",
@@ -250,6 +252,18 @@ def test_cli_refuses_stagger_past_warmup(tmp_path, capsys):
     assert main(["--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: startup_stagger_s: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_table_too_small_to_place(tmp_path, capsys):
+    # once "error: seed 0: ... (disconnected 150, ...)" after 200 tries,
+    # leaving an empty --out directory behind
+    path = tmp_path / "small.scenario"
+    path.write_text("rt_cap = 4\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rt_cap: ") and err.count("\n") == 1
     assert not out.exists()
 
 
