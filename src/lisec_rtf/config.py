@@ -192,6 +192,11 @@ def check_world(params: SimParams, arm: ArmFlags, n_clients: int,
         why = ", and an attacker's parent relays its route" if n_attackers else ""
         raise ScenarioError(f"rt_cap: must be at least {least}, got {params.rt_cap}; "
                             f"placement keeps {RT_MARGIN} entries free per relay{why}")
+    # the farthest point a placement draws, by the search's own distance test
+    if n_attackers and math.hypot(params.grid_m / 2, params.grid_m / 2) <= params.tx_range_m:
+        raise ScenarioError(f"grid_m: every point of a {params.grid_m} m grid is within "
+                            f"tx_range_m ({params.tx_range_m} m) of the root at its center, "
+                            "so no attacker can be placed at depth >= 2")
     if params.license_width > 8 and not arm.encrypted:
         raise ScenarioError(f"license_width: arm {arm.name!r} carries the license in "
                             "the 8-bit reserved octet; wider licenses need "

@@ -81,7 +81,8 @@ from .messages import (
 from .metrics import EnergyLedger, RunCounters
 from .mobility import RwpState, Trajectory
 from .node import CLIENT, MALICIOUS, ROOT, NodeRole, NodeState, TrickleState
-from .puf import KEY_LEN, CRDatabase, KeyedPuf
+from .puf import KEY_LEN, CRDatabase
+from .topology import _connected, _max_subtree_load
 
 
 class ScheduleInPastError(ValueError):
@@ -217,18 +218,19 @@ class World:
     def provision(self, skip: set[str] | None = None) -> None:
         """Registration phase: store one pair per node, hand out licenses."""
         skip = skip or set()
-        for node in self.nodes.values():
-            if node.role is ROOT or node.node_id in skip:
-                continue
-            secret = hashlib.blake2b(f"{self.seed}|{node.node_id}".encode(),
-                                     digest_size=16).digest()
-            device = KeyedPuf(node.node_id, secret, self.params.license_width)
-            _, license_bits = self.db.register(node.address, device, self.rng_topo)
+        self._license(self.db.enrol(self.seed, {
+            node.address: node.node_id for node in self.nodes.values()
+            if node.role is not ROOT and node.node_id not in skip}, self.rng_topo))
+
+    def _license(self, licenses: dict[str, int]) -> None:
+        """Give each node of `licenses` its license and, in the encrypted
+        arm, a shared key drawn from `rng_keys` in that order."""
+        for node_id, license_bits in licenses.items():
+            node = self.nodes[node_id]
             node.license = license_bits
             if self.arm.encrypted:
-                key = self.rng_keys.randbytes(KEY_LEN)
+                key = node.shared_key = self.rng_keys.randbytes(KEY_LEN)
                 self.db.keys[node.address] = key
-                node.shared_key = key
 
     # -- event queue -------------------------------------------------------
 
@@ -558,129 +560,41 @@ class World:
 # -- topology generation ----------------------------------------------------
 
 
-def _connected(positions: dict[str, tuple[float, float]], rng_range: float,
-               root_id: str) -> tuple[bool, dict[str, int]]:
-    """BFS over the unit-disk graph; returns reachability and hop depths.
-
-    Nodes not yet reached wait in square cells a hair wider than the range,
-    so a frontier node tests only the 3x3 block of cells around its own and
-    a reached node leaves its cell.  Every pair the distance test accepts
-    lies in adjacent cells: rounding can put its exact distance above
-    `rng_range`, never above the cell side, and `//` floors exactly.  When
-    the placement spans fewer than six ranges a block covers over a quarter
-    of it and the lookups cost more than they save, so everything goes into
-    one cell and the BFS scans the shrinking set of unreached nodes.
-    """
-    hypot = math.hypot
-    coords = [c for xy in positions.values() for c in xy]
-    lo, hi = min(coords), max(coords)
-    # the second bound keeps `x // side` an exact floor; a range that is
-    # not positive fails it
-    if 6 * rng_range <= hi - lo and max(hi, -lo) < 2 ** 50 * rng_range:
-        side = rng_range * (1 + 2 ** -20)
-    else:
-        side = math.inf
-    cells: dict[tuple[float, float], list] = {}
-    for v, (x, y) in positions.items():
-        if v != root_id:
-            key = (x // side, y // side)
-            entry = (v, x, y, key)
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = [entry]
-            else:
-                cell.append(entry)
-    blocks: dict[tuple[float, float], list] = {}  # occupied cells around a cell
-    depth = {root_id: 0}
-    x, y = positions[root_id]
-    frontier = [(root_id, x, y, (x // side, y // side))]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for _, xa, ya, key in frontier:
-            block = blocks.get(key)
-            if block is None:
-                cx, cy = key
-                block = blocks[key] = [
-                    k for k in ((cx - 1, cy - 1), (cx - 1, cy), (cx - 1, cy + 1),
-                                (cx, cy - 1), key, (cx, cy + 1),
-                                (cx + 1, cy - 1), (cx + 1, cy), (cx + 1, cy + 1))
-                    if k in cells]
-            for k in block:
-                cell = cells[k]
-                if not cell:
-                    continue
-                rest = []
-                for entry in cell:
-                    if hypot(xa - entry[1], ya - entry[2]) <= rng_range:
-                        depth[entry[0]] = d
-                        nxt.append(entry)
-                    else:
-                        rest.append(entry)
-                cells[k] = rest
-        frontier = nxt
-    return len(depth) == len(positions), depth
-
-
-def _max_subtree_load(positions: dict, depth: dict, rng_range: float,
-                      root_id: str) -> int:
-    """Descendant count of the busiest router in a min-hop tree.
-
-    A router stores one route per node below it, so a placement that funnels
-    more nodes than the table cap through one relay cannot serve them even
-    without an attacker; the generator rejects such deployments.
-
-    A node's parent is the first node in `sorted(positions)` order that is
-    one level above it and within range.  Nodes are grouped by depth once,
-    in that order, so each search reads only the level above, and loads pass
-    up from the deepest level so that a node's count is complete before it
-    reaches its parent.
-    """
-    hypot = math.hypot
-    levels: dict[int, list] = {}
-    for v in sorted(positions):
-        x, y = positions[v]
-        levels.setdefault(depth[v], []).append((v, x, y))
-    load = dict.fromkeys(positions, 0)
-    for d in range(max(levels), 0, -1):
-        above = levels[d - 1]
-        for v, xv, yv in levels[d]:
-            for u, xu, yu in above:
-                if hypot(xv - xu, yv - yu) <= rng_range:
-                    if u != root_id:
-                        load[u] += load[v] + 1
-                    break
-    return max((n for v, n in load.items() if v != root_id), default=0)
-
-
 def _search(rng: random.Random, params: SimParams, seed: int, client_ids: list[str],
             attacker_ids: list[str]) -> dict[str, tuple[float, float]]:
     """Draw uniform placements from `rng` until one is connected, puts every
-    attacker at depth >= 2 and overloads no router; returns its positions."""
-    uniform = rng.uniform
-    grid = params.grid_m
+    attacker at depth >= 2 and overloads no router; returns its positions.
+    A try with an attacker in range of the root, by the BFS's own test,
+    fails with no BFS; only a failed search runs one on it, to count why."""
+    uniform, hypot = rng.uniform, math.hypot
+    grid, reach = params.grid_m, params.tx_range_m
     half = grid / 2
-    rejected = {"disconnected": 0, "attacker too shallow": 0,
-                "subtree overload": 0}
+    rejected = dict.fromkeys(("disconnected", "attacker too shallow", "subtree overload"), 0)
+    shallow = []
     for _ in range(MAX_TRIES):
         positions = {"root": (half, half)}
         for node_id in client_ids:
             positions[node_id] = (uniform(0, grid), uniform(0, grid))
         for node_id in attacker_ids:
             positions[node_id] = (uniform(0, grid), uniform(0, grid))
-        ok, depth = _connected(positions, params.tx_range_m, "root")
+        if any(hypot(half - x, half - y) <= reach
+               for x, y in map(positions.__getitem__, attacker_ids)):
+            shallow.append(positions)
+            continue
+        ok, depth = _connected(positions, reach, "root")
         if not ok:
             rejected["disconnected"] += 1
             continue
         if any(depth[node_id] < 2 for node_id in attacker_ids):
             rejected["attacker too shallow"] += 1
             continue
-        if _max_subtree_load(positions, depth, params.tx_range_m,
-                             "root") > params.rt_cap - RT_MARGIN:
+        if _max_subtree_load(positions, depth, reach, "root") > params.rt_cap - RT_MARGIN:
             rejected["subtree overload"] += 1
             continue
         return positions
+    for positions in shallow:
+        connected = _connected(positions, reach, "root")[0]
+        rejected["attacker too shallow" if connected else "disconnected"] += 1
     counts = ", ".join(f"{reason} {n}" for reason, n in rejected.items())
     raise SetupError(
         f"seed {seed}: no connected topology after {MAX_TRIES} tries ({counts})")
@@ -688,12 +602,16 @@ def _search(rng: random.Random, params: SimParams, seed: int, client_ids: list[s
 
 @dataclass
 class _Placement:
-    """A memo entry: an accepted placement, where `rng_topo` stood right
-    after it, and per mobility setting the walk its worlds share."""
+    """A memo entry: what `rng_topo` decides for a seed, where it then
+    stood, and per mobility setting the walk its worlds share and where
+    `rng_topo` stood after the first waypoints."""
 
     positions: dict
+    start_times: dict
+    pairs: dict
+    licenses: dict
     rng_state: tuple
-    walks: dict[bool, Trajectory] = field(default_factory=dict)
+    walks: dict[bool, tuple[Trajectory, tuple]] = field(default_factory=dict)
 
 
 def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
@@ -702,57 +620,57 @@ def build_random_world(params: SimParams, arm: ArmFlags, seed: int,
                        placements: dict | None = None) -> World:
     """Uniform placement, root at the grid center, attackers at depth >= 2.
 
-    Positions, start times and provisioning draw only from the topology
-    generator, so every arm sees the same network for a given seed.
-    Inputs that `check_world` refuses raise `ScenarioError` before any draw.
+    Positions, start times, provisioning and the first waypoints draw only
+    from the topology generator, so every arm sees the same network for a
+    given seed.  Inputs that `check_world` refuses raise `ScenarioError`
+    before any draw.
 
     `placements` is a memo the caller owns, keyed by the seed, the counts
     and `params`, a frozen `SimParams` that compares by every field;
-    without one the build uses a memo of its own.  A hit skips the search:
-    it reuses the accepted positions and restores `rng_topo` to its state
-    right after the accepted try, so every later draw is the one a fresh
-    search would have led to.
-    A miss searches and stores both; a failed search stores nothing.  Worlds
-    built on one entry with one mobility setting share its trajectory: a
-    static one never steps, and a mobile one keeps every tick while it lives.
+    without one the build uses a memo of its own.  A miss draws an entry;
+    a failed search stores nothing.  Every world is assembled from the
+    entry, leaving `rng_topo` where a fresh build would; only encrypted
+    keys are drawn per world.  Worlds on one entry with one mobility
+    setting share its trajectory: a static one never steps, and a mobile
+    one keeps every tick while it lives.
     """
     check_world(params, arm, n_clients, n_attackers)
     world = World(params, arm, seed, trace=trace)
-    rng = world.rng_topo
+    rng, us = world.rng_topo, params.us
     client_ids = [f"c{i + 1:02d}" for i in range(n_clients)]
     attacker_ids = [f"m{i + 1:02d}" for i in range(n_attackers)]
+    roles = dict.fromkeys(client_ids, CLIENT) | dict.fromkeys(attacker_ids, MALICIOUS)
     key = (seed, n_clients, n_attackers, params)
     if placements is None:
         placements = {}
     entry = placements.get(key)
     if entry is None:
         positions = _search(rng, params, seed, client_ids, attacker_ids)
-        entry = placements[key] = _Placement(positions, rng.getstate())
-    else:
-        positions = entry.positions
-        rng.setstate(entry.rng_state)
-
-    uniform, us = rng.uniform, world.us
-    world.add_node("root", ROOT, positions["root"])
-    for node_id in client_ids:
-        world.add_node(node_id, CLIENT, positions[node_id],
-                       start_time=round(uniform(0, us["startup_stagger_s"])))
-    for node_id in attacker_ids:
-        world.add_node(node_id, MALICIOUS, positions[node_id],
-                       start_time=round(uniform(0, us["attacker_start_window_s"])))
-    world.provision()
-
-    walkers = {}
-    if mobility:
-        # every world draws the first waypoints, so rng_topo ends where it would
-        for node in world.nodes.values():
-            if node.role is ROOT:
-                continue  # the sink stays where it is deployed
-            walkers[node.node_id] = RwpState(
-                waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),
-                speed=rng.uniform(params.speed_min_mps, params.speed_max_mps))
+        windows = {CLIENT: us["startup_stagger_s"], MALICIOUS: us["attacker_start_window_s"]}
+        start_times = {node_id: round(rng.uniform(0, windows[role]))
+                       for node_id, role in roles.items()}
+        # all but the root, by the addresses `add_node` gives them below
+        ids = dict(zip(map(node_address, range(1, len(positions))), roles))
+        db = CRDatabase(width=params.license_width)
+        licenses = db.enrol(seed, ids, rng)
+        entry = placements[key] = _Placement(positions, start_times, db.entries,
+                                             licenses, rng.getstate())
+    world.add_node("root", ROOT, entry.positions["root"])
+    for node_id, role in roles.items():
+        world.add_node(node_id, role, entry.positions[node_id], entry.start_times[node_id])
+    world.db.entries.update(entry.pairs)
+    world._license(entry.licenses)
     walk = entry.walks.get(mobility)
     if walk is None:
-        walk = entry.walks[mobility] = Trajectory(params, seed, walkers, positions)
-    world.trajectory = walk
+        rng.setstate(entry.rng_state)
+        walkers = {}
+        if mobility:  # the sink stays where it is deployed
+            for node_id in roles:
+                walkers[node_id] = RwpState(
+                    waypoint=(rng.uniform(0, params.grid_m), rng.uniform(0, params.grid_m)),
+                    speed=rng.uniform(params.speed_min_mps, params.speed_max_mps))
+        walk = entry.walks[mobility] = (Trajectory(params, seed, walkers, entry.positions),
+                                        rng.getstate())
+    world.trajectory, state = walk
+    rng.setstate(state)
     return world

@@ -65,16 +65,20 @@ def run_single(scenario: Scenario, arm_name: str, seed: int,
                                mobility=scenario.mobility,
                                trace=trace, placements=placements)
     counters = world.run()
-    try:
-        delay = ae2ed(counters)
-    except MetricUndefinedError:
-        delay = math.nan
     return RunResult(
         arm=arm_name, seed=seed, attackers=scenario.n_attackers,
         mobility=scenario.mobility,
-        pdr=pdr(counters), ae2ed_s=delay,
-        apc_mw=apc(counters, scenario.params.duration_s, scenario.params),
+        pdr=pdr(counters), ae2ed_s=_or_nan(ae2ed, counters),
+        apc_mw=_or_nan(apc, counters, scenario.params.duration_s, scenario.params),
         n_blacklist=counters.n_blacklisted, rt_peak=counters.rt_peak)
+
+
+def _or_nan(metric, *args) -> float:
+    """The metric's value, or nan where the run leaves it undefined."""
+    try:
+        return metric(*args)
+    except MetricUndefinedError:
+        return math.nan
 
 
 def summarize(rows: list) -> list:

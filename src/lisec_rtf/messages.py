@@ -36,6 +36,7 @@ from collections import namedtuple
 
 ADDRESS_LEN = 16
 NODE_PREFIX = 0xFD     # addresses assigned to real nodes
+_NODE_HEAD = bytes([NODE_PREFIX]) + bytes(13)  # a node address before its 2-octet index
 FORGED_PREFIX = 0xFE   # reserved block the attacker draws fake addresses from
 
 DAO_BASE_LEN = 36
@@ -54,7 +55,7 @@ def node_address(index: int) -> bytes:
     """Stable unicast address for node number `index`."""
     if not 0 <= index < 1 << 16:
         raise ValueError("node index out of range")
-    return bytes([NODE_PREFIX]) + b"\x00" * 13 + index.to_bytes(2, "big")
+    return _NODE_HEAD + index.to_bytes(2, "big")
 
 
 def forged_address(rng: random.Random) -> bytes:

@@ -22,6 +22,11 @@ class EnergyLedger:
     cpu_s: float = 0.0
 
     def lpm_s(self, elapsed_s: float) -> float:
+        """The residual; undefined when the node was busy for longer than
+        `elapsed_s`, as frames overlap on a radio with no channel capacity."""
+        busy = self.tx_s + self.rx_s + self.cpu_s
+        if busy > elapsed_s:
+            raise MetricUndefinedError(f"a node was busy for {busy} s of {elapsed_s} s")
         return max(0.0, elapsed_s - self.tx_s - self.rx_s - self.cpu_s)
 
     def energy_mj(self, elapsed_s: float, params: SimParams) -> float:

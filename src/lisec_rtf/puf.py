@@ -93,6 +93,16 @@ class CRDatabase:
         self.entries[address] = (challenge, response)
         return challenge, generate_license(challenge, response, self.width)
 
+    def enrol(self, seed: int, ids: dict[bytes, str], rng: random.Random) -> dict[str, int]:
+        """`register` a `KeyedPuf` for each address of `ids`, its secret
+        derived from `seed` and the node id; returns each license by id."""
+        licenses = {}
+        for address, node_id in ids.items():
+            secret = hashlib.blake2b(f"{seed}|{node_id}".encode(), digest_size=16).digest()
+            licenses[node_id] = self.register(address, KeyedPuf(node_id, secret, self.width),
+                                              rng)[1]
+        return licenses
+
     def verify(self, address: bytes, license_bits: int) -> bool:
         """Accept iff the address is registered and the license fits and checks out."""
         entry = self.entries.get(address)

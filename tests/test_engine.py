@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from lisec_rtf import engine, experiment, node
-from lisec_rtf.config import ARMS, US, SimParams
+from lisec_rtf.config import ARMS, US, SimParams, check_world
 from lisec_rtf.demo import run_overflow_demo
 from lisec_rtf.experiment import run_experiment
 from lisec_rtf.engine import (
@@ -1165,8 +1165,9 @@ def test_negative_or_empty_node_count_refused(counts, name):
 
 
 @pytest.mark.parametrize("params, n_attackers, reason", [
-    # everything is one hop from the root
-    (SimParams(grid_m=30.0), 1,
+    # at seed 1 each try puts the attacker one hop from the root, though a
+    # point of this grid lies two hops deep
+    (SimParams(grid_m=80.0), 1,
      r"disconnected 0, attacker too shallow 5, subtree overload 0\)"),
     # no relay may carry a single descendant
     (SimParams(grid_m=140.0, rt_cap=4), 0,
@@ -1205,6 +1206,32 @@ def test_table_too_small_to_place_refused_before_any_try(monkeypatch, rt_cap,
     with pytest.raises(ScenarioError, match="^rt_cap: must be at least"):
         Scenario(params=p, n_clients=5, n_attackers=n_attackers, arms=(arm,))
     assert tries == []
+
+
+def test_grid_with_no_point_two_hops_deep_refused_before_any_try(monkeypatch):
+    # once spent all 200 tries, each attacker one hop from the root
+    tries = _count_searches(monkeypatch)
+    p = SimParams(grid_m=60.0)
+    message = (r"^grid_m: every point of a 60.0 m grid is within tx_range_m \(50.0 m\) "
+               r"of the root at its center, so no attacker can be placed at depth >= 2$")
+    with pytest.raises(ScenarioError, match=message):
+        build_random_world(p, ARMS["baseline"], 1, n_clients=5, n_attackers=1)
+    with pytest.raises(ScenarioError, match=message):
+        Scenario(params=p, n_clients=5, n_attackers=1, arms=("attack",))
+    assert tries == []
+    build_random_world(p, ARMS["baseline"], 1, n_clients=5, n_attackers=0)  # no attacker
+
+
+@pytest.mark.parametrize("grid_m, refused", [(70.0, True), (71.0, False)])
+def test_check_world_refuses_a_grid_within_range_of_its_center(grid_m, refused):
+    # the corner of a 70 m grid is 49.5 m from the center, of a 71 m grid 50.2 m
+    p = SimParams(grid_m=grid_m)
+    if refused:
+        with pytest.raises(ScenarioError, match="^grid_m: "):
+            check_world(p, ARMS["attack"], 5, 1)
+    else:
+        check_world(p, ARMS["attack"], 5, 1)
+    check_world(p, ARMS["baseline"], 5, 0)
 
 
 @pytest.mark.parametrize("n_clients", [True, 2.5])
@@ -1255,7 +1282,9 @@ def test_library_and_scenario_refuse_the_same_worlds(monkeypatch, arm, license_w
 
 
 def _count_searches(monkeypatch) -> list:
-    """Record one entry per placement try (each try runs `_connected` once)."""
+    """Record one entry per BFS (`_connected` call): one per placement try,
+    except a try with an attacker in range of the root, which a successful
+    search sets aside without one."""
     tries = []
     connected = engine._connected
 
@@ -1362,6 +1391,73 @@ def test_failed_search_raises_the_same_error_and_stores_nothing(monkeypatch):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert memo == {}
+
+
+def test_a_try_with_an_attacker_beside_the_root_runs_no_bfs(monkeypatch):
+    # such a try fails whatever the BFS finds, so only a failed search runs
+    # it, to count the reason; oracle: the tries replayed from the seed
+    tries = _count_searches(monkeypatch)
+    ids = [f"c{i + 1:02d}" for i in range(26)] + ["m01", "m02", "m03"]
+    searched = shallow = 0
+    for seed in range(10):
+        w = build_random_world(SimParams(), ARMS["attack"], seed, n_clients=26,
+                               n_attackers=3)
+        rng, placed = random.Random(seed), [w.positions[i] for i in ids]
+        while True:
+            points = [(rng.uniform(0, 200.0), rng.uniform(0, 200.0)) for _ in ids]
+            searched += 1
+            shallow += any(math.hypot(100.0 - x, 100.0 - y) <= 50.0 for x, y in points[-3:])
+            if points == placed:
+                break
+    assert shallow > 0 and len(tries) == searched - shallow
+    for positions, _, _ in tries:
+        assert all(math.hypot(100.0 - x, 100.0 - y) > 50.0
+                   for x, y in map(positions.get, ids[-3:]))
+
+
+@st.composite
+def _memo_cases(draw):
+    """Small worlds over what set-up reads: the grid, the range, the
+    license width (past 8 bits only encrypted), the stagger and start
+    windows, 1-8 clients, 0-2 attackers, every arm and mobility; `other`
+    is another arm, where the width allows one, that fills the memo first."""
+    width = draw(st.sampled_from([1, 8, 9, 16]))
+    arms = [name for name, arm in ARMS.items() if width <= 8 or arm.encrypted]
+    arm = draw(st.sampled_from(arms))
+    other = draw(st.sampled_from([name for name in arms if name != arm] or arms))
+    window = st.sampled_from([0.0, 1e-6, 0.5, 20.0])
+    params = SimParams(duration_s=60.0, grid_m=draw(st.floats(40.0, 160.0)),
+                       tx_range_m=draw(st.floats(30.0, 90.0)), license_width=width,
+                       startup_stagger_s=draw(window),
+                       attacker_start_window_s=draw(window), data_warmup_s=20.0)
+    return (params, arm, other, draw(st.integers(0, 2**16)), draw(st.integers(1, 8)),
+            draw(st.integers(0, 2)), draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_memo_cases())
+def test_a_warm_memo_builds_what_a_fresh_build_does(case):
+    params, arm, other, seed, n_clients, n_attackers, mobility, walked = case
+
+    def build(arm, mobility, placements=None):
+        try:
+            return build_random_world(params, ARMS[arm], seed, n_clients=n_clients,
+                                      n_attackers=n_attackers, mobility=mobility,
+                                      placements=placements)
+        except (ScenarioError, SetupError) as exc:
+            return repr(exc)
+
+    memo = {}
+    build(other, not mobility, memo)  # draws the entry and the other walk
+    if walked:
+        build(other, mobility, memo)  # this walk too, for a whole hit
+    warm, fresh = build(arm, mobility, memo), build(arm, mobility)
+    if isinstance(fresh, str):
+        assert warm == fresh
+        return
+    assert _built(warm) == _built(fresh)
+    assert warm.run() == fresh.run()
+    assert warm.digest() == fresh.digest()
 
 
 def _small_scenario(arms: list) -> Scenario:

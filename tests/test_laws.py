@@ -1,6 +1,6 @@
 """Exact laws at the desk scenario: 26 clients and 3 attackers, between
-arms at seeds 0-2, static and mobile, and within the static attack arm at
-seeds 0-9.
+arms at seeds 0-2, static and mobile, within the static attack arm at
+seeds 0-9, and within each run for the fate of every counted data packet.
 
 Where two arms differ only in a switch that finds nothing to act on, they
 must give the same run: the same `World.digest()` and the same counters,
@@ -18,7 +18,7 @@ from functools import cache
 import pytest
 
 from lisec_rtf.config import ARMS, ArmFlags, SimParams
-from lisec_rtf.engine import build_random_world
+from lisec_rtf.engine import DataPacket, build_random_world
 from lisec_rtf.metrics import pdr
 
 DESK = SimParams()
@@ -96,3 +96,51 @@ def test_the_static_attack_is_a_race_to_fill_the_root_table(seed):
               for c in clients if delivered[c.address]
               != (0 if c.node_id in late else sent[c.node_id])]
     assert broken == [], f"table full at {full_at[0]} µs"
+
+
+@pytest.mark.parametrize("loss_prob", [0.0, 0.15])
+@pytest.mark.parametrize("seed, mobility", WORLDS)
+@pytest.mark.parametrize("arm", ["baseline", "attack", "defense"])
+def test_every_counted_data_packet_ends_once(arm, seed, mobility, loss_prob):
+    # each counted packet is received or ends at one named point, and none
+    # is still on the air when the run ends; wrappers set on w follow it
+    params = replace(DESK, loss_prob=loss_prob)
+    w = build_random_world(params, ARMS[arm], seed, n_clients=26, n_attackers=3,
+                           mobility=mobility, placements=_PLACEMENTS)
+    c, warmup = w.counters, params.us["data_warmup_s"]
+    on_data, transmit, receive, handle_data = (
+        w._on_data, w.transmit, w._receive, w._handle_data)
+    ends = Counter()
+    sends = Counter()  # of counted data: launched by the source, relayed
+
+    def send_all(event):
+        sent, launched = c.total_sent(), sends["launched"]
+        on_data(event)
+        ends["orphaned at the source"] += (
+            c.total_sent() - sent - (sends["launched"] - launched))
+
+    def send(sender, dest, message):
+        lost = c.link_losses
+        transmit(sender, dest, message)
+        if type(message) is DataPacket and message.created > warmup:
+            sends["relayed" if message.hops else "launched"] += 1
+            ends["lost on a link"] += c.link_losses - lost
+
+    def relay(node, sender_addr, message, airtime):
+        relayed = sends["relayed"]
+        receive(node, sender_addr, message, airtime)
+        if (type(message) is DataPacket and message.created > warmup
+                and node.node_id != "root" and sends["relayed"] == relayed):
+            ends["dropped by a relay"] += 1
+
+    def admit(root, packet):
+        refused = c.root_admission_drops
+        handle_data(root, packet)
+        if packet.created > warmup:
+            ends["refused at root admission"] += c.root_admission_drops - refused
+
+    w._on_data, w.transmit, w._receive, w._handle_data = send_all, send, relay, admit
+    w.run()
+    assert c.received_at_root + sum(ends.values()) == c.total_sent() > 0, ends
+    if loss_prob:
+        assert ends["lost on a link"] > 0

@@ -126,6 +126,22 @@ def test_apc_excludes_non_clients():
     assert apc(c, 1800.0, P) == pytest.approx(P.p_lpm_mw)
 
 
+def test_apc_undefined_for_a_client_busy_past_the_run():
+    # this clamped low-power time at 0 and reported more power than any
+    # radio state draws
+    ledger = EnergyLedger(tx_s=1.0, rx_s=0.5, cpu_s=0.5)
+    assert ledger.lpm_s(2.0) == 0.0
+    with pytest.raises(MetricUndefinedError, match=r"^a node was busy for 2.0 s of 1.5 s$"):
+        ledger.lpm_s(1.5)
+    c = idle_counters(2)
+    c.ledgers["c01"] = ledger
+    with pytest.raises(MetricUndefinedError):
+        apc(c, 1.5, P)
+    c.ledgers["root"] = c.ledgers.pop("c01")  # a busy node that is no client
+    c.client_ids.remove("c01")
+    assert apc(c, 1.5, P) == pytest.approx(P.p_lpm_mw)
+
+
 # -- confidence intervals ---------------------------------------------------
 
 

@@ -232,6 +232,22 @@ def test_cli_refuses_a_run_without_counted_data(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_client_busy_past_the_run_reports_apc_nan(tmp_path):
+    # at 1 bit/s a DIO takes 192 s on the air and frames overlap, so a
+    # client is busy for longer than the run; its APC once came out of a
+    # low-power time clamped at 0
+    p = SimParams(bitrate_bps=1, grid_m=120.0, duration_s=420.0,
+                  startup_stagger_s=120.0, data_warmup_s=180.0)
+    scenario = Scenario(params=p, n_clients=4, n_attackers=0, arms=("baseline",),
+                        seeds=(0, 1))
+    report = run_experiment(scenario, out_dir=tmp_path)
+    assert [math.isnan(r.apc_mw) for r in report.rows] == [True, True]
+    assert [r.pdr for r in report.rows] == [1.0, 1.0]  # the other metrics stand
+    assert math.isnan(report.summary[0]["apc_mw_mean"])
+    rows = (tmp_path / "runs.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[6] for row in rows] == ["nan", "nan"]
+
+
 def test_stagger_past_warmup_rejected():
     # clients still off after the warm-up counted their packets as sent: this
     # ran with exit 0 and reported PDR 0.000
@@ -264,6 +280,18 @@ def test_cli_refuses_a_table_too_small_to_place(tmp_path, capsys):
     assert main(["--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: rt_cap: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_refuses_a_grid_with_no_point_two_hops_deep(tmp_path, capsys):
+    # once "error: seed 0: ... (disconnected 0, attacker too shallow 200,
+    # ...)" after 200 tries, leaving an empty --out directory behind
+    path = tmp_path / "small.scenario"
+    path.write_text("grid_m = 60\n")
+    out = tmp_path / "res"
+    assert main(["--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_m: ") and err.count("\n") == 1
     assert not out.exists()
 
 
